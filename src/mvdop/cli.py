@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import verify
-from .dpolys import FamilyParams, laguerre
+from .dpolys import FAMILY_PARAMS, PARAM_NAMES, FamilyParams, laguerre
 from .errors import (
     DomainError,
     MvdopError,
@@ -73,12 +73,10 @@ def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
 
 def _family_params(args) -> FamilyParams:
     kw = {}
-    for name in ("alpha", "c", "a", "p"):
-        v = getattr(args, name, None)
+    for name in PARAM_NAMES:
+        v = getattr(args, name)
         if v is not None:
-            kw[name] = _rat(v)
-    if getattr(args, "N", None) is not None:
-        kw["N"] = int(args.N)
+            kw[name] = v if name == "N" else _rat(v)
     return FamilyParams(args.family, **kw)
 
 
@@ -180,18 +178,15 @@ def cmd_verify(args) -> int:
         if fp.family == "krawtchouk":
             table = load_or_build_table(r, d, r * int(fp.N))
             rep = verify.orthogonality_krawtchouk(fp.p, int(fp.N), table)
-        elif fp.family == "meixner":
-            ts = _parse_weights(args.truncation_weights)
-            table = load_or_build_table(r, d, max(ts))
-            rep = verify.orthogonality_meixner(
-                fp.alpha, fp.c, int(args.max_weight), ts, table
-            )
-        elif fp.family == "charlier":
-            ts = _parse_weights(args.truncation_weights)
-            table = load_or_build_table(r, d, max(ts))
-            rep = verify.orthogonality_charlier(fp.a, int(args.max_weight), ts, table)
         else:
-            raise ParameterError(f"no orthogonality check for {fp.family!r}")
+            ts = _parse_weights(args.truncation_weights)
+            table = load_or_build_table(r, d, max(ts))
+            mw = int(args.max_weight)
+            rep = (
+                verify.orthogonality_meixner(fp.alpha, fp.c, mw, ts, table)
+                if fp.family == "meixner"
+                else verify.orthogonality_charlier(fp.a, mw, ts, table)
+            )
     elif identity in ("difference", "recurrence"):
         fp = _family_params(args)
         table = load_or_build_table(r, d, int(args.max_weight) + 1)
@@ -263,17 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def family_flags(p):
-        p.add_argument("--family", required=True,
-                       choices=["meixner", "charlier", "krawtchouk", "laguerre"])
-        p.add_argument("--alpha")
-        p.add_argument("--c")
-        p.add_argument("--a")
-        p.add_argument("--p")
-        p.add_argument("--N", type=int)
+    def family_flags(p, families=tuple(FAMILY_PARAMS), **family_kw):
+        p.add_argument("--family", choices=list(families), **family_kw)
+        for name in PARAM_NAMES:
+            p.add_argument(f"--{name}", type=int if name == "N" else None)
 
     pe = sub.add_parser("eval", help="evaluate one polynomial value")
-    family_flags(pe)
+    family_flags(pe, required=True)
     pe.add_argument("--d", required=True)
     pe.add_argument("--r", required=True, type=int)
     pe.add_argument("--m", required=True)
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_eval)
 
     pt = sub.add_parser("table", help="tabulate values over the index grid")
-    family_flags(pt)
+    family_flags(pt, required=True)
     pt.add_argument("--d", required=True)
     pt.add_argument("--r", required=True, type=int)
     pt.add_argument("--max-degree", dest="max_degree", required=True, type=int)
@@ -303,20 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
             "limits",
         ],
     )
-    pv.add_argument("--family", default="meixner",
-                    choices=["meixner", "charlier", "krawtchouk"])
-    pv.add_argument("--alpha")
-    pv.add_argument("--c")
-    pv.add_argument("--a")
-    pv.add_argument("--p")
-    pv.add_argument("--N", type=int)
+    family_flags(pv, ("meixner", "charlier", "krawtchouk"), default="meixner")
     pv.add_argument("--d", required=True)
     pv.add_argument("--r", required=True, type=int)
     pv.add_argument("--max-weight", dest="max_weight", type=int, default=2)
     pv.add_argument("--degree", type=int, default=3)
     pv.add_argument("--truncation-weights", dest="truncation_weights", default="10,12,14")
     pv.add_argument("--scales", default="100,10000,1000000")
-    pv.add_argument("--seed", type=int, default=20250808)
     pv.add_argument("--out")
     pv.set_defaults(fn=cmd_verify)
 

@@ -120,6 +120,15 @@ def dim_partition(m, jack: JackTable) -> Fraction:
     return got
 
 
+def weight_factor(x, jack: JackTable, s: Optional[Rat] = None) -> Fraction:
+    """d_x (s)_x / (n/r)_x: the partition factor shared by the family
+    weights, norms and generating-function coefficients.  The (s)_x factor
+    is left out when ``s`` is None."""
+    params = cone_params(jack)
+    out = dim_partition(x, jack) / gen_pochhammer(params.rank_ratio, x, params)
+    return out if s is None else out * gen_pochhammer(s, x, params)
+
+
 def dim_partition_gamma_check(m, params: ConeParams) -> float:
     """Floating-point evaluation of the classical Gamma-product expression
     for d_m; used only as a cross-check oracle for ``dim_partition``."""
@@ -196,14 +205,8 @@ def box_binomial(N: int, x, jack: JackTable) -> Fraction:
     the closed falling-factorial evaluation; vanishes unless x fits in the
     box.  Cross-checked against ``binomial`` in the test suite."""
     x = pad(x, jack.r)
-    params = cone_params(jack)
     sign = -1 if weight(x) % 2 else 1
-    return (
-        sign
-        * gen_pochhammer(Fraction(-N), x, params)
-        * dim_partition(x, jack)
-        / gen_pochhammer(params.rank_ratio, x, params)
-    )
+    return sign * weight_factor(x, jack, -N)
 
 
 # ---------------------------------------------------------------------------

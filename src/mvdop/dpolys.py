@@ -17,27 +17,53 @@ from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .conearith import (
-    ConeParams,
+    binomial_row,
     cone_params,
     dim_partition,
     falling_row,
     gen_pochhammer,
+    weight_factor,
 )
 from .errors import DomainError, ParameterError, PoleError
 from .jack import JackTable
 from .partitions import contains, format_partition, pad, weight
+from .symfun import SymPoly
 
 Rat = Union[int, Fraction]
 
 
-def _index_data(jack: JackTable, m, x):
+def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fraction:
+    """The sum shared by the three families over padded indices m, x:
+
+        sum over k in m and x of  C_k * G_m[k] * G_x[k],
+        C_k = d_k z^|k| / ((n/r)_k (s)_k),
+
+    with G the falling-factorial rows and the (s)_k factor left out when
+    ``s`` is None.  The C_k row is memoized in ``jack.cache`` per (s, z);
+    a vanishing (s)_k on a contributing term raises PoleError."""
     params = cone_params(jack)
-    m = pad(m, params.r)
-    x = pad(x, params.r)
     jack.extend(max(weight(m), weight(x)))
     gm = falling_row(jack, m)
     gx = falling_row(jack, x, max_weight=weight(m))
-    return params, m, x, gm, gx
+    row = jack.cache.setdefault(("coef", s, z), {})
+    total = Fraction(0)
+    for k, gmk in gm.items():
+        gxk = gx.get(k)
+        if not gxk:
+            continue
+        ck = row.get(k)
+        if ck is None:
+            den = gen_pochhammer(params.rank_ratio, k, params)
+            if s is not None:
+                poch = gen_pochhammer(s, k, params)
+                if poch == 0:
+                    raise PoleError(
+                        f"shifted factorial ({s})_k vanishes at k={format_partition(k)}"
+                    )
+                den *= poch
+            ck = row.setdefault(k, dim_partition(k, jack) * z ** weight(k) / den)
+        total += ck * gmk * gxk
+    return total
 
 
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
@@ -46,26 +72,7 @@ def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
     c = Fraction(c)
     if c == 0:
         raise ParameterError("meixner: c must be nonzero")
-    params, m, x, gm, gx = _index_data(jack, m, x)
-    z = 1 - 1 / c
-    total = Fraction(0)
-    for k, gmk in gm.items():
-        gxk = gx.get(k)
-        if not gxk:
-            continue
-        poch = gen_pochhammer(alpha, k, params)
-        if poch == 0:
-            raise PoleError(
-                f"meixner: (alpha)_k vanishes at k={format_partition(k)} for alpha={alpha}"
-            )
-        total += (
-            dim_partition(k, jack)
-            * gmk
-            * gxk
-            * z ** weight(k)
-            / (gen_pochhammer(params.rank_ratio, k, params) * poch)
-        )
-    return total
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), alpha, 1 - 1 / c)
 
 
 def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
@@ -73,21 +80,7 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("charlier: a must be nonzero")
-    params, m, x, gm, gx = _index_data(jack, m, x)
-    z = Fraction(-1) / a
-    total = Fraction(0)
-    for k, gmk in gm.items():
-        gxk = gx.get(k)
-        if not gxk:
-            continue
-        total += (
-            dim_partition(k, jack)
-            * gmk
-            * gxk
-            * z ** weight(k)
-            / gen_pochhammer(params.rank_ratio, k, params)
-        )
-    return total
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), None, -1 / a)
 
 
 def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
@@ -100,42 +93,23 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
         raise ParameterError("krawtchouk: p must be nonzero")
     if N < 0:
         raise ParameterError("krawtchouk: N must be >= 0")
-    params, m, x, gm, gx = _index_data(jack, m, x)
-    if not contains(m, (N,) * params.r):
+    m = pad(m, jack.r)
+    if not contains(m, (N,) * jack.r):
         raise DomainError(
             f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
         )
-    total = Fraction(0)
-    for k, gmk in gm.items():
-        gxk = gx.get(k)
-        if not gxk:
-            continue
-        poch = gen_pochhammer(Fraction(-N), k, params)
-        assert poch != 0
-        total += (
-            dim_partition(k, jack)
-            * gmk
-            * gxk
-            * (1 / p) ** weight(k)
-            / (gen_pochhammer(params.rank_ratio, k, params) * poch)
-        )
-    return total
+    return _kernel(jack, m, pad(x, jack.r), Fraction(-N), 1 / p)
 
 
-def laguerre(m, diag_u: Sequence[Rat], alpha: Rat, jack: JackTable) -> Fraction:
-    """Laguerre companion value at the diagonal point ``diag_u``; the
-    superscript convention is alpha - n/r."""
-    from .conearith import binomial_row
-
+def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:
+    """The Laguerre companion element as an exact symmetric polynomial, its
+    argument scaled by ``scale``; the superscript convention is
+    alpha - n/r."""
     alpha = Fraction(alpha)
     params = cone_params(jack)
     m = pad(m, params.r)
     jack.extend(weight(m))
-    u = tuple(Fraction(v) for v in diag_u)
-    if len(u) != params.r:
-        raise ValueError(f"diagonal point length {len(u)} != r = {params.r}")
-    poch_m = gen_pochhammer(alpha, m, params)
-    total = Fraction(0)
+    total = SymPoly.zero(params.r)
     for k, b in binomial_row(jack, m).items():
         poch = gen_pochhammer(alpha, k, params)
         if poch == 0:
@@ -143,13 +117,13 @@ def laguerre(m, diag_u: Sequence[Rat], alpha: Rat, jack: JackTable) -> Fraction:
                 f"laguerre: (alpha)_k vanishes at k={format_partition(k)} for alpha={alpha}"
             )
         sign = -1 if weight(k) % 2 else 1
-        total += sign * b * jack.phi(k).eval_at(u) / poch
-    return (
-        dim_partition(m, jack)
-        * poch_m
-        / gen_pochhammer(params.rank_ratio, m, params)
-        * total
-    )
+        total = total + jack.phi(k).scale(sign * b * Fraction(scale) ** weight(k) / poch)
+    return total.scale(weight_factor(m, jack, alpha))
+
+
+def laguerre(m, diag_u: Sequence[Rat], alpha: Rat, jack: JackTable) -> Fraction:
+    """Laguerre companion value at the diagonal point ``diag_u``."""
+    return companion_poly(m, alpha, jack).eval_at(diag_u)
 
 
 # ---------------------------------------------------------------------------
@@ -163,29 +137,30 @@ def _poch1(s: Fraction, k: int) -> Fraction:
     return out
 
 
+def _univariate_kernel(m: int, x: int, s: Optional[Fraction], z: Fraction) -> Fraction:
+    """The r = 1 family sum: k! C(m, k) C(x, k) z^k / (s)_k over
+    k <= min(m, x), the (s)_k factor left out when ``s`` is None."""
+    total = Fraction(0)
+    for k in range(min(m, x) + 1):
+        poch = Fraction(1) if s is None else _poch1(s, k)
+        if poch == 0:
+            raise PoleError(f"({s})_{k} = 0")
+        total += Fraction(factorial(k)) * comb(m, k) * comb(x, k) * z**k / poch
+    return total
+
+
 def univariate_meixner(m: int, x: int, alpha: Rat, c: Rat) -> Fraction:
-    alpha = Fraction(alpha)
     c = Fraction(c)
     if c == 0:
         raise ParameterError("c must be nonzero")
-    z = 1 - 1 / c
-    total = Fraction(0)
-    for k in range(min(m, x) + 1):
-        poch = _poch1(alpha, k)
-        if poch == 0:
-            raise PoleError(f"(alpha)_{k} = 0 for alpha={alpha}")
-        total += Fraction(factorial(k)) * comb(m, k) * comb(x, k) * z**k / poch
-    return total
+    return _univariate_kernel(m, x, Fraction(alpha), 1 - 1 / c)
 
 
 def univariate_charlier(m: int, x: int, a: Rat) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("a must be nonzero")
-    total = Fraction(0)
-    for k in range(min(m, x) + 1):
-        total += Fraction(factorial(k)) * comb(m, k) * comb(x, k) * (-1 / a) ** k
-    return total
+    return _univariate_kernel(m, x, None, -1 / a)
 
 
 def univariate_krawtchouk(m: int, x: int, p: Rat, N: int) -> Fraction:
@@ -194,11 +169,7 @@ def univariate_krawtchouk(m: int, x: int, p: Rat, N: int) -> Fraction:
         raise ParameterError("p must be nonzero")
     if not 0 <= m <= N:
         raise DomainError(f"index {m} outside 0..{N}")
-    total = Fraction(0)
-    for k in range(min(m, x) + 1):
-        poch = _poch1(Fraction(-N), k)
-        total += Fraction(factorial(k)) * comb(m, k) * comb(x, k) * (1 / p) ** k / poch
-    return total
+    return _univariate_kernel(m, x, Fraction(-N), 1 / p)
 
 
 def univariate_laguerre(m: int, u: Rat, alpha: Rat) -> Fraction:
@@ -216,12 +187,7 @@ def univariate_laguerre(m: int, u: Rat, alpha: Rat) -> Fraction:
 
 
 def univariate(family: str, m: int, x, **params) -> Fraction:
-    need = {
-        "meixner": ("alpha", "c"),
-        "charlier": ("a",),
-        "krawtchouk": ("p", "N"),
-        "laguerre": ("alpha",),
-    }.get(family)
+    need = FAMILY_PARAMS.get(family)
     if need is None:
         raise ParameterError(f"unknown family {family!r}")
     missing = [k for k in need if params.get(k) is None]
@@ -352,7 +318,15 @@ def krawtchouk_limit_gaps(m, x, a: Rat, ns: Sequence[int], jack: JackTable) -> l
 # parameter bundle used by the verification layer and the CLI
 
 
-FAMILIES = ("meixner", "charlier", "krawtchouk")
+# the one declaration of which parameters each family takes; N is an
+# integer, every other parameter a rational
+FAMILY_PARAMS = {
+    "meixner": ("alpha", "c"),
+    "charlier": ("a",),
+    "krawtchouk": ("p", "N"),
+    "laguerre": ("alpha",),
+}
+PARAM_NAMES = tuple(dict.fromkeys(n for names in FAMILY_PARAMS.values() for n in names))
 
 
 @dataclass(frozen=True)
@@ -365,20 +339,15 @@ class FamilyParams:
     N: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES + ("laguerre",):
+        need = FAMILY_PARAMS.get(self.family)
+        if need is None:
             raise ParameterError(f"unknown family {self.family!r}")
-        need = {
-            "meixner": ("alpha", "c"),
-            "charlier": ("a",),
-            "krawtchouk": ("p", "N"),
-            "laguerre": ("alpha",),
-        }[self.family]
         for name in need:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.family} needs --{name}")
-        for name in ("alpha", "c", "a", "p"):
+        for name in PARAM_NAMES:
             v = getattr(self, name)
-            if v is not None:
+            if v is not None and name != "N":
                 object.__setattr__(self, name, Fraction(v))
         if self.c == 0 or self.a == 0 or self.p == 0:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
@@ -396,10 +365,8 @@ class FamilyParams:
 
     def label(self) -> dict:
         out = {"family": self.family}
-        for name in ("alpha", "c", "a", "p"):
+        for name in PARAM_NAMES:
             v = getattr(self, name)
             if v is not None:
-                out[name] = str(v)
-        if self.N is not None:
-            out["N"] = int(self.N)
+                out[name] = int(v) if name == "N" else str(v)
         return out

@@ -27,22 +27,22 @@ from typing import Optional, Sequence, Union
 
 from .conearith import (
     box_binomial,
-    binomial_row,
     cone_params,
     dim_partition,
-    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
+    weight_factor,
 )
 from .dpolys import (
     FamilyParams,
     charlier,
     charlier_limit_gaps,
+    companion_poly,
     krawtchouk,
     krawtchouk_limit_gaps,
     meixner,
 )
-from .errors import DomainError, ParameterError, PoleError
+from .errors import DomainError, ParameterError
 from .jack import JackTable
 from .partitions import (
     box_move,
@@ -54,7 +54,6 @@ from .partitions import (
     weight,
 )
 from .symfun import (
-    SymPoly,
     series_compose_diagonal,
     series_exp_trace,
     series_prod_binomial,
@@ -71,6 +70,10 @@ def _dec(q: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_PREC
         return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _as_dec(v) -> Decimal:
+    return v if isinstance(v, Decimal) else _dec(v)
 
 
 def _dec_pow(base: Fraction, expo: Fraction) -> Decimal:
@@ -93,11 +96,6 @@ def _fmt(v):
     if isinstance(v, Decimal):
         return float(v)
     return v
-
-
-def _residual_float(v) -> float:
-    # Fraction, Decimal and float all convert losslessly enough for reports
-    return float(v)
 
 
 @dataclass
@@ -160,8 +158,7 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
     """Coefficient-by-coefficient check of the one-index generating
     function of a family against the closed product form, exact up to the
     stated total degree."""
-    params = cone_params(jack)
-    r = params.r
+    r = jack.r
     D = int(max_degree)
     x = pad(x, r)
     jack.extend(max(D, weight(x)))
@@ -177,12 +174,7 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
         )
         coeffs = jack.to_phi_basis(lhs)
         for n in enumerate_up_to(r, D):
-            rhs = (
-                dim_partition(n, jack)
-                * gen_pochhammer(fp.alpha, n, params)
-                / gen_pochhammer(params.rank_ratio, n, params)
-                * meixner(n, x, fp.alpha, fp.c, jack)
-            )
+            rhs = weight_factor(n, jack, fp.alpha) * meixner(n, x, fp.alpha, fp.c, jack)
             rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
         return rep.finalize()
 
@@ -192,11 +184,7 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
         )
         coeffs = jack.to_phi_basis(lhs)
         for n in enumerate_up_to(r, D):
-            rhs = (
-                dim_partition(n, jack)
-                / gen_pochhammer(params.rank_ratio, n, params)
-                * charlier(n, x, fp.a, jack)
-            )
+            rhs = weight_factor(n, jack) * charlier(n, x, fp.a, jack)
             rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
         return rep.finalize()
 
@@ -237,25 +225,6 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
     raise ParameterError(f"no generating function for family {fp.family!r}")
 
 
-def _companion_poly(m, alpha: Fraction, scale: Fraction, jack: JackTable) -> SymPoly:
-    """The Laguerre companion element with its argument scaled, as an exact
-    symmetric polynomial (used by the master generating-function check)."""
-    params = cone_params(jack)
-    total = SymPoly.zero(jack.r)
-    for k, b in binomial_row(jack, m).items():
-        poch = gen_pochhammer(alpha, k, params)
-        if poch == 0:
-            raise PoleError(f"companion element: pole at k={format_partition(k)}")
-        sign = -1 if weight(k) % 2 else 1
-        total = total + jack.phi(k).scale(Fraction(sign) * b * scale ** weight(k) / poch)
-    pref = (
-        dim_partition(m, jack)
-        * gen_pochhammer(alpha, m, params)
-        / gen_pochhammer(params.rank_ratio, m, params)
-    )
-    return total.scale(pref)
-
-
 def master_genfunc(
     family: str,
     fp: FamilyParams,
@@ -269,8 +238,7 @@ def master_genfunc(
     family value, exactly."""
     if family not in ("meixner", "charlier"):
         raise ParameterError(f"master generating function covers meixner/charlier, got {family!r}")
-    params = cone_params(jack)
-    r = params.r
+    r = jack.r
     dz, dw = int(degree_first), int(degree_second)
     jack.extend(max(dz, dw))
     rep = VerificationReport(
@@ -281,7 +249,7 @@ def master_genfunc(
     exp_series = series_exp_trace(1, r, dw)
     for m in enumerate_up_to(r, dz):
         if family == "meixner":
-            series = exp_series * _companion_poly(m, fp.alpha, 1 / fp.c - 1, jack)
+            series = exp_series * companion_poly(m, fp.alpha, jack, 1 / fp.c - 1)
         else:
             series = exp_series * series_compose_diagonal(
                 jack.phi(m), [Fraction(1), -1 / fp.a], dw
@@ -290,21 +258,12 @@ def master_genfunc(
         for x in enumerate_up_to(r, dw):
             if family == "meixner":
                 rhs = (
-                    dim_partition(m, jack)
-                    * dim_partition(x, jack)
-                    * gen_pochhammer(fp.alpha, m, params)
-                    / (
-                        gen_pochhammer(params.rank_ratio, m, params)
-                        * gen_pochhammer(params.rank_ratio, x, params)
-                    )
+                    weight_factor(m, jack, fp.alpha)
+                    * weight_factor(x, jack)
                     * meixner(m, x, fp.alpha, fp.c, jack)
                 )
             else:
-                rhs = (
-                    dim_partition(x, jack)
-                    / gen_pochhammer(params.rank_ratio, x, params)
-                    * charlier(m, x, fp.a, jack)
-                )
+                rhs = weight_factor(x, jack) * charlier(m, x, fp.a, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, got.get(x, Fraction(0)), rhs))
     return rep.finalize()
 
@@ -351,8 +310,73 @@ def orthogonality_krawtchouk(
     return rep.finalize()
 
 
+def _truncation_weights(truncation_weights: Sequence[int]) -> list:
+    ts = sorted(int(t) for t in truncation_weights)
+    if len(ts) < 2:
+        raise ParameterError("need at least two truncation weights")
+    return ts
+
+
+def _truncated_sums(r: int, ts: list, pairs: list, shell, target, value=None):
+    """Shared driver of the infinite-sum checks.
+
+    ``shell(x)`` yields (pair, term) items for one partition x.  The terms
+    are summed exactly over every x of weight <= max(ts), one weight shell
+    at a time, keeping each pair's partial sum at every truncation weight.
+    Each pair is then compared with ``target(pair)``: ``value(pair, s)``
+    (default s itself) of each partial sum s gives the residual
+    |value - target|, relative to |target| on diagonal pairs (i == j);
+    exact when both sides are Fractions, 60-digit decimal otherwise.
+
+    Returns (rows, tail): a (pair, last value, target, residuals) row per
+    pair, and the largest |term| of the deepest shell."""
+    sums = dict.fromkeys(pairs, Fraction(0))
+    snapshots = {}
+    tail = Fraction(0)
+    for w in range(ts[-1] + 1):
+        tail = Fraction(0)
+        for x in partitions_of(w, r):
+            for pair, term in shell(x):
+                sums[pair] += term
+                tail = max(tail, abs(term))
+        if w in ts:
+            snapshots[w] = dict(sums)
+
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_PREC
+        for pair in pairs:
+            goal = target(pair)
+            values = [snapshots[t][pair] for t in ts]
+            if value is not None:
+                values = [value(pair, v) for v in values]
+            residuals = []
+            for v in values:
+                if isinstance(v, Decimal) or isinstance(goal, Decimal):
+                    v, g = _as_dec(v), _as_dec(goal)
+                else:
+                    g = goal
+                res = abs(v - g)
+                residuals.append(res / abs(g) if pair[0] == pair[1] else res)
+            rows.append((pair, values[-1], goal, residuals))
+    return rows, tail
+
+
+def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Fraction) -> dict:
+    """A truncated case passes when its last residual is within ``tol`` and
+    no larger than the one before it."""
+    return {
+        "m": format_partition(m),
+        "n": format_partition(n),
+        "lhs": _fmt(lhs),
+        "rhs": _fmt(rhs),
+        "residual": float(residuals[-1]),
+        "residuals": [float(res) for res in residuals],
+        "pass": residuals[-1] <= residuals[-2] and float(residuals[-1]) <= float(tol),
+    }
+
+
 def _orthogonality_truncated(
-    family: str,
     fp: FamilyParams,
     max_index_weight: int,
     truncation_weights: Sequence[int],
@@ -360,29 +384,19 @@ def _orthogonality_truncated(
     tol_diag: Fraction,
     tol_off: Fraction,
 ) -> VerificationReport:
-    params = cone_params(jack)
-    r = params.r
-    ts = sorted(int(t) for t in truncation_weights)
-    if len(ts) < 2:
-        raise ParameterError("need at least two truncation weights")
-    tmax = ts[-1]
-    jack.extend(tmax)
+    r = jack.r
+    ts = _truncation_weights(truncation_weights)
+    jack.extend(ts[-1])
 
-    if family == "meixner":
+    if fp.family == "meixner":
         if not (0 < fp.c < 1):
             raise DomainError(f"need 0 < c < 1, got {fp.c}")
-        if not fp.alpha > params.rank_ratio - 1:
-            raise DomainError(
-                f"need alpha > n/r - 1 = {params.rank_ratio - 1}, got {fp.alpha}"
-            )
+        rank_ratio = cone_params(jack).rank_ratio
+        if not fp.alpha > rank_ratio - 1:
+            raise DomainError(f"need alpha > n/r - 1 = {rank_ratio - 1}, got {fp.alpha}")
 
         def wfac(x):
-            return (
-                dim_partition(x, jack)
-                * gen_pochhammer(fp.alpha, x, params)
-                / gen_pochhammer(params.rank_ratio, x, params)
-                * fp.c ** weight(x)
-            )
+            return weight_factor(x, jack, fp.alpha) * fp.c ** weight(x)
 
         r_alpha = r * fp.alpha
         exact_rhs = r_alpha.denominator == 1
@@ -392,93 +406,51 @@ def _orthogonality_truncated(
             norm_scale = _dec_pow(1 - fp.c, -r_alpha)
 
         def norm(m):
-            core = (
-                gen_pochhammer(params.rank_ratio, m, params)
-                / (dim_partition(m, jack) * gen_pochhammer(fp.alpha, m, params))
-                * fp.c ** (-weight(m))
-            )
+            core = fp.c ** (-weight(m)) / weight_factor(m, jack, fp.alpha)
             return norm_scale * core if exact_rhs else norm_scale * _dec(core)
 
-    elif family == "charlier":
+    else:
         if not fp.a > 0:
             raise DomainError(f"need a > 0, got {fp.a}")
 
         def wfac(x):
-            return (
-                dim_partition(x, jack)
-                * fp.a ** weight(x)
-                / gen_pochhammer(params.rank_ratio, x, params)
-            )
+            return weight_factor(x, jack) * fp.a ** weight(x)
 
         exact_rhs = False
         norm_scale = _dec_exp(r * fp.a)
 
         def norm(m):
-            core = (
-                gen_pochhammer(params.rank_ratio, m, params)
-                / dim_partition(m, jack)
-                * fp.a ** (-weight(m))
-            )
-            return norm_scale * _dec(core)
-
-    else:
-        raise ParameterError(f"no truncated orthogonality for {family!r}")
+            return norm_scale * _dec(fp.a ** (-weight(m)) / weight_factor(m, jack))
 
     idx = enumerate_up_to(r, max_index_weight)
     pairs = [(i, j) for i in range(len(idx)) for j in range(i, len(idx))]
-    sums = {pr: Fraction(0) for pr in pairs}
-    snapshots = {}
-    shell_contrib = Fraction(0)
-    for w in range(tmax + 1):
-        shell_contrib = Fraction(0)
-        for x in partitions_of(w, r):
-            wf = wfac(x)
-            vals = [fp.evaluate(m, x, jack) for m in idx]
-            for i, j in pairs:
-                term = wf * vals[i] * vals[j]
-                sums[(i, j)] += term
-                shell_contrib = max(shell_contrib, abs(term))
-        if w in ts:
-            snapshots[w] = dict(sums)
 
+    def shell(x):
+        wf = wfac(x)
+        vals = [fp.evaluate(m, x, jack) for m in idx]
+        for i, j in pairs:
+            yield (i, j), wf * vals[i] * vals[j]
+
+    def target(pair):
+        i, j = pair
+        if i == j:
+            return norm(idx[i])
+        return Fraction(0) if exact_rhs else Decimal(0)
+
+    rows, tail = _truncated_sums(r, ts, pairs, shell, target)
     rep = VerificationReport(
-        identity=f"orthogonality-{family}",
+        identity=f"orthogonality-{fp.family}",
         params={**fp.label(), "d": str(jack.d), "r": r},
         truncation={
             "weights": ts,
-            "tail_estimate": float(shell_contrib),
+            "tail_estimate": float(tail),
             "tolerance_diagonal": float(tol_diag),
             "tolerance_offdiagonal": float(tol_off),
         },
     )
-    for i, j in pairs:
-        m, n = idx[i], idx[j]
-        diagonal = m == n
-        residuals = []
-        with localcontext() as ctx:
-            ctx.prec = _DECIMAL_PREC
-            rhs = norm(m) if diagonal else (Fraction(0) if exact_rhs else Decimal(0))
-            for t in ts:
-                s = snapshots[t][(i, j)]
-                if exact_rhs:
-                    res = abs(s - rhs) / abs(rhs) if diagonal else abs(s)
-                else:
-                    res = abs(_dec(s) - rhs)
-                    if diagonal:
-                        res = res / abs(rhs)
-                residuals.append(res)
-        tol = tol_diag if diagonal else tol_off
-        ok = residuals[-1] <= residuals[-2] and _residual_float(residuals[-1]) <= float(tol)
-        case = {
-            "m": format_partition(m),
-            "n": format_partition(n),
-            "lhs": _fmt(snapshots[tmax][(i, j)]),
-            "rhs": _fmt(rhs),
-            "residual": _residual_float(residuals[-1]),
-            "residuals": [_residual_float(rv) for rv in residuals],
-            "pass": ok,
-        }
-        rep.cases.append(case)
+    for (i, j), s, rhs, residuals in rows:
+        tol = tol_diag if i == j else tol_off
+        rep.cases.append(_truncated_case(idx[i], idx[j], s, rhs, residuals, tol))
     return rep.finalize()
 
 
@@ -496,7 +468,7 @@ def orthogonality_meixner(
     not an integer)."""
     fp = FamilyParams("meixner", alpha=Fraction(alpha), c=Fraction(c))
     return _orthogonality_truncated(
-        "meixner", fp, max_index_weight, truncation_weights, jack,
+        fp, max_index_weight, truncation_weights, jack,
         Fraction(tol_diag), Fraction(tol_off),
     )
 
@@ -513,7 +485,7 @@ def orthogonality_charlier(
     and is always compared in decimal."""
     fp = FamilyParams("charlier", a=Fraction(a))
     return _orthogonality_truncated(
-        "charlier", fp, max_index_weight, truncation_weights, jack,
+        fp, max_index_weight, truncation_weights, jack,
         Fraction(tol_diag), Fraction(tol_off),
     )
 
@@ -522,114 +494,80 @@ def orthogonality_charlier(
 # difference and recurrence equations
 
 
-def difference_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:
-    """Exact residual (lhs - rhs) of the second-index difference equation
-    at one index pair.  Terms whose shifted index is not a partition are
-    omitted, which reproduces the classical r = 1 equations."""
+def _shift_equation(
+    fp: FamilyParams, fixed, moving, jack: JackTable, moving_first: bool
+) -> Fraction:
+    """Exact residual (lhs - rhs) of the difference equation in the index
+    ``moving`` with ``fixed`` held.  Terms whose shifted index is not a
+    partition are omitted, which reproduces the classical r = 1 equations.
+    The family is evaluated with ``moving`` as its first index when
+    ``moving_first``; by duality that turns the equation into the
+    recurrence in the first index."""
     params = cone_params(jack)
     r, d = params.r, params.d
-    m = pad(m, r)
-    x = pad(x, r)
-    jack.extend(max(weight(m), weight(x) + 1))
+    fixed = pad(fixed, r)
+    moving = pad(moving, r)
+    jack.extend(max(weight(fixed), weight(moving) + 1))
     fam = fp.family
-    fx = fp.evaluate(m, x, jack)
-    dim_x = dim_partition(x, jack)
+
+    def value(y):
+        return fp.evaluate(y, fixed, jack) if moving_first else fp.evaluate(fixed, y, jack)
+
+    fy = value(moving)
+    dim_y = dim_partition(moving, jack)
 
     if fam == "meixner":
-        lhs = dim_x * (fp.c - 1) * weight(m) * fx
+        lhs = dim_y * (fp.c - 1) * weight(fixed) * fy
     else:
-        lhs = -dim_x * weight(m) * fx
+        lhs = -dim_y * weight(fixed) * fy
 
     rhs = Fraction(0)
     mid = Fraction(0)
     for j in range(1, r + 1):
-        xj = x[j - 1]
-        up = box_move(x, j, +1)
+        yj = moving[j - 1]
+        up = box_move(moving, j, +1)
         if up is not None:
             base = dim_partition(up, jack) * lower_coefficient(j, up, params)
             if fam == "meixner":
-                coef = base * (xj + fp.alpha - d / 2 * (j - 1)) * fp.c
+                coef = base * (yj + fp.alpha - d / 2 * (j - 1)) * fp.c
             elif fam == "charlier":
                 coef = base * fp.a
             else:
-                coef = base * (fp.N - xj + d / 2 * (j - 1)) * fp.p
+                coef = base * (fp.N - yj + d / 2 * (j - 1)) * fp.p
+            # a Krawtchouk raise out of the box has a zero coefficient, so
+            # skipping it keeps the recurrence inside the box
             if coef:
-                rhs += coef * fp.evaluate(m, up, jack)
+                rhs += coef * value(up)
         if fam == "meixner":
-            mid += xj + (xj + fp.alpha) * fp.c
+            mid += yj + (yj + fp.alpha) * fp.c
         elif fam == "charlier":
-            mid += xj + fp.a
+            mid += yj + fp.a
         else:
-            mid += fp.p * (fp.N - xj) + xj * (1 - fp.p)
-        down = box_move(x, j, -1)
+            mid += fp.p * (fp.N - yj) + yj * (1 - fp.p)
+        down = box_move(moving, j, -1)
         if down is not None:
             base = (
                 dim_partition(down, jack)
                 * raise_coefficient(j, down, params)
-                * (xj + d / 2 * (r - j))
+                * (yj + d / 2 * (r - j))
             )
             coef = base * (1 - fp.p) if fam == "krawtchouk" else base
             if coef:
-                rhs += coef * fp.evaluate(m, down, jack)
-    rhs -= dim_x * mid * fx
+                rhs += coef * value(down)
+    rhs -= dim_y * mid * fy
     return lhs - rhs
+
+
+def difference_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:
+    """Exact residual (lhs - rhs) of the second-index difference equation
+    at one index pair."""
+    return _shift_equation(fp, m, x, jack, moving_first=False)
 
 
 def recurrence_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:
-    """Exact residual of the first-index recurrence at one index pair; the
-    mirror of :func:`difference_residual` with the roles of m and x
-    exchanged.  Krawtchouk raises that would leave the box carry a zero
-    coefficient and are skipped before evaluation."""
-    params = cone_params(jack)
-    r, d = params.r, params.d
-    m = pad(m, r)
-    x = pad(x, r)
-    jack.extend(max(weight(m) + 1, weight(x)))
-    fam = fp.family
-    fx = fp.evaluate(m, x, jack)
-    dim_m = dim_partition(m, jack)
-
-    if fam == "meixner":
-        lhs = dim_m * (fp.c - 1) * weight(x) * fx
-    else:
-        lhs = -dim_m * weight(x) * fx
-
-    box = (int(fp.N),) * r if fam == "krawtchouk" else None
-    rhs = Fraction(0)
-    mid = Fraction(0)
-    for j in range(1, r + 1):
-        mj = m[j - 1]
-        up = box_move(m, j, +1)
-        if up is not None:
-            base = dim_partition(up, jack) * lower_coefficient(j, up, params)
-            if fam == "meixner":
-                coef = base * (mj + fp.alpha - d / 2 * (j - 1)) * fp.c
-            elif fam == "charlier":
-                coef = base * fp.a
-            else:
-                coef = base * (fp.N - mj + d / 2 * (j - 1)) * fp.p
-            if coef:
-                if box is not None and not contains(up, box):
-                    raise AssertionError("nonzero raise out of the box")
-                rhs += coef * fp.evaluate(up, x, jack)
-        if fam == "meixner":
-            mid += mj + (mj + fp.alpha) * fp.c
-        elif fam == "charlier":
-            mid += mj + fp.a
-        else:
-            mid += fp.p * (fp.N - mj) + mj * (1 - fp.p)
-        down = box_move(m, j, -1)
-        if down is not None:
-            base = (
-                dim_partition(down, jack)
-                * raise_coefficient(j, down, params)
-                * (mj + d / 2 * (r - j))
-            )
-            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
-            if coef:
-                rhs += coef * fp.evaluate(down, x, jack)
-    rhs -= dim_m * mid * fx
-    return lhs - rhs
+    """Exact residual of the first-index recurrence at one index pair: the
+    difference equation with the roles of m and x exchanged (duality)."""
+    return _shift_equation(fp, x, m, jack, moving_first=True)
 
 
 def _equation_report(
@@ -650,16 +588,7 @@ def _equation_report(
             continue
         for x in grid:
             res = residual_fn(fp, m, x, jack)
-            rep.cases.append(
-                {
-                    "m": format_partition(m),
-                    "x": format_partition(x),
-                    "lhs": "0",
-                    "rhs": _fmt(-res),
-                    "residual": _fmt(res),
-                    "pass": res == 0,
-                }
-            )
+            rep.cases.append(_exact_case({"m": m, "x": x}, Fraction(0), -res))
     return rep.finalize()
 
 
@@ -695,14 +624,10 @@ def orthogonality_generator_check(
     c = Fraction(c)
     if not 0 < c < 1:
         raise DomainError(f"need 0 < c < 1, got {c}")
-    params = cone_params(jack)
-    r = params.r
+    r = jack.r
     D = int(max_degree)
-    ts = sorted(int(t) for t in truncation_weights)
-    if len(ts) < 2:
-        raise ParameterError("need at least two truncation weights")
-    tmax = ts[-1]
-    jack.extend(max(D, tmax))
+    ts = _truncation_weights(truncation_weights)
+    jack.extend(max(D, ts[-1]))
 
     idx = enumerate_up_to(r, D)
     pref_series = series_prod_binomial(-alpha, c, r, D)
@@ -713,76 +638,39 @@ def orthogonality_generator_check(
     scale = (
         (1 - c) ** int(r_alpha) if exact else _dec_pow(1 - c, r_alpha)
     )
+    pref = [weight_factor(m, jack, alpha) for m in idx]
 
-    sums = {(i, j): Fraction(0) for i in range(len(idx)) for j in range(len(idx))}
-    snapshots = {}
-    for w in range(tmax + 1):
-        for x in partitions_of(w, r):
-            kern = jack.to_phi_basis(
-                pref_series * series_compose_diagonal(jack.phi(x), entry, D)
-            )
-            wf = (
-                dim_partition(x, jack)
-                * gen_pochhammer(alpha, x, params)
-                / gen_pochhammer(params.rank_ratio, x, params)
-                * c ** weight(x)
-            )
-            vals = [meixner(m, x, alpha, c, jack) for m in idx]
-            for i in range(len(idx)):
-                base = wf * vals[i]
-                if not base:
-                    continue
-                for j, n in enumerate(idx):
-                    kn = kern.get(n)
-                    if kn:
-                        sums[(i, j)] += base * kn
-        if w in ts:
-            snapshots[w] = dict(sums)
+    def shell(x):
+        kern = jack.to_phi_basis(
+            pref_series * series_compose_diagonal(jack.phi(x), entry, D)
+        )
+        wf = weight_factor(x, jack, alpha) * c ** weight(x)
+        for i, m in enumerate(idx):
+            base = wf * meixner(m, x, alpha, c, jack)
+            if not base:
+                continue
+            for j, n in enumerate(idx):
+                kn = kern.get(n)
+                if kn:
+                    yield (i, j), base * kn
 
+    def target(pair):
+        i, j = pair
+        return pref[i] if i == j else Fraction(0)
+
+    def value(pair, s):
+        got = pref[pair[0]] * s
+        return scale * got if exact else scale * _dec(got)
+
+    pairs = [(i, j) for i in range(len(idx)) for j in range(len(idx))]
+    rows, _ = _truncated_sums(r, ts, pairs, shell, target, value)
     rep = VerificationReport(
         identity="orthogonality-generator",
         params={"d": str(jack.d), "r": r, "alpha": str(alpha), "c": str(c)},
         truncation={"degree": D, "weights": ts, "tolerance": float(tol)},
     )
-    tol = Fraction(tol)
-    for i, m in enumerate(idx):
-        pref_m = (
-            dim_partition(m, jack)
-            * gen_pochhammer(alpha, m, params)
-            / gen_pochhammer(params.rank_ratio, m, params)
-        )
-        for j, n in enumerate(idx):
-            lhs = pref_m if m == n else Fraction(0)
-            residuals = []
-            final = None
-            with localcontext() as ctx:
-                ctx.prec = _DECIMAL_PREC
-                for t in ts:
-                    got = pref_m * snapshots[t][(i, j)]
-                    final = scale * got if exact else scale * _dec(got)
-                    if exact:
-                        res = abs(final - lhs)
-                        if m == n:
-                            res = res / lhs
-                    else:
-                        res = abs(final - _dec(lhs))
-                        if m == n:
-                            res = res / _dec(lhs)
-                    residuals.append(res)
-            ok = residuals[-1] <= residuals[-2] and _residual_float(
-                residuals[-1]
-            ) <= float(tol)
-            rep.cases.append(
-                {
-                    "m": format_partition(m),
-                    "n": format_partition(n),
-                    "lhs": _fmt(lhs),
-                    "rhs": _fmt(final),
-                    "residual": _residual_float(residuals[-1]),
-                    "residuals": [_residual_float(rv) for rv in residuals],
-                    "pass": ok,
-                }
-            )
+    for (i, j), final, lhs, residuals in rows:
+        rep.cases.append(_truncated_case(idx[i], idx[j], lhs, final, residuals, Fraction(tol)))
     return rep.finalize()
 
 

@@ -3,7 +3,9 @@
 Nothing here shares an algorithm with the package: the deformed basis is
 rebuilt by Gram-Schmidt against the deformation inner product in the
 power-sum coordinates, and the d = 2 specialization is evaluated through
-the bialternant ratio.  Both routes are exact.
+the bialternant ratio.  Both routes are exact.  The first-index
+recurrence is written out term by term in the first index, where the
+package derives it from the difference equation by duality.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from mvdop.partitions import pad, partitions_of, dominates
+from mvdop.conearith import (
+    cone_params,
+    dim_partition,
+    lower_coefficient,
+    raise_coefficient,
+)
+from mvdop.partitions import box_move, contains, dominates, pad, partitions_of, weight
 from mvdop.symfun import SymPoly
 
 
@@ -133,3 +141,60 @@ def schur_eval(m: tuple, xs: tuple) -> Fraction:
     num = [[xs[i] ** (m[k] + r - 1 - k) for k in range(r)] for i in range(r)]
     den = [[xs[i] ** (r - 1 - k) for k in range(r)] for i in range(r)]
     return det(num) / det(den)
+
+
+def recurrence_residual_mirror(fp, m, x, jack) -> Fraction:
+    """Exact residual of the first-index recurrence at one index pair,
+    written directly in the first index: the difference equation with the
+    roles of m and x exchanged by hand.  Krawtchouk raises that would leave
+    the box must carry a zero coefficient."""
+    params = cone_params(jack)
+    r, d = params.r, params.d
+    m = pad(m, r)
+    x = pad(x, r)
+    jack.extend(max(weight(m) + 1, weight(x)))
+    fam = fp.family
+    fx = fp.evaluate(m, x, jack)
+    dim_m = dim_partition(m, jack)
+
+    if fam == "meixner":
+        lhs = dim_m * (fp.c - 1) * weight(x) * fx
+    else:
+        lhs = -dim_m * weight(x) * fx
+
+    box = (int(fp.N),) * r if fam == "krawtchouk" else None
+    rhs = Fraction(0)
+    mid = Fraction(0)
+    for j in range(1, r + 1):
+        mj = m[j - 1]
+        up = box_move(m, j, +1)
+        if up is not None:
+            base = dim_partition(up, jack) * lower_coefficient(j, up, params)
+            if fam == "meixner":
+                coef = base * (mj + fp.alpha - d / 2 * (j - 1)) * fp.c
+            elif fam == "charlier":
+                coef = base * fp.a
+            else:
+                coef = base * (fp.N - mj + d / 2 * (j - 1)) * fp.p
+            if coef:
+                if box is not None and not contains(up, box):
+                    raise AssertionError("nonzero raise out of the box")
+                rhs += coef * fp.evaluate(up, x, jack)
+        if fam == "meixner":
+            mid += mj + (mj + fp.alpha) * fp.c
+        elif fam == "charlier":
+            mid += mj + fp.a
+        else:
+            mid += fp.p * (fp.N - mj) + mj * (1 - fp.p)
+        down = box_move(m, j, -1)
+        if down is not None:
+            base = (
+                dim_partition(down, jack)
+                * raise_coefficient(j, down, params)
+                * (mj + d / 2 * (r - j))
+            )
+            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
+            if coef:
+                rhs += coef * fp.evaluate(down, x, jack)
+    rhs -= dim_m * mid * fx
+    return lhs - rhs

@@ -203,3 +203,13 @@ def test_cache_round_trip_bit_identical(tmp_path, capsys):
     run(["eval", "--family", "charlier", "--d", "5/2", "--r", "2",
          "--a", "1", "--m", "2,1", "--x", "1,0"], capsys)
     assert cache_file.read_text() == first
+
+
+def test_verify_has_no_seed_option(capsys):
+    code, _, err = run(
+        ["verify", "difference", "--family", "charlier", "--d", "2", "--r", "1",
+         "--a", "2", "--max-weight", "1", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "--seed" in err

@@ -7,7 +7,7 @@ from mvdop.conearith import cone_params, gen_pochhammer
 from mvdop.dpolys import FamilyParams, univariate_meixner
 from mvdop.errors import DomainError
 from mvdop.jack import jack_table
-from mvdop.partitions import enumerate_up_to
+from mvdop.partitions import contains, enumerate_up_to
 from mvdop.verify import (
     VerificationReport,
     conjecture_suite,
@@ -24,6 +24,8 @@ from mvdop.verify import (
     recurrence,
     recurrence_residual,
 )
+
+from .oracles import recurrence_residual_mirror
 
 F = Fraction
 
@@ -187,12 +189,54 @@ def test_difference_and_recurrence_exact(d):
                 assert recurrence_residual(fp, m, x, t) == 0
 
 
+class _Skewed(FamilyParams):
+    """A family value plus an asymmetric term that solves no equation, so
+    the residuals are nonzero and depend on which index is shifted."""
+
+    def evaluate(self, m, x, jack):
+        return super().evaluate(m, x, jack) + F(m[0] + 1, x[0] + 2)
+
+
 def test_recurrence_is_difference_under_duality_swap():
-    t = jack_table(2, F(5, 2), 5)
-    fp = FamilyParams("meixner", alpha=F(7, 3), c=F(3, 5))
-    for m in enumerate_up_to(2, 3):
-        for x in enumerate_up_to(2, 3):
-            assert recurrence_residual(fp, m, x, t) == difference_residual(fp, x, m, t)
+    # the package derives the recurrence from the difference equation by
+    # swapping the indices; the oracle writes it out in the first index
+    t = jack_table(2, F(5, 2), 6)
+    grid = enumerate_up_to(2, 4)
+    families = (
+        ("meixner", dict(alpha=F(7, 3), c=F(3, 5))),
+        ("charlier", dict(a=F(5, 4))),
+        # max weight 4 > N = 2: the second index leaves the box
+        ("krawtchouk", dict(p=F(2, 7), N=2)),
+    )
+    for family, kw in families:
+        for cls in (FamilyParams, _Skewed):
+            fp = cls(family, **kw)
+            nonzero = 0
+            for m in grid:
+                if family == "krawtchouk" and not contains(m, (2, 2)):
+                    continue
+                for x in grid:
+                    got = recurrence_residual(fp, m, x, t)
+                    assert got == recurrence_residual_mirror(fp, m, x, t), (fp, m, x)
+                    if cls is _Skewed:
+                        nonzero += got != 0
+                        continue
+                    # the difference equation holds for every second index;
+                    # the recurrence needs it inside the box as well
+                    assert difference_residual(fp, m, x, t) == 0, (fp, m, x)
+                    if family != "krawtchouk" or contains(x, (2, 2)):
+                        assert got == 0, (fp, m, x)
+            if cls is _Skewed:
+                assert nonzero > len(grid), family
+
+
+def test_equation_residuals_reject_krawtchouk_index_outside_box():
+    t = jack_table(2, 2, 4)
+    fp = FamilyParams("krawtchouk", p=F(1, 3), N=1)
+    with pytest.raises(DomainError):
+        recurrence_residual(fp, (2, 0), (1, 0), t)
+    with pytest.raises(DomainError):
+        difference_residual(fp, (2, 0), (1, 0), t)
 
 
 def test_equation_reports():
