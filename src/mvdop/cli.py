@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -54,9 +55,10 @@ def cache_dir() -> Path:
 
 
 def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
-    """Disk-backed table: load when the cached degree suffices, otherwise
-    rebuild, extend and rewrite.  Cache hits are bit-identical to a fresh
-    build because entries never change once computed."""
+    """Disk-backed table: load when the cached degree suffices; extend a
+    shallow cached table, or build one when there is none, and rewrite the
+    file.  Cache hits are bit-identical to a fresh build because entries
+    never change once computed."""
     path = cache_dir() / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
     table = None
     if path.exists():
@@ -64,10 +66,20 @@ def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
             table = JackTable.from_json_dict(json.loads(path.read_text()))
         except (ValueError, KeyError):
             table = None
-    if table is None or table.built_degree < degree:
+    if table is None:
         table = jack_table(r, d, degree)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(table.to_json_dict(), indent=None, sort_keys=False))
+    elif table.built_degree >= degree:
+        return table
+    else:
+        table.extend(degree)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a killed or concurrent writer must never leave a truncated cache file
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(table.to_json_dict(), indent=None, sort_keys=False))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return table
 
 

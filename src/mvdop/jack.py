@@ -25,7 +25,7 @@ from typing import Union
 
 from .errors import ParameterError, TableDegreeError
 from .partitions import box_move, format_partition, pad, parse_partition, partitions_of
-from .symfun import SymPoly, TruncatedSeries, _orbit
+from .symfun import SymPoly, _orbit
 
 Rat = Union[int, Fraction]
 
@@ -167,9 +167,9 @@ class JackTable:
 
     def to_phi_basis(self, poly) -> dict:
         """Coefficients c_m with poly = sum c_m Phi_m, by unitriangular
-        back-substitution within each weight.  ``poly`` may be a SymPoly or
-        a TruncatedSeries; the result is exact."""
-        if not isinstance(poly, (SymPoly, TruncatedSeries)):
+        back-substitution within each weight.  ``poly`` is a SymPoly, with
+        or without a degree cap; the result is exact."""
+        if not isinstance(poly, SymPoly):
             raise TypeError(f"cannot convert {type(poly).__name__}")
         if poly.r != self.r:
             raise ValueError(f"ambient length mismatch: {poly.r} vs {self.r}")

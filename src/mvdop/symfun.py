@@ -1,11 +1,13 @@
-"""Exact symmetric polynomials in the monomial basis, and total-degree
-truncated symmetric power series on the diagonal.
+"""Exact symmetric polynomials in the monomial basis, optionally truncated
+at a total degree, and builders of diagonal power series.
 
-A symmetric polynomial in ``r`` variables is a sparse map from partition
-keys (padded to length ``r``) to ``fractions.Fraction`` coefficients in the
-monomial basis m_lambda.  Nothing in this module ever rounds.  Series are
-the same maps with a total-degree cap; multiplying two series truncated at
-D reproduces the exact product's coefficients up to degree D.
+One type, :class:`SymPoly`, holds a sparse map from partition keys (padded
+to length ``r``) to ``fractions.Fraction`` coefficients in the monomial
+basis m_lambda.  Nothing in this module ever rounds.  With a total-degree
+cap ``max_degree`` the same map is a truncated power series: a product of
+operands capped at D reproduces the exact product's coefficients up to
+degree D, and mixing a polynomial with a series keeps the series' cap.
+:class:`TruncatedSeries` is only a cap-first constructor for it.
 
 All values are immutable by convention and safe for concurrent readers.
 """
@@ -90,14 +92,30 @@ def _eval_map(coeffs: dict, point: tuple) -> Fraction:
     return total
 
 
+def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    return b if a is None else a if b is None else min(a, b)
+
+
 class SymPoly:
-    """Symmetric polynomial in ``r`` variables, monomial basis, exact."""
+    """Symmetric polynomial in ``r`` variables, monomial basis, exact.
 
-    __slots__ = ("r", "coeffs")
+    With a ``max_degree`` it is a power series truncated at that total
+    degree; ``None`` means an exact polynomial.  A binary result takes the
+    smaller cap of its operands, whatever their order."""
 
-    def __init__(self, r: int, coeffs: Optional[dict] = None):
+    __slots__ = ("r", "max_degree", "coeffs")
+
+    def __init__(self, r: int, coeffs: Optional[dict] = None, max_degree: Optional[int] = None):
+        if max_degree is not None and max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
         self.r = int(r)
-        self.coeffs = _canonical(self.r, coeffs or {})
+        self.max_degree = None if max_degree is None else int(max_degree)
+        cc = _canonical(self.r, coeffs or {})
+        if max_degree is not None:
+            for k in cc:
+                if sum(k) > max_degree:
+                    raise ValueError(f"key {k} beyond truncation degree {max_degree}")
+        self.coeffs = cc
 
     @classmethod
     def zero(cls, r: int) -> "SymPoly":
@@ -121,23 +139,20 @@ class SymPoly:
         return (
             isinstance(other, SymPoly)
             and self.r == other.r
+            and self.max_degree == other.max_degree
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        raise TypeError("SymPoly is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        self._check(other)
-        out = SymPoly(self.r)
-        out.coeffs = _add_maps(self.coeffs, other.coeffs)
-        return out
+        cap = self._check(other)
+        return self._with(_add_maps(self.coeffs, other.coeffs), cap)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        self._check(other)
-        out = SymPoly(self.r)
-        out.coeffs = _add_maps(self.coeffs, other.coeffs, -1)
-        return out
+        cap = self._check(other)
+        return self._with(_add_maps(self.coeffs, other.coeffs, -1), cap)
 
     def __neg__(self) -> "SymPoly":
         return self.scale(-1)
@@ -145,10 +160,8 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
-        out = SymPoly(self.r)
-        out.coeffs = _mul_maps(self.r, self.coeffs, other.coeffs, None)
-        return out
+        cap = self._check(other)
+        return self._with(_mul_maps(self.r, self.coeffs, other.coeffs, cap), cap)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -157,10 +170,7 @@ class SymPoly:
 
     def scale(self, c: Rat) -> "SymPoly":
         c = Fraction(c)
-        out = SymPoly(self.r)
-        if c:
-            out.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return out
+        return self._with({k: c * v for k, v in self.coeffs.items()} if c else {}, self.max_degree)
 
     def eval_at(self, point: Iterable[Rat]) -> Fraction:
         pt = tuple(Fraction(p) for p in point)
@@ -171,104 +181,50 @@ class SymPoly:
     def homogeneous(self, w: int) -> dict:
         return {k: v for k, v in self.coeffs.items() if sum(k) == w}
 
-    def truncated(self, max_degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.r,
-            max_degree,
-            {k: v for k, v in self.coeffs.items() if sum(k) <= max_degree},
-        )
+    def coefficient(self, key) -> Fraction:
+        return self.coeffs.get(pad(key, self.r), Fraction(0))
+
+    def truncated(self, max_degree: int) -> "SymPoly":
+        """The series cut at ``max_degree`` (or at the existing cap, if lower)."""
+        return self._with(self.coeffs, _min_cap(self.max_degree, int(max_degree)))
+
+    def as_sympoly(self) -> "SymPoly":
+        """The same coefficients as an exact polynomial, without a cap."""
+        return SymPoly(self.r, self.coeffs)
 
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return f"SymPoly(r={self.r}, {dict(terms)!r})"
+        cap = "" if self.max_degree is None else f"D={self.max_degree}, "
+        return f"{type(self).__name__}(r={self.r}, {cap}{dict(terms)!r})"
 
-    def _check(self, other):
-        if not isinstance(other, (SymPoly, TruncatedSeries)):
-            raise TypeError(f"cannot combine SymPoly with {type(other).__name__}")
+    def _check(self, other) -> Optional[int]:
+        """Validates a binary operand; returns the cap of the result."""
+        if not isinstance(other, SymPoly):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.r != other.r:
             raise ValueError(f"ambient length mismatch: {self.r} vs {other.r}")
+        return _min_cap(self.max_degree, other.max_degree)
+
+    def _with(self, coeffs: dict, cap: Optional[int]) -> "SymPoly":
+        """A SymPoly on canonical ``coeffs`` with cap ``cap``; keys above
+        the cap are dropped."""
+        out = SymPoly(self.r, max_degree=cap)
+        out.coeffs = coeffs if cap is None else {k: v for k, v in coeffs.items() if sum(k) <= cap}
+        return out
 
 
-class TruncatedSeries:
-    """Symmetric power series in ``r`` variables truncated at a total degree."""
+class TruncatedSeries(SymPoly):
+    """A :class:`SymPoly` with a total-degree cap, built cap first:
+    ``TruncatedSeries(r, max_degree, coeffs)``."""
 
-    __slots__ = ("r", "max_degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, r: int, max_degree: int, coeffs: Optional[dict] = None):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.r = int(r)
-        self.max_degree = int(max_degree)
-        cc = _canonical(self.r, coeffs or {})
-        for k in cc:
-            if sum(k) > self.max_degree:
-                raise ValueError(f"key {k} beyond truncation degree {max_degree}")
-        self.coeffs = cc
+        super().__init__(r, coeffs, max_degree)
 
     @classmethod
     def one(cls, r: int, max_degree: int) -> "TruncatedSeries":
         return cls(r, max_degree, {(0,) * r: 1})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.r == other.r
-            and self.max_degree == other.max_degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("TruncatedSeries is not hashable")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        cap = min(self.max_degree, other.max_degree)
-        merged = _add_maps(self.coeffs, other.coeffs)
-        return TruncatedSeries(
-            self.r, cap, {k: v for k, v in merged.items() if sum(k) <= cap}
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        if isinstance(other, SymPoly):
-            other = other.truncated(self.max_degree)
-        cap = min(self.max_degree, other.max_degree)
-        out = TruncatedSeries(self.r, cap)
-        out.coeffs = _mul_maps(self.r, self.coeffs, other.coeffs, cap)
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Rat) -> "TruncatedSeries":
-        c = Fraction(c)
-        out = TruncatedSeries(self.r, self.max_degree)
-        if c:
-            out.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return out
-
-    def coefficient(self, key) -> Fraction:
-        return self.coeffs.get(pad(key, self.r), Fraction(0))
-
-    def as_sympoly(self) -> SymPoly:
-        return SymPoly(self.r, self.coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, (SymPoly, TruncatedSeries)):
-            raise TypeError(f"cannot combine TruncatedSeries with {type(other).__name__}")
-        if self.r != other.r:
-            raise ValueError(f"ambient length mismatch: {self.r} vs {other.r}")
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return f"TruncatedSeries(r={self.r}, D={self.max_degree}, {dict(terms)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +257,6 @@ def u_inv(a: list, max_degree: int) -> list:
     return inv
 
 
-def u_pow(a: list, n: int, max_degree: int) -> list:
-    out = [Fraction(1)] + [Fraction(0)] * max_degree
-    base = [Fraction(x) for x in a[: max_degree + 1]]
-    base += [Fraction(0)] * (max_degree + 1 - len(base))
-    for _ in range(n):
-        out = u_mul(out, base, max_degree)
-    return out
-
-
 def u_ratio(num: list, den: list, max_degree: int) -> list:
     return u_mul(
         [Fraction(x) for x in num] + [Fraction(0)] * max_degree,
@@ -337,7 +284,7 @@ def u_exp(scale: Rat, max_degree: int) -> list:
 # multivariate builders
 
 
-def series_per_variable(u: list, r: int, max_degree: int) -> TruncatedSeries:
+def series_per_variable(u: list, r: int, max_degree: int) -> SymPoly:
     """The series prod_i u(z_i) truncated at total degree ``max_degree``."""
     coeffs = {}
     for mu in enumerate_up_to(r, max_degree):
@@ -348,21 +295,21 @@ def series_per_variable(u: list, r: int, max_degree: int) -> TruncatedSeries:
                 break
         if v:
             coeffs[mu] = v
-    return TruncatedSeries(r, max_degree, coeffs)
+    return SymPoly(r, coeffs, max_degree)
 
 
-def series_prod_binomial(exponent: Rat, scale: Rat, r: int, max_degree: int) -> TruncatedSeries:
+def series_prod_binomial(exponent: Rat, scale: Rat, r: int, max_degree: int) -> SymPoly:
     """Expansion of prod_{i=1..r} (1 - scale*z_i)**exponent to total degree
     <= max_degree; the branch with value 1 at z = 0."""
     return series_per_variable(u_binomial(exponent, scale, max_degree), r, max_degree)
 
 
-def series_exp_trace(scale: Rat, r: int, max_degree: int) -> TruncatedSeries:
+def series_exp_trace(scale: Rat, r: int, max_degree: int) -> SymPoly:
     """Expansion of exp(scale * (z_1 + ... + z_r))."""
     return series_per_variable(u_exp(scale, max_degree), r, max_degree)
 
 
-def series_compose_diagonal(poly: SymPoly, entry: list, max_degree: int) -> TruncatedSeries:
+def series_compose_diagonal(poly: SymPoly, entry: list, max_degree: int) -> SymPoly:
     """Evaluate a symmetric polynomial at the diagonal point
     (u(z_1), ..., u(z_r)), where ``entry`` holds the coefficients of the
     univariate series u; truncate the result at total degree ``max_degree``."""
@@ -390,10 +337,10 @@ def series_compose_diagonal(poly: SymPoly, entry: list, max_degree: int) -> Trun
             tot += c * s
         if tot:
             coeffs[mu] = tot
-    return TruncatedSeries(r, max_degree, coeffs)
+    return SymPoly(r, coeffs, max_degree)
 
 
-def series_phi_of_moebius(x, c_inv: Rat, jack, max_degree: int) -> TruncatedSeries:
+def series_phi_of_moebius(x, c_inv: Rat, jack, max_degree: int) -> SymPoly:
     """Diagonal series of the normalized basis element Phi_x at entries
     (1 - c_inv*z_i) / (1 - z_i), truncated at ``max_degree``."""
     entry = u_ratio([1, -Fraction(c_inv)], [1, -1], max_degree)

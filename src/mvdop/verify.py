@@ -199,28 +199,19 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
         )
         coeffs = jack.to_phi_basis(lhs)
 
-        def expected(n):
-            if not contains(n, box):
-                return Fraction(0)
-            return box_binomial(N, n, jack) * krawtchouk(n, x, fp.p, N, jack)
-
-        grid = enumerate_up_to(r, D)
-        by_sign = {}
-        for sign_name, sign in (("plus", 1), ("minus", -1)):
-            cases = []
-            for n in grid:
-                rhs = expected(n) * (sign ** weight(n))
-                cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
-            by_sign[sign_name] = cases
-        # the series itself decides which sign convention the identity uses
-        detected = "none"
-        for sign_name in ("plus", "minus"):
-            if all(c["pass"] for c in by_sign[sign_name]):
-                detected = sign_name
-                break
-        rep.params["sign_convention"] = detected
-        rep.cases = by_sign[detected if detected != "none" else "plus"]
-        return rep.finalize()
+        # Krawtchouk is Meixner at alpha = -N, c = p/(p-1) with z -> -z; the
+        # series above carries that substitution, so no sign is left over
+        # (the "plus" convention) and no other convention is tried
+        for n in enumerate_up_to(r, D):
+            rhs = (
+                box_binomial(N, n, jack) * krawtchouk(n, x, fp.p, N, jack)
+                if contains(n, box)
+                else Fraction(0)
+            )
+            rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
+        rep.finalize()
+        rep.params["sign_convention"] = "plus" if rep.passed else "none"
+        return rep
 
     raise ParameterError(f"no generating function for family {fp.family!r}")
 
@@ -587,6 +578,9 @@ def _equation_report(
         if box is not None and not contains(m, box):
             continue
         for x in grid:
+            # only the difference equation holds for x outside the box
+            if box is not None and kind == "recurrence" and not contains(x, box):
+                continue
             res = residual_fn(fp, m, x, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, Fraction(0), -res))
     return rep.finalize()
@@ -776,19 +770,18 @@ def conjecture_suite(
     params = cone_params(jack)
 
     # any alpha above rank_ratio - 1 = (d/2)(r-1) keeps every shifted
-    # factorial positive, so no pole can occur on the grid
-    alpha_gf = params.rank_ratio + Fraction(3, 2)
+    # factorial positive, so no pole can occur on any grid of the suite
+    alpha = params.rank_ratio + Fraction(3, 2)
     c_gf = Fraction(1, 2)
     a_gf = Fraction(2)
     p_gf = Fraction(1, 3)
     n_box = max(2, (budget + 1) // 2)
-    alpha_orth = params.rank_ratio + Fraction(3, 2)
     c_orth = Fraction(1, 8)
     orth_ts = (18, 22, 26)
     charlier_ts = (16, 20, 24)
     n_eq = max(3, budget)
     fps = {
-        "meixner": FamilyParams("meixner", alpha=Fraction(7, 3), c=Fraction(3, 5)),
+        "meixner": FamilyParams("meixner", alpha=alpha, c=Fraction(3, 5)),
         "charlier": FamilyParams("charlier", a=Fraction(5, 4)),
         "krawtchouk": FamilyParams("krawtchouk", p=Fraction(2, 7), N=n_eq),
     }
@@ -796,7 +789,7 @@ def conjecture_suite(
     sub: list[VerificationReport] = []
     box = (n_box,) * r
     for fam, fp in (
-        ("meixner", FamilyParams("meixner", alpha=alpha_gf, c=c_gf)),
+        ("meixner", FamilyParams("meixner", alpha=alpha, c=c_gf)),
         ("charlier", FamilyParams("charlier", a=a_gf)),
         ("krawtchouk", FamilyParams("krawtchouk", p=p_gf, N=n_box)),
     ):
@@ -806,7 +799,7 @@ def conjecture_suite(
             sub.append(genfunc_family(fp, x, budget, jack))
     sub.append(
         master_genfunc(
-            "meixner", FamilyParams("meixner", alpha=alpha_gf, c=c_gf),
+            "meixner", FamilyParams("meixner", alpha=alpha, c=c_gf),
             min(3, budget), min(3, budget), jack,
         )
     )
@@ -819,7 +812,7 @@ def conjecture_suite(
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
     sub.append(
         orthogonality_meixner(
-            alpha_orth, c_orth, min(2, budget), orth_ts, jack,
+            alpha, c_orth, min(2, budget), orth_ts, jack,
             tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
         )
     )

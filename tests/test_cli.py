@@ -205,6 +205,62 @@ def test_cache_round_trip_bit_identical(tmp_path, capsys):
     assert cache_file.read_text() == first
 
 
+def _write_shallow_cache(tmp_path, r, d, degree):
+    path = tmp_path / "cache" / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
+    path.parent.mkdir(parents=True)
+    text = json.dumps(JackTable(r, d).extend(degree).to_json_dict(), indent=None, sort_keys=False)
+    path.write_text(text)
+    return path, text
+
+
+def test_shallow_cache_hit_extends_loaded_table(tmp_path, monkeypatch):
+    d = Fraction(13, 4)
+    path, _ = _write_shallow_cache(tmp_path, 2, d, 2)
+    monkeypatch.setattr(cli, "jack_table", lambda *a: pytest.fail("shallow hit rebuilt the table"))
+    assert cli.load_or_build_table(2, d, 5).built_degree == 5
+    fresh = JackTable(2, d).extend(5)
+    assert path.read_text() == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
+    assert [f.name for f in path.parent.iterdir()] == [path.name]
+
+
+def test_failed_cache_write_keeps_old_file(tmp_path, monkeypatch):
+    d = Fraction(13, 4)
+    path, old = _write_shallow_cache(tmp_path, 2, d, 1)
+
+    def no_replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(cli.os, "replace", no_replace)
+    with pytest.raises(OSError):
+        cli.load_or_build_table(2, d, 3)
+    assert path.read_text() == old
+    assert [f.name for f in path.parent.iterdir()] == [path.name]
+
+
+def test_conjecture_cli_non_classical_no_pole(tmp_path, capsys):
+    # the Meixner alpha of every sub-check sits above the pole line, so
+    # d = 14/3 (where 7/3 would make (alpha)_k vanish) runs clean
+    out_path = tmp_path / "conj.json"
+    code, _, err = run(
+        ["conjecture", "--d", "14/3", "--r", "2", "--out", str(out_path)], capsys
+    )
+    assert code == 0, err
+    rep = json.loads(out_path.read_text())
+    assert rep["params"]["classical"] is False
+    assert all(case["pass"] for case in rep["cases"])
+
+
+def test_verify_krawtchouk_recurrence_stays_in_box(capsys):
+    code, out, _ = run(
+        ["verify", "recurrence", "--family", "krawtchouk", "--d", "2", "--r", "2",
+         "--p", "1/3", "--N", "1", "--max-weight", "2"],
+        capsys,
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["summary"]["passed"] == rep["summary"]["total"] == 9
+
+
 def test_verify_has_no_seed_option(capsys):
     code, _, err = run(
         ["verify", "difference", "--family", "charlier", "--d", "2", "--r", "1",

@@ -21,3 +21,39 @@ def test_no_assert_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}: raise AssertionError")
     assert not found, found
+
+
+def _names_used(tree, skip=None) -> set:
+    """Identifiers a syntax tree refers to (names, attributes and imported
+    names), leaving out the subtree ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_unreferenced_module_level_definition():
+    # a module-level function or class that nothing in the package or its
+    # tests refers to is dead code: delete it rather than keep it working
+    paths = sorted(SRC.rglob("*.py")) + sorted(Path(__file__).parent.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    used = {path: _names_used(tree) for path, tree in trees.items()}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        elsewhere = set().union(*(names for p, names in used.items() if p != path))
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in elsewhere and node.name not in _names_used(trees[path], node):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not found, found

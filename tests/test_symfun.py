@@ -141,3 +141,29 @@ def test_per_variable_matches_binomial_route():
 def test_r_mismatch_raises():
     with pytest.raises(ValueError):
         SymPoly.one(2) * SymPoly.one(3)
+
+
+def test_mixed_polynomial_series_arithmetic_is_symmetric():
+    # p = 1 + z and s = 1/(1 - z) cut at degree 2: mixing an exact
+    # polynomial with a series gives the same capped series in either order
+    p = SymPoly(1, {(0,): 1, (1,): 1})
+    s = TruncatedSeries(1, 2, {(0,): 1, (1,): 1, (2,): 1})
+    assert p * s == s * p
+    assert p + s == s + p
+    assert (p * s).coeffs == {(0,): F(1), (1,): F(2), (2,): F(2)}
+    for got in (p * s, s * p, p + s, s + p, p - s, s - p):
+        assert got.max_degree == 2
+        assert all(sum(k) <= 2 for k in got.coeffs)
+
+
+def test_binary_result_takes_smaller_cap():
+    p = SymPoly(2, {(3, 1): 1, (1, 0): 2, (0, 0): 1})
+    a = p.truncated(3)
+    b = p.truncated(5)
+    for got in (a * b, b * a, a + b, b + a, a * p, p * a):
+        assert got.max_degree == 3
+        assert all(sum(k) <= 3 for k in got.coeffs)
+    assert (a * b).coeffs == (p * p).truncated(3).coeffs
+    assert p.max_degree is None and (p * p).max_degree is None
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, 3, {(3, 1): 1})
