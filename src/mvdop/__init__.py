@@ -9,7 +9,6 @@ from .conearith import (
     box_binomial,
     cone_params,
     dim_partition,
-    dim_partition_gamma_check,
     falling_row,
     gen_pochhammer,
     generalized_falling,
@@ -68,7 +67,6 @@ __all__ = [
     "contains",
     "determinant_formula",
     "dim_partition",
-    "dim_partition_gamma_check",
     "enumerate_up_to",
     "falling_row",
     "format_partition",

@@ -257,7 +257,8 @@ def cmd_conjecture(args) -> int:
     if d <= 0:
         raise ParameterError(f"need d > 0, got {d}")
     budget = int(args.max_degree)
-    rep = verify.conjecture_suite(d, r, budget, seed=int(args.seed))
+    table = load_or_build_table(r, d, verify.SUITE_TABLE_DEGREE)
+    rep = verify.conjecture_suite(d, r, budget, jack=table, seed=int(args.seed))
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 

@@ -9,23 +9,31 @@ difference and recurrence equations.
 
 Dimensions are *defined* through the exponential-trace expansion (the
 coefficient of the normalized basis element in powers of p1), which keeps
-every value rational for every rational d; the classical Gamma-product
-expression is kept only as a floating-point cross-check.
+every value rational for every rational d.
 
-Row computations memoize into the owning table's ``cache`` dict, so the
-table's single-writer rule applies to them as well.
+A full binomial or falling-factorial row of x (all k contained in x) is
+the direct expansion of Phi_x at the all-ones shift.  A row capped below
+|x| is evaluated from interpolation polynomials instead: for each k,
+x -> G_x[k] is a shifted-symmetric polynomial of degree |k| (the shifted
+Jack polynomial of Knop-Sahi and Okounkov-Olshanski), built once per table
+from the full rows of the partitions of weight <= |k|, so the cost of a
+capped row does not grow with |x|.
+
+Row computations memoize into the owning table's ``cache`` dict, each
+entry published whole once computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lgamma
-from typing import Optional, Union
+from math import factorial, lcm
+from operator import mul
+from typing import NamedTuple, Optional, Union
 
-from .errors import SingularArgumentError
+from .errors import MvdopError, SingularArgumentError
 from .jack import JackTable
-from .partitions import pad, weight
+from .partitions import pad, partitions_of, weight
 from .symfun import SymPoly, shift_by_one_map
 
 Rat = Union[int, Fraction]
@@ -129,41 +137,159 @@ def weight_factor(x, jack: JackTable, s: Optional[Rat] = None) -> Fraction:
     return out if s is None else out * gen_pochhammer(s, x, params)
 
 
-def dim_partition_gamma_check(m, params: ConeParams) -> float:
-    """Floating-point evaluation of the classical Gamma-product expression
-    for d_m; used only as a cross-check oracle for ``dim_partition``."""
-    r = params.r
-    d = float(params.d)
-    m = pad(m, r)
-    log_part = 0.0
-    linear = 1.0
-    for j in range(1, r + 1):
-        log_part += lgamma(d / 2) - lgamma(d / 2 * j) - lgamma(d / 2 * (j - 1) + 1)
-    for p in range(r):
-        for q in range(p + 1, r):
-            diff = m[p] - m[q]
-            linear *= diff + d / 2 * (q - p)
-            log_part += lgamma(diff + d / 2 * (q - p + 1))
-            log_part -= lgamma(diff + d / 2 * (q - p - 1) + 1)
-    return linear * exp(log_part)
-
-
 # ---------------------------------------------------------------------------
 # generalized binomials and their eigenvalue form
+
+
+class _Interpolants(NamedTuple):
+    """The falling-factorial interpolants of one table up to ``degree``.
+
+    The variables are y_j = q (x_j - (d/2)(j - 1)), q the denominator of
+    d/2, so y is integral on partitions; the partition nu names the basis
+    element prod_i e_i(y)^(nu_i - nu_{i+1}) of degree |nu|.  ``keys`` holds
+    the partitions of weight <= degree in enumeration order and names both
+    the basis and the rows; ``sizes[w]`` counts the keys of weight <= w;
+    ``steps[i - 1] = (j, l)`` builds basis value i as value j times e_l.
+    ``rows[k] = (den, nums)`` gives G_x[k] = sum_i nums[i] basis_i(y) / den.
+    An instance never changes: a deeper build is a new instance."""
+
+    degree: int
+    keys: tuple
+    sizes: tuple
+    steps: tuple
+    rows: dict
+
+
+_INTERPOLANTS = ("interpolants",)
+
+
+def _elementary(jack: JackTable, x) -> list:
+    """e_0, ..., e_r of the scaled shifted variables at x, as integers."""
+    half = jack.d / 2
+    e = [1] + [0] * jack.r
+    for j, xj in enumerate(x):
+        y = half.denominator * xj - half.numerator * j
+        for i in range(jack.r, 0, -1):
+            e[i] += y * e[i - 1]
+    return e
+
+
+def _basis_values(steps: tuple, e: list, n: int) -> list:
+    """The first n basis values, from the elementary values e."""
+    vals = [1]
+    for j, l in steps[: n - 1]:
+        vals.append(vals[j] * e[l])
+    return vals
+
+
+def _next_degree(jack: JackTable, state: _Interpolants, w: int) -> _Interpolants:
+    """``state`` extended by degree w, as a new instance.  Each new basis
+    element is expanded in the falling-factorial basis by forward
+    substitution over the nodes (triangular: G_mu[k] = 0 unless k is in
+    mu); then only the degree-w block of those expansions is inverted."""
+    new = tuple(partitions_of(w, jack.r))
+    keys = state.keys + new
+    n = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    # nu is (nu - 1^l) times one more factor e_l, l the length of nu
+    steps = state.steps + tuple(
+        (index[tuple(a - 1 if a else 0 for a in nu)], sum(1 for a in nu if a)) for nu in new
+    )
+    node_rows = [falling_row(jack, mu) for mu in keys]
+    node_vals = [_basis_values(steps, _elementary(jack, mu), n) for mu in keys]
+    # one row per new basis element: its coefficients on the new G[k], then
+    # the element minus its lower-degree G part, over the basis
+    system = []
+    for a in range(n - len(new), n):
+        c: dict = {}
+        for mu, row, vals in zip(keys, node_rows, node_vals):
+            pivot = row.get(mu)
+            if not pivot:
+                raise MvdopError(f"interpolant build: zero pivot at node {mu}")
+            c[mu] = (vals[a] - sum(c[k] * g for k, g in row.items() if k != mu)) / pivot
+        # the lower-degree part over one common denominator, in integers
+        scaled = {k: c[k] / den for k, (den, _) in state.rows.items() if c[k]}
+        common = lcm(*(f.denominator for f in scaled.values()))
+        acc = [0] * n
+        for k, f in scaled.items():
+            g = f.numerator * (common // f.denominator)
+            for i, v in enumerate(state.rows[k][1]):
+                acc[i] += g * v
+        rhs = [int(i == a) - Fraction(t, common) for i, t in enumerate(acc)]
+        system.append([c[k] for k in new] + rhs)
+    rows = dict(state.rows)
+    for k, vec in zip(new, _solve(system, w)):
+        den = lcm(*(v.denominator for v in vec))
+        rows[k] = (den, tuple(v.numerator * (den // v.denominator) for v in vec))
+    return _Interpolants(w, keys, state.sizes + (n,), steps, rows)
+
+
+def _solve(aug: list, w: int) -> list:
+    """Exact Gauss-Jordan elimination of the augmented rows [A | B] of
+    Fractions, A square; returns the rows of A^-1 B."""
+    p = len(aug)
+    for col in range(p):
+        piv = next((i for i in range(col, p) if aug[i][col]), None)
+        if piv is None:
+            raise MvdopError(f"interpolant build: singular block at degree {w}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        head = aug[col][col]
+        aug[col] = [v / head for v in aug[col]]
+        for i in range(p):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [v - f * q for v, q in zip(aug[i], aug[col])]
+    return [row[p:] for row in aug]
+
+
+def _interpolants(jack: JackTable, cap: int) -> _Interpolants:
+    """The table's interpolants to at least degree ``cap``.  Each deeper
+    degree is built into a new instance and published with one store, so a
+    concurrent reader never sees a half-built degree."""
+    state = jack.cache.get(_INTERPOLANTS)
+    if state is None:
+        zero = (0,) * jack.r
+        state = _Interpolants(0, (zero,), (1,), (), {zero: (1, (1,))})
+    for w in range(state.degree + 1, cap + 1):
+        state = _next_degree(jack, state, w)
+        jack.cache[_INTERPOLANTS] = state
+    return state
+
+
+def _capped_falling_row(jack: JackTable, x, cap: int) -> dict:
+    state = _interpolants(jack, cap)
+    n = state.sizes[cap]
+    vals = _basis_values(state.steps, _elementary(jack, x), n)
+    out = {}
+    for k in state.keys[:n]:
+        if all(a <= b for a, b in zip(k, x)):
+            den, nums = state.rows[k]
+            v = Fraction(sum(map(mul, nums, vals)), den)
+            if v:
+                out[k] = v
+    return out
 
 
 def binomial_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     """All generalized binomial coefficients over ``x`` at once: the map
     k -> coefficient of Phi_k in the expansion of Phi_x shifted by the
     all-ones point, for |k| <= max_weight (default |x|).  Keys are exactly
-    the partitions contained in x."""
+    the partitions contained in x.  A capped row is binom(x, k) =
+    G_x[k] d_k / (n/r)_k from the capped falling row."""
     x = pad(x, jack.r)
     cap = weight(x) if max_weight is None else min(max_weight, weight(x))
     key = ("brow", x, cap)
     got = jack.cache.get(key)
     if got is None:
-        shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs, cap)
-        got = jack.to_phi_basis(SymPoly(jack.r, shifted))
+        if cap < weight(x):
+            params = cone_params(jack)
+            got = {
+                k: g * dim_partition(k, jack) / gen_pochhammer(params.rank_ratio, k, params)
+                for k, g in falling_row(jack, x, cap).items()
+            }
+        else:
+            shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs)
+            got = jack.to_phi_basis(SymPoly(jack.r, shifted))
         jack.cache[key] = got
     return got
 
@@ -178,17 +304,21 @@ def binomial(m, k, jack: JackTable) -> Fraction:
 
 def falling_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     """Generalized falling factorials of ``x``: k -> the eigenvalue-form
-    value (n/r)_k * binomial(x, k) / d_k, for |k| <= max_weight."""
+    value (n/r)_k * binomial(x, k) / d_k, for |k| <= max_weight.  A capped
+    row is evaluated from the interpolants up to degree max_weight."""
     x = pad(x, jack.r)
     cap = weight(x) if max_weight is None else min(max_weight, weight(x))
     key = ("frow", x, cap)
     got = jack.cache.get(key)
     if got is None:
-        params = cone_params(jack)
-        got = {
-            k: gen_pochhammer(params.rank_ratio, k, params) * b / dim_partition(k, jack)
-            for k, b in binomial_row(jack, x, cap).items()
-        }
+        if cap < weight(x):
+            got = _capped_falling_row(jack, x, cap)
+        else:
+            params = cone_params(jack)
+            got = {
+                k: gen_pochhammer(params.rank_ratio, k, params) * b / dim_partition(k, jack)
+                for k, b in binomial_row(jack, x).items()
+            }
         jack.cache[key] = got
     return got
 

@@ -12,9 +12,11 @@ solved by back-substitution in descending lexicographic order.  Entries
 never change once computed, so tables are extended in place and may be
 cached or serialized.
 
-Tables are single-writer during ``extend``; a finished table is safe to
-read from any number of threads.  The ``cache`` dict is scratch space for
-downstream layers and follows the same rule.
+Tables are single-writer during ``extend``; a finished table may be read
+from any number of threads.  The ``cache`` dict is scratch space for
+downstream layers: its entries are filled lazily, each computed in full
+before one store publishes it, so a concurrent reader finds an entry
+whole or not at all, and concurrent readers may repeat work.
 """
 
 from __future__ import annotations

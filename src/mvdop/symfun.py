@@ -347,25 +347,23 @@ def series_phi_of_moebius(x, c_inv: Rat, jack, max_degree: int) -> SymPoly:
     return series_compose_diagonal(jack.phi(x), entry, max_degree)
 
 
-def shift_by_one_map(r: int, coeffs: dict, cap: Optional[int] = None) -> dict:
+def shift_by_one_map(r: int, coeffs: dict) -> dict:
     """Monomial-basis map of p(1 + z_1, ..., 1 + z_r) for a monomial-basis
-    map of p, keeping only total degrees <= cap (all degrees if None)."""
+    map of p."""
     acc: dict = defaultdict(Fraction)
     for lam, c in coeffs.items():
-        hi = sum(lam) if cap is None else min(cap, sum(lam))
         for avec in _orbit(lam):
-            _shift_accumulate(acc, avec, c, r, hi)
+            _shift_accumulate(acc, avec, c, r)
     return {k: v for k, v in acc.items() if v}
 
 
-def _shift_accumulate(acc, avec, c, r, cap):
-    # walk all e <= avec componentwise with |e| <= cap, weakly decreasing only
-    def rec(i, budget, prev, coef, prefix):
+def _shift_accumulate(acc, avec, c, r):
+    # walk all e <= avec componentwise, weakly decreasing only
+    def rec(i, prev, coef, prefix):
         if i == r:
             acc[prefix] += coef
             return
-        hi = min(avec[i], budget, prev)
-        for e in range(hi + 1):
-            rec(i + 1, budget - e, e, coef * comb(avec[i], e), prefix + (e,))
+        for e in range(min(avec[i], prev) + 1):
+            rec(i + 1, e, coef * comb(avec[i], e), prefix + (e,))
 
-    rec(0, cap, cap, c, ())
+    rec(0, avec[0], c, ())

@@ -749,6 +749,13 @@ def is_classical(r: int, d: Rat) -> bool:
     return False
 
 
+# truncation weights of the suite's Meixner and Charlier orthogonality
+# checks, and the table degree the deepest of them needs
+SUITE_MEIXNER_WEIGHTS = (18, 22, 26)
+SUITE_CHARLIER_WEIGHTS = (16, 20, 24)
+SUITE_TABLE_DEGREE = max(SUITE_MEIXNER_WEIGHTS + SUITE_CHARLIER_WEIGHTS)
+
+
 def conjecture_suite(
     d: Rat,
     r: int,
@@ -777,8 +784,6 @@ def conjecture_suite(
     p_gf = Fraction(1, 3)
     n_box = max(2, (budget + 1) // 2)
     c_orth = Fraction(1, 8)
-    orth_ts = (18, 22, 26)
-    charlier_ts = (16, 20, 24)
     n_eq = max(3, budget)
     fps = {
         "meixner": FamilyParams("meixner", alpha=alpha, c=Fraction(3, 5)),
@@ -812,13 +817,13 @@ def conjecture_suite(
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
     sub.append(
         orthogonality_meixner(
-            alpha, c_orth, min(2, budget), orth_ts, jack,
+            alpha, c_orth, min(2, budget), SUITE_MEIXNER_WEIGHTS, jack,
             tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
         )
     )
     sub.append(
         orthogonality_charlier(
-            Fraction(1), min(2, budget), charlier_ts, jack,
+            Fraction(1), min(2, budget), SUITE_CHARLIER_WEIGHTS, jack,
             tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
         )
     )
@@ -836,8 +841,8 @@ def conjecture_suite(
             "seed": seed,
         },
         truncation={
-            "orthogonality_weights": list(orth_ts),
-            "charlier_weights": list(charlier_ts),
+            "orthogonality_weights": list(SUITE_MEIXNER_WEIGHTS),
+            "charlier_weights": list(SUITE_CHARLIER_WEIGHTS),
         },
     )
     for s in sub:

@@ -5,22 +5,28 @@ rebuilt by Gram-Schmidt against the deformation inner product in the
 power-sum coordinates, and the d = 2 specialization is evaluated through
 the bialternant ratio.  Both routes are exact.  The first-index
 recurrence is written out term by term in the first index, where the
-package derives it from the difference equation by duality.
+package derives it from the difference equation by duality.  Capped
+binomial and falling-factorial rows are expanded directly (Phi_x at the
+all-ones shift, cut at the cap), where the package evaluates interpolation
+polynomials.  Dimensions are cross-checked in floating point against the
+classical Gamma-product expression.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import exp, lgamma
 
 from mvdop.conearith import (
     cone_params,
     dim_partition,
+    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
 )
 from mvdop.partitions import box_move, contains, dominates, pad, partitions_of, weight
-from mvdop.symfun import SymPoly
+from mvdop.symfun import SymPoly, shift_by_one_map
 
 
 def partitions_all_lengths(w: int) -> list:
@@ -198,3 +204,41 @@ def recurrence_residual_mirror(fp, m, x, jack) -> Fraction:
                 rhs += coef * fp.evaluate(down, x, jack)
     rhs -= dim_m * mid * fx
     return lhs - rhs
+
+
+def dim_partition_gamma_check(m, params) -> float:
+    """Floating-point evaluation of the classical Gamma-product expression
+    for d_m, a cross-check for the exact ``dim_partition``."""
+    r = params.r
+    d = float(params.d)
+    m = pad(m, r)
+    log_part = 0.0
+    linear = 1.0
+    for j in range(1, r + 1):
+        log_part += lgamma(d / 2) - lgamma(d / 2 * j) - lgamma(d / 2 * (j - 1) + 1)
+    for p in range(r):
+        for q in range(p + 1, r):
+            diff = m[p] - m[q]
+            linear *= diff + d / 2 * (q - p)
+            log_part += lgamma(diff + d / 2 * (q - p + 1))
+            log_part -= lgamma(diff + d / 2 * (q - p - 1) + 1)
+    return linear * exp(log_part)
+
+
+def binomial_row_expansion(jack, x, cap: int) -> dict:
+    """Generalized binomials over x with |k| <= cap: Phi_x expanded at the
+    all-ones shift, cut at total degree cap, converted to the Phi basis."""
+    x = pad(x, jack.r)
+    shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs)
+    cut = {k: c for k, c in shifted.items() if sum(k) <= cap}
+    return jack.to_phi_basis(SymPoly(jack.r, cut))
+
+
+def falling_row_expansion(jack, x, cap: int) -> dict:
+    """Generalized falling factorials (n/r)_k binom(x, k) / d_k of x with
+    |k| <= cap, from ``binomial_row_expansion``."""
+    params = cone_params(jack)
+    return {
+        k: gen_pochhammer(params.rank_ratio, k, params) * b / dim_partition(k, jack)
+        for k, b in binomial_row_expansion(jack, x, cap).items()
+    }

@@ -19,7 +19,6 @@ import pytest
 from mvdop.conearith import (
     cone_params,
     dim_partition,
-    dim_partition_gamma_check,
     gen_pochhammer,
     generalized_falling,
     raise_coefficient,
@@ -54,6 +53,8 @@ from mvdop.verify import (
     orthogonality_meixner,
     recurrence_residual,
 )
+
+from .oracles import dim_partition_gamma_check
 
 F = Fraction
 SEED = 20250808

@@ -250,6 +250,22 @@ def test_conjecture_cli_non_classical_no_pole(tmp_path, capsys):
     assert all(case["pass"] for case in rep["cases"])
 
 
+def test_conjecture_cli_reads_and_writes_disk_cache(tmp_path, capsys):
+    from mvdop.verify import SUITE_TABLE_DEGREE
+
+    args = ["conjecture", "--d", "14/3", "--r", "2"]
+    code, first, err = run(args, capsys)
+    assert code == 0, err
+    cache_file = tmp_path / "cache" / "jack-r2-d14_3.json"
+    fresh = JackTable(2, Fraction(14, 3)).extend(SUITE_TABLE_DEGREE)
+    written = cache_file.read_text()
+    assert written == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
+    code, second, err = run(args, capsys)
+    assert code == 0, err
+    assert second == first
+    assert cache_file.read_text() == written
+
+
 def test_verify_krawtchouk_recurrence_stays_in_box(capsys):
     code, out, _ = run(
         ["verify", "recurrence", "--family", "krawtchouk", "--d", "2", "--r", "2",

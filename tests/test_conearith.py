@@ -1,7 +1,10 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb, isclose
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdop.conearith import (
     ConeParams,
@@ -10,15 +13,17 @@ from mvdop.conearith import (
     box_binomial,
     cone_params,
     dim_partition,
-    dim_partition_gamma_check,
+    falling_row,
     gen_pochhammer,
     generalized_falling,
     lower_coefficient,
     raise_coefficient,
 )
 from mvdop.errors import SingularArgumentError
-from mvdop.jack import jack_table
-from mvdop.partitions import contains, enumerate_up_to, sub_partitions, weight
+from mvdop.jack import JackTable, jack_table
+from mvdop.partitions import contains, enumerate_up_to, partitions_of, sub_partitions, weight
+
+from .oracles import binomial_row_expansion, dim_partition_gamma_check, falling_row_expansion
 
 F = Fraction
 
@@ -120,6 +125,64 @@ def test_falling_factorial_nonnegative():
     for m in enumerate_up_to(2, 5):
         for k in sub_partitions(m):
             assert generalized_falling(k, m, t) >= 0
+
+
+def _assert_capped_rows_match(t, x, cap):
+    # equal as dicts and in key order
+    assert list(falling_row(t, x, cap).items()) == list(falling_row_expansion(t, x, cap).items())
+    assert list(binomial_row(t, x, cap).items()) == list(binomial_row_expansion(t, x, cap).items())
+
+
+def test_capped_rows_match_expansion_oracle():
+    for r, d, top in ((2, F(5, 2), 16), (3, F(3), 12)):
+        t = JackTable(r, d).extend(top)
+        for x in enumerate_up_to(r, top):
+            for cap in range(min(4, weight(x))):
+                _assert_capped_rows_match(t, x, cap)
+
+
+@st.composite
+def _capped_cases(draw):
+    r = draw(st.integers(1, 4))
+    d = F(draw(st.integers(1, 7)), draw(st.integers(1, 3)))
+    w = draw(st.integers(1, 10))
+    x = draw(st.sampled_from(list(partitions_of(w, r))))
+    return r, d, x, draw(st.integers(0, w - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_capped_cases())
+def test_capped_rows_match_expansion_oracle_property(case):
+    r, d, x, cap = case
+    _assert_capped_rows_match(jack_table(r, d, weight(x)), x, cap)
+
+
+def test_capped_rows_thread_safe():
+    calls = [(x, cap) for x in enumerate_up_to(2, 12) for cap in range(weight(x))]
+    single = JackTable(2, F(5, 2)).extend(12)
+    want = {call: list(falling_row(single, *call).items()) for call in calls}
+    shared = JackTable(2, F(5, 2)).extend(12)
+    got = [{} for _ in range(4)]
+
+    def read(i):
+        # interleaved first, so the threads race to build the interpolants
+        # of the same degrees; then every call, so each thread sees them all
+        for call in calls[i::4] + calls[::-1]:
+            got[i][call] = list(falling_row(shared, *call).items())
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for rows in got:
+        assert rows == want
 
 
 def test_box_binomial_matches_expansion_route():

@@ -57,3 +57,25 @@ def test_no_unreferenced_module_level_definition():
             if node.name not in elsewhere and node.name not in _names_used(trees[path], node):
                 found.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not found, found
+
+
+EXACT_LAYERS = ("partitions", "symfun", "jack", "conearith", "dpolys")
+FLOAT_IMPORTS = {"exp", "log", "lgamma", "Decimal"}
+
+
+def test_no_float_on_exact_layers():
+    # the layers below verify compute in exact rationals only; floating
+    # point and decimal cross-checks belong in the tests
+    found = []
+    for name in EXACT_LAYERS:
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in FLOAT_IMPORTS:
+                        found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+    assert not found, found
