@@ -9,7 +9,9 @@ difference and recurrence equations.
 
 Dimensions are *defined* through the exponential-trace expansion (the
 coefficient of the normalized basis element in powers of p1), which keeps
-every value rational for every rational d.
+every value rational for every rational d.  That coefficient over |m|! is
+d_m / (n/r)_m, the ratio the rows, weights and family coefficients need;
+it is memoized per partition, and d_m is derived from it on each call.
 
 A full binomial or falling-factorial row of x (all k contained in x) is
 the direct expansion of Phi_x at the all-ones shift.  A row capped below
@@ -68,8 +70,15 @@ class ConeParams:
         return tuple(self.d / 4 * (2 * j - self.r - 1) for j in range(1, self.r + 1))
 
 
+_CONE = ("cone",)
+
+
 def cone_params(jack: JackTable) -> ConeParams:
-    return ConeParams(jack.r, jack.d)
+    """The table's (r, d) constants, one instance per table."""
+    got = jack.cache.get(_CONE)
+    if got is None:
+        got = jack.cache.setdefault(_CONE, ConeParams(jack.r, jack.d))
+    return got
 
 
 def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
@@ -112,29 +121,34 @@ def _p1_phi_row(jack: JackTable, w: int) -> dict:
     return got
 
 
+def _dim_ratio(jack: JackTable, m) -> Fraction:
+    """d_m / (n/r)_m for a padded m: the coefficient of the normalized
+    basis element in p1^{|m|} over |m|!."""
+    key = ("dimratio", m)
+    got = jack.cache.get(key)
+    if got is None:
+        w = weight(m)
+        got = _p1_phi_row(jack, w).get(m, Fraction(0)) / factorial(w)
+        jack.cache[key] = got
+    return got
+
+
 def dim_partition(m, jack: JackTable) -> Fraction:
     """Exact dimension weight d_m, strictly positive for every rational
     d > 0.  Computed from the coefficient of the normalized basis element
     in p1^{|m|}."""
     m = pad(m, jack.r)
-    w = weight(m)
-    key = ("dim", m)
-    got = jack.cache.get(key)
-    if got is None:
-        params = cone_params(jack)
-        coeff = _p1_phi_row(jack, w).get(m, Fraction(0))
-        got = gen_pochhammer(params.rank_ratio, m, params) * coeff / factorial(w)
-        jack.cache[key] = got
-    return got
+    params = cone_params(jack)
+    return gen_pochhammer(params.rank_ratio, m, params) * _dim_ratio(jack, m)
 
 
 def weight_factor(x, jack: JackTable, s: Optional[Rat] = None) -> Fraction:
     """d_x (s)_x / (n/r)_x: the partition factor shared by the family
     weights, norms and generating-function coefficients.  The (s)_x factor
     is left out when ``s`` is None."""
-    params = cone_params(jack)
-    out = dim_partition(x, jack) / gen_pochhammer(params.rank_ratio, x, params)
-    return out if s is None else out * gen_pochhammer(s, x, params)
+    x = pad(x, jack.r)
+    out = _dim_ratio(jack, x)
+    return out if s is None else out * gen_pochhammer(s, x, cone_params(jack))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +296,7 @@ def binomial_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     got = jack.cache.get(key)
     if got is None:
         if cap < weight(x):
-            params = cone_params(jack)
-            got = {
-                k: g * dim_partition(k, jack) / gen_pochhammer(params.rank_ratio, k, params)
-                for k, g in falling_row(jack, x, cap).items()
-            }
+            got = {k: g * _dim_ratio(jack, k) for k, g in falling_row(jack, x, cap).items()}
         else:
             shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs)
             got = jack.to_phi_basis(SymPoly(jack.r, shifted))
@@ -314,11 +324,7 @@ def falling_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
         if cap < weight(x):
             got = _capped_falling_row(jack, x, cap)
         else:
-            params = cone_params(jack)
-            got = {
-                k: gen_pochhammer(params.rank_ratio, k, params) * b / dim_partition(k, jack)
-                for k, b in binomial_row(jack, x).items()
-            }
+            got = {k: b / _dim_ratio(jack, k) for k, b in binomial_row(jack, x).items()}
         jack.cache[key] = got
     return got
 

@@ -10,16 +10,16 @@ in the two indices, so duality holds structurally rather than numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .conearith import (
+    _dim_ratio,
     binomial_row,
     cone_params,
-    dim_partition,
     falling_row,
     gen_pochhammer,
     weight_factor,
@@ -41,7 +41,6 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
     with G the falling-factorial rows and the (s)_k factor left out when
     ``s`` is None.  The C_k row is memoized in ``jack.cache`` per (s, z);
     a vanishing (s)_k on a contributing term raises PoleError."""
-    params = cone_params(jack)
     jack.extend(max(weight(m), weight(x)))
     gm = falling_row(jack, m)
     gx = falling_row(jack, x, max_weight=weight(m))
@@ -53,17 +52,37 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
             continue
         ck = row.get(k)
         if ck is None:
-            den = gen_pochhammer(params.rank_ratio, k, params)
+            ck = _dim_ratio(jack, k) * z ** weight(k)
             if s is not None:
-                poch = gen_pochhammer(s, k, params)
+                poch = gen_pochhammer(s, k, cone_params(jack))
                 if poch == 0:
                     raise PoleError(
                         f"shifted factorial ({s})_k vanishes at k={format_partition(k)}"
                     )
-                den *= poch
-            ck = row.setdefault(k, dim_partition(k, jack) * z ** weight(k) / den)
+                ck /= poch
+            ck = row.setdefault(k, ck)
         total += ck * gmk * gxk
     return total
+
+
+def _kernel_args(family: str, alpha=None, c=None, a=None, p=None, N=None) -> Optional[tuple]:
+    """The kernel's (s, z) for a family's checked parameters: Meixner
+    (alpha, 1 - 1/c), Charlier (None, -1/a), Krawtchouk (-N, 1/p); None
+    for a family not indexed by two partitions."""
+    if family == "meixner":
+        return alpha, 1 - 1 / c
+    if family == "charlier":
+        return None, -1 / a
+    if family == "krawtchouk":
+        return Fraction(-N), 1 / p
+    return None
+
+
+def _check_box(m, N: int, r: int):
+    if not contains(m, (N,) * r):
+        raise DomainError(
+            f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
+        )
 
 
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
@@ -72,7 +91,8 @@ def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
     c = Fraction(c)
     if c == 0:
         raise ParameterError("meixner: c must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), alpha, 1 - 1 / c)
+    s, z = _kernel_args("meixner", alpha=alpha, c=c)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), s, z)
 
 
 def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
@@ -80,7 +100,8 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("charlier: a must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), None, -1 / a)
+    s, z = _kernel_args("charlier", a=a)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), s, z)
 
 
 def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
@@ -94,11 +115,9 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
     if N < 0:
         raise ParameterError("krawtchouk: N must be >= 0")
     m = pad(m, jack.r)
-    if not contains(m, (N,) * jack.r):
-        raise DomainError(
-            f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
-        )
-    return _kernel(jack, m, pad(x, jack.r), Fraction(-N), 1 / p)
+    _check_box(m, N, jack.r)
+    s, z = _kernel_args("krawtchouk", p=p, N=N)
+    return _kernel(jack, m, pad(x, jack.r), s, z)
 
 
 def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:
@@ -337,6 +356,8 @@ class FamilyParams:
     a: Optional[Fraction] = None
     p: Optional[Fraction] = None
     N: Optional[int] = None
+    # the kernel's (s, z), None for a family not indexed by two partitions
+    _args: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         need = FAMILY_PARAMS.get(self.family)
@@ -353,15 +374,16 @@ class FamilyParams:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
         if self.N is not None and int(self.N) < 0:
             raise ParameterError("krawtchouk: N must be >= 0")
+        args = _kernel_args(self.family, self.alpha, self.c, self.a, self.p, self.N)
+        object.__setattr__(self, "_args", args)
 
     def evaluate(self, m, x, jack: JackTable) -> Fraction:
-        if self.family == "meixner":
-            return meixner(m, x, self.alpha, self.c, jack)
-        if self.family == "charlier":
-            return charlier(m, x, self.a, jack)
+        if self._args is None:
+            raise ParameterError(f"{self.family} is not indexed by two partitions")
+        m = pad(m, jack.r)
         if self.family == "krawtchouk":
-            return krawtchouk(m, x, self.p, int(self.N), jack)
-        raise ParameterError(f"{self.family} is not indexed by two partitions")
+            _check_box(m, int(self.N), jack.r)
+        return _kernel(jack, m, pad(x, jack.r), *self._args)
 
     def label(self) -> dict:
         out = {"family": self.family}

@@ -16,7 +16,12 @@ Tables are single-writer during ``extend``; a finished table may be read
 from any number of threads.  The ``cache`` dict is scratch space for
 downstream layers: its entries are filled lazily, each computed in full
 before one store publishes it, so a concurrent reader finds an entry
-whole or not at all, and concurrent readers may repeat work.
+whole or not at all, and concurrent readers may repeat work.  Nothing
+is ever evicted.  Most entries are bounded by the table's degree, but the
+verifier keeps one shift-equation plan per distinct family-parameter set
+and index, and the family kernel one coefficient row per parameter set, so
+the cache grows with the number of parameter draws made on the table in
+one process.
 """
 
 from __future__ import annotations

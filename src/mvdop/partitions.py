@@ -9,6 +9,7 @@ freely between threads.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Optional
 
 Partition = tuple
@@ -24,10 +25,23 @@ def is_partition(m) -> bool:
 def pad(m, r: int) -> Partition:
     """Canonicalize ``m`` to ambient length ``r``, padding trailing zeros.
 
-    Raises ValueError if ``m`` has more than ``r`` nonzero parts or is not
-    weakly decreasing.
+    An already canonical tuple is checked and returned as it is.  Raises
+    ValueError if ``m`` has a non-integer entry, has more than ``r``
+    nonzero parts or is not weakly decreasing.
     """
-    t = tuple(int(a) for a in m)
+    if type(m) is tuple and len(m) == r:
+        prev = m[0] if m else 0
+        for a in m:
+            if type(a) is not int or a > prev:
+                break
+            prev = a
+        else:
+            if prev >= 0:
+                return m
+    try:
+        t = tuple(index(a) for a in m)
+    except TypeError:
+        raise ValueError(f"not a partition: {tuple(m)}") from None
     if len(t) > r:
         if any(t[r:]):
             raise ValueError(f"partition {t} does not fit in ambient length {r}")

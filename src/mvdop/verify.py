@@ -485,6 +485,81 @@ def orthogonality_charlier(
 # difference and recurrence equations
 
 
+def _box_moves(jack: JackTable, y) -> tuple:
+    """The family-free part of the shift equations at the padded index y:
+    (d_y, rows), rows[j - 1] = (up, down) for row j.  ``up`` is (y + e_j,
+    d_up lower_j(up)) and ``down`` is (y - e_j, d_down raise_j(down)
+    (y_j + (d/2)(r - j))), each None when the move leaves the partitions.
+    Memoized in ``jack.cache`` per index."""
+    key = ("moves", y)
+    got = jack.cache.get(key)
+    if got is not None:
+        return got
+    params = cone_params(jack)
+    r, half = params.r, params.d / 2
+    rows = []
+    for j in range(1, r + 1):
+        up = box_move(y, j, +1)
+        if up is not None:
+            up = (up, dim_partition(up, jack) * lower_coefficient(j, up, params))
+        down = box_move(y, j, -1)
+        if down is not None:
+            base = dim_partition(down, jack) * raise_coefficient(j, down, params)
+            down = (down, base * (y[j - 1] + half * (r - j)))
+        rows.append((up, down))
+    got = (dim_partition(y, jack), tuple(rows))
+    jack.cache[key] = got
+    return got
+
+
+def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
+    """The coefficients of the difference equation in the padded index
+    ``moving``, as (lam, diag, neighbours): the equation reads
+
+        (lam |fixed| + diag) f(moving) = sum of coef f(y) over neighbours,
+
+    with (y, coef) for every up and down box move whose coefficient is
+    nonzero, in row order.  Computed once per (fp, moving) and memoized in
+    ``jack.cache``."""
+    key = ("shift", fp, moving)
+    got = jack.cache.get(key)
+    if got is not None:
+        return got
+    half = jack.d / 2
+    fam = fp.family
+    dim_y, rows = _box_moves(jack, moving)
+    neighbours = []
+    mid = Fraction(0)
+    for j, (yj, (up, down)) in enumerate(zip(moving, rows), 1):
+        if up is not None:
+            y, base = up
+            if fam == "meixner":
+                coef = base * (yj + fp.alpha - half * (j - 1)) * fp.c
+            elif fam == "charlier":
+                coef = base * fp.a
+            else:
+                coef = base * (fp.N - yj + half * (j - 1)) * fp.p
+            # a Krawtchouk raise out of the box has a zero coefficient, so
+            # skipping it keeps the recurrence inside the box
+            if coef:
+                neighbours.append((y, coef))
+        if fam == "meixner":
+            mid += yj + (yj + fp.alpha) * fp.c
+        elif fam == "charlier":
+            mid += yj + fp.a
+        else:
+            mid += fp.p * (fp.N - yj) + yj * (1 - fp.p)
+        if down is not None:
+            y, base = down
+            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
+            if coef:
+                neighbours.append((y, coef))
+    lam = dim_y * (fp.c - 1) if fam == "meixner" else -dim_y
+    got = (lam, dim_y * mid, tuple(neighbours))
+    jack.cache[key] = got
+    return got
+
+
 def _shift_equation(
     fp: FamilyParams, fixed, moving, jack: JackTable, moving_first: bool
 ) -> Fraction:
@@ -494,59 +569,19 @@ def _shift_equation(
     The family is evaluated with ``moving`` as its first index when
     ``moving_first``; by duality that turns the equation into the
     recurrence in the first index."""
-    params = cone_params(jack)
-    r, d = params.r, params.d
-    fixed = pad(fixed, r)
-    moving = pad(moving, r)
+    fixed = pad(fixed, jack.r)
+    moving = pad(moving, jack.r)
     jack.extend(max(weight(fixed), weight(moving) + 1))
-    fam = fp.family
 
     def value(y):
         return fp.evaluate(y, fixed, jack) if moving_first else fp.evaluate(fixed, y, jack)
 
     fy = value(moving)
-    dim_y = dim_partition(moving, jack)
-
-    if fam == "meixner":
-        lhs = dim_y * (fp.c - 1) * weight(fixed) * fy
-    else:
-        lhs = -dim_y * weight(fixed) * fy
-
-    rhs = Fraction(0)
-    mid = Fraction(0)
-    for j in range(1, r + 1):
-        yj = moving[j - 1]
-        up = box_move(moving, j, +1)
-        if up is not None:
-            base = dim_partition(up, jack) * lower_coefficient(j, up, params)
-            if fam == "meixner":
-                coef = base * (yj + fp.alpha - d / 2 * (j - 1)) * fp.c
-            elif fam == "charlier":
-                coef = base * fp.a
-            else:
-                coef = base * (fp.N - yj + d / 2 * (j - 1)) * fp.p
-            # a Krawtchouk raise out of the box has a zero coefficient, so
-            # skipping it keeps the recurrence inside the box
-            if coef:
-                rhs += coef * value(up)
-        if fam == "meixner":
-            mid += yj + (yj + fp.alpha) * fp.c
-        elif fam == "charlier":
-            mid += yj + fp.a
-        else:
-            mid += fp.p * (fp.N - yj) + yj * (1 - fp.p)
-        down = box_move(moving, j, -1)
-        if down is not None:
-            base = (
-                dim_partition(down, jack)
-                * raise_coefficient(j, down, params)
-                * (yj + d / 2 * (r - j))
-            )
-            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
-            if coef:
-                rhs += coef * value(down)
-    rhs -= dim_y * mid * fy
-    return lhs - rhs
+    lam, diag, neighbours = _shift_plan(fp, moving, jack)
+    res = (lam * weight(fixed) + diag) * fy
+    for y, coef in neighbours:
+        res -= coef * value(y)
+    return res
 
 
 def difference_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:

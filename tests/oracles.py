@@ -5,7 +5,9 @@ rebuilt by Gram-Schmidt against the deformation inner product in the
 power-sum coordinates, and the d = 2 specialization is evaluated through
 the bialternant ratio.  Both routes are exact.  The first-index
 recurrence is written out term by term in the first index, where the
-package derives it from the difference equation by duality.  Capped
+package derives it from the difference equation by duality.  The
+difference equation itself is also evaluated with every coefficient
+recomputed per call, where the package reads a memoized plan.  Capped
 binomial and falling-factorial rows are expanded directly (Phi_x at the
 all-ones shift, cut at the cap), where the package evaluates interpolation
 polynomials.  Dimensions are cross-checked in floating point against the
@@ -203,6 +205,65 @@ def recurrence_residual_mirror(fp, m, x, jack) -> Fraction:
             if coef:
                 rhs += coef * fp.evaluate(down, x, jack)
     rhs -= dim_m * mid * fx
+    return lhs - rhs
+
+
+def shift_equation_direct(fp, fixed, moving, jack, moving_first: bool) -> Fraction:
+    """Exact residual of the difference equation in ``moving`` with
+    ``fixed`` held, every coefficient recomputed at each call; the family
+    is evaluated with ``moving`` first when ``moving_first``.  The package
+    reads the same coefficients from a plan built once per (family
+    parameters, index)."""
+    params = cone_params(jack)
+    r, d = params.r, params.d
+    fixed = pad(fixed, r)
+    moving = pad(moving, r)
+    jack.extend(max(weight(fixed), weight(moving) + 1))
+    fam = fp.family
+
+    def value(y):
+        return fp.evaluate(y, fixed, jack) if moving_first else fp.evaluate(fixed, y, jack)
+
+    fy = value(moving)
+    dim_y = dim_partition(moving, jack)
+
+    if fam == "meixner":
+        lhs = dim_y * (fp.c - 1) * weight(fixed) * fy
+    else:
+        lhs = -dim_y * weight(fixed) * fy
+
+    rhs = Fraction(0)
+    mid = Fraction(0)
+    for j in range(1, r + 1):
+        yj = moving[j - 1]
+        up = box_move(moving, j, +1)
+        if up is not None:
+            base = dim_partition(up, jack) * lower_coefficient(j, up, params)
+            if fam == "meixner":
+                coef = base * (yj + fp.alpha - d / 2 * (j - 1)) * fp.c
+            elif fam == "charlier":
+                coef = base * fp.a
+            else:
+                coef = base * (fp.N - yj + d / 2 * (j - 1)) * fp.p
+            if coef:
+                rhs += coef * value(up)
+        if fam == "meixner":
+            mid += yj + (yj + fp.alpha) * fp.c
+        elif fam == "charlier":
+            mid += yj + fp.a
+        else:
+            mid += fp.p * (fp.N - yj) + yj * (1 - fp.p)
+        down = box_move(moving, j, -1)
+        if down is not None:
+            base = (
+                dim_partition(down, jack)
+                * raise_coefficient(j, down, params)
+                * (yj + d / 2 * (r - j))
+            )
+            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
+            if coef:
+                rhs += coef * value(down)
+    rhs -= dim_y * mid * fy
     return lhs - rhs
 
 

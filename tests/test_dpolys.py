@@ -105,6 +105,15 @@ def test_meixner_pole_error_names_k():
     assert "k=" in str(err.value)
 
 
+def test_family_evaluators_reject_non_integer_index():
+    # a fractional entry used to be truncated, giving the value at (1, 0)
+    t = jack_table(2, 2, 3)
+    with pytest.raises(ValueError, match="not a partition"):
+        meixner((1.9, 0), (1, 0), "7/2", "1/3", t)
+    with pytest.raises(ValueError, match="not a partition"):
+        FamilyParams("charlier", a=F(2)).evaluate((1, 0), (F(3, 2), 0), t)
+
+
 def test_charlier_zero_parameter():
     t = jack_table(1, 2, 2)
     with pytest.raises(ParameterError):

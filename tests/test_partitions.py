@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,3 +122,28 @@ def test_pad_rejects_overflow():
     assert pad((2, 1, 0, 0), 2) == (2, 1)
     with pytest.raises(ValueError):
         pad((2, 1, 1), 2)
+
+
+class _Index:
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_pad_rejects_non_integer_entries():
+    for bad in ((1.9, 0), (1.0, 0), (F(3, 2),), ("2", "1"), (2, None)):
+        with pytest.raises(ValueError, match="not a partition"):
+            pad(bad, 2)
+    # integer-valued entries of other types are canonicalized to ints
+    got = pad([_Index(2), True], 3)
+    assert got == (2, 1, 0) and all(type(a) is int for a in got)
+
+
+def test_pad_returns_canonical_tuple_unchanged():
+    m = (3, 1, 0)
+    assert pad(m, 3) is m
+    for bad in ((1, 2, 0), (1, 0, -1)):
+        with pytest.raises(ValueError, match="not a partition"):
+            pad(bad, 3)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from mvdop.conearith import cone_params, gen_pochhammer
 from mvdop.dpolys import FamilyParams, univariate_meixner
 from mvdop.errors import DomainError
-from mvdop.jack import jack_table
+from mvdop import verify
+from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import contains, enumerate_up_to
 from mvdop.verify import (
     VerificationReport,
@@ -25,7 +28,7 @@ from mvdop.verify import (
     recurrence_residual,
 )
 
-from .oracles import recurrence_residual_mirror
+from .oracles import recurrence_residual_mirror, shift_equation_direct
 
 F = Fraction
 
@@ -228,6 +231,107 @@ def test_recurrence_is_difference_under_duality_swap():
                         assert got == 0, (fp, m, x)
             if cls is _Skewed:
                 assert nonzero > len(grid), family
+
+
+def test_shift_plans_match_direct_evaluation():
+    # the residuals read memoized coefficient plans; the oracle recomputes
+    # every coefficient per call.  Each pair of parameter sets shares one
+    # table and differs in a single parameter, and the two are evaluated
+    # alternately, so a plan keyed by anything less than the full parameter
+    # set is read for the wrong one
+    t = JackTable(2, F(5, 2)).extend(5)
+    grid = enumerate_up_to(2, 4)
+    pairs = (
+        (dict(family="meixner", alpha=F(7, 3), c=F(3, 5)), "alpha", F(11, 4)),
+        (dict(family="charlier", a=F(5, 4)), "a", F(7, 3)),
+        # N = 2 < 4: the second index leaves the box
+        (dict(family="krawtchouk", p=F(2, 7), N=2), "p", F(3, 5)),
+    )
+    for kw, name, other in pairs:
+        for cls in (FamilyParams, _Skewed):
+            fps = (cls(**kw), cls(**{**kw, name: other}))
+            nonzero = 0
+            for m in grid:
+                if kw["family"] == "krawtchouk" and not contains(m, (2, 2)):
+                    continue
+                for x in grid:
+                    for fp in fps:
+                        got = difference_residual(fp, m, x, t)
+                        assert got == shift_equation_direct(fp, m, x, t, False), (fp, m, x)
+                        nonzero += got != 0
+                        if kw["family"] == "krawtchouk" and not contains(x, (2, 2)):
+                            continue
+                        got = recurrence_residual(fp, m, x, t)
+                        assert got == shift_equation_direct(fp, x, m, t, True), (fp, m, x)
+            assert (nonzero > 0) == (cls is _Skewed), kw["family"]
+
+
+def test_shift_coefficients_computed_once_per_table(monkeypatch):
+    # a criterion-05-shaped grid, run twice on one table: the second pass
+    # reads every raise/lower coefficient from the plans of the first
+    calls = {"lower": 0, "raise": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "lower_coefficient", counted("lower", verify.lower_coefficient))
+    monkeypatch.setattr(verify, "raise_coefficient", counted("raise", verify.raise_coefficient))
+    t = JackTable(2, F(5, 2)).extend(4)
+    fps = (
+        FamilyParams("meixner", alpha=F(7, 3), c=F(3, 5)),
+        FamilyParams("charlier", a=F(5, 4)),
+        FamilyParams("krawtchouk", p=F(2, 7), N=3),
+    )
+    grid = enumerate_up_to(2, 3)
+
+    def sweep():
+        for fp in fps:
+            for m in grid:
+                for x in grid:
+                    assert difference_residual(fp, m, x, t) == 0
+                    assert recurrence_residual(fp, m, x, t) == 0
+
+    sweep()
+    first = dict(calls)
+    # one coefficient per box move of a grid index, shared by the families
+    assert 0 < first["lower"] <= len(grid) * t.r
+    assert 0 < first["raise"] <= len(grid) * t.r
+    sweep()
+    assert calls == first
+
+
+def test_shift_plans_thread_safe():
+    fps = [_Skewed("meixner", alpha=F(7, 3), c=F(3, 5)), _Skewed("charlier", a=F(5, 4))]
+    grid = enumerate_up_to(2, 3)
+    calls = [(fp, m, x) for fp in fps for m in grid for x in grid]
+
+    def residuals(t):
+        return [(difference_residual(*c, t), recurrence_residual(*c, t)) for c in calls]
+
+    want = residuals(JackTable(2, F(5, 2)).extend(4))
+    shared = JackTable(2, F(5, 2)).extend(4)
+    got = [None] * 4
+
+    def sweep(i):
+        # every thread walks the same calls, so they race to build each plan
+        got[i] = residuals(shared)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(g == want for g in got)
 
 
 def test_equation_residuals_reject_krawtchouk_index_outside_box():
