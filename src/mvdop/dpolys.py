@@ -10,7 +10,7 @@ in the two indices, so duality holds structurally rather than numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -65,34 +65,13 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
     return total
 
 
-def _kernel_args(family: str, alpha=None, c=None, a=None, p=None, N=None) -> Optional[tuple]:
-    """The kernel's (s, z) for a family's checked parameters: Meixner
-    (alpha, 1 - 1/c), Charlier (None, -1/a), Krawtchouk (-N, 1/p); None
-    for a family not indexed by two partitions."""
-    if family == "meixner":
-        return alpha, 1 - 1 / c
-    if family == "charlier":
-        return None, -1 / a
-    if family == "krawtchouk":
-        return Fraction(-N), 1 / p
-    return None
-
-
-def _check_box(m, N: int, r: int):
-    if not contains(m, (N,) * r):
-        raise DomainError(
-            f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
-        )
-
-
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
     """Meixner value at index pair (m, x) with parameters (alpha, c != 0)."""
     alpha = Fraction(alpha)
     c = Fraction(c)
     if c == 0:
         raise ParameterError("meixner: c must be nonzero")
-    s, z = _kernel_args("meixner", alpha=alpha, c=c)
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), s, z)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), alpha, 1 - 1 / c)
 
 
 def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
@@ -100,8 +79,7 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("charlier: a must be nonzero")
-    s, z = _kernel_args("charlier", a=a)
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), s, z)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), None, -1 / a)
 
 
 def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
@@ -115,9 +93,11 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
     if N < 0:
         raise ParameterError("krawtchouk: N must be >= 0")
     m = pad(m, jack.r)
-    _check_box(m, N, jack.r)
-    s, z = _kernel_args("krawtchouk", p=p, N=N)
-    return _kernel(jack, m, pad(x, jack.r), s, z)
+    if not contains(m, (N,) * jack.r):
+        raise DomainError(
+            f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
+        )
+    return _kernel(jack, m, pad(x, jack.r), Fraction(-N), 1 / p)
 
 
 def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:
@@ -356,8 +336,6 @@ class FamilyParams:
     a: Optional[Fraction] = None
     p: Optional[Fraction] = None
     N: Optional[int] = None
-    # the kernel's (s, z), None for a family not indexed by two partitions
-    _args: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         need = FAMILY_PARAMS.get(self.family)
@@ -374,16 +352,15 @@ class FamilyParams:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
         if self.N is not None and int(self.N) < 0:
             raise ParameterError("krawtchouk: N must be >= 0")
-        args = _kernel_args(self.family, self.alpha, self.c, self.a, self.p, self.N)
-        object.__setattr__(self, "_args", args)
 
     def evaluate(self, m, x, jack: JackTable) -> Fraction:
-        if self._args is None:
-            raise ParameterError(f"{self.family} is not indexed by two partitions")
-        m = pad(m, jack.r)
+        if self.family == "meixner":
+            return meixner(m, x, self.alpha, self.c, jack)
+        if self.family == "charlier":
+            return charlier(m, x, self.a, jack)
         if self.family == "krawtchouk":
-            _check_box(m, int(self.N), jack.r)
-        return _kernel(jack, m, pad(x, jack.r), *self._args)
+            return krawtchouk(m, x, self.p, int(self.N), jack)
+        raise ParameterError(f"{self.family} is not indexed by two partitions")
 
     def label(self) -> dict:
         out = {"family": self.family}

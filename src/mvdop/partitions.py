@@ -17,9 +17,13 @@ Partition = tuple
 
 def is_partition(m) -> bool:
     """True iff ``m`` is a weakly decreasing tuple of nonnegative integers."""
-    return all(isinstance(a, int) and a >= 0 for a in m) and all(
-        m[i] >= m[i + 1] for i in range(len(m) - 1)
-    )
+    # one pass: pad checks every index it is given through here
+    prev = m[0] if m else 0
+    for a in m:
+        if not isinstance(a, int) or a > prev:
+            return False
+        prev = a
+    return prev >= 0
 
 
 def pad(m, r: int) -> Partition:
@@ -29,15 +33,8 @@ def pad(m, r: int) -> Partition:
     ValueError if ``m`` has a non-integer entry, has more than ``r``
     nonzero parts or is not weakly decreasing.
     """
-    if type(m) is tuple and len(m) == r:
-        prev = m[0] if m else 0
-        for a in m:
-            if type(a) is not int or a > prev:
-                break
-            prev = a
-        else:
-            if prev >= 0:
-                return m
+    if type(m) is tuple and len(m) == r and is_partition(m):
+        return m
     try:
         t = tuple(index(a) for a in m)
     except TypeError:
