@@ -178,7 +178,7 @@ def cmd_table(args) -> int:
 
 
 def _parse_weights(text: str) -> list:
-    return [int(t) for t in text.split(",") if t.strip()]
+    return verify._truncation_weights(int(t) for t in text.split(",") if t.strip())
 
 
 def cmd_verify(args) -> int:

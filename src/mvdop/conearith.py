@@ -7,19 +7,19 @@ generalized binomial coefficients with their falling-factorial eigenvalue
 form, and the closed-form raise/lower shift coefficients used by the
 difference and recurrence equations.
 
-Dimensions are *defined* through the exponential-trace expansion (the
-coefficient of the normalized basis element in powers of p1), which keeps
-every value rational for every rational d.  That coefficient over |m|! is
-d_m / (n/r)_m, the ratio the rows, weights and family coefficients need;
-it is memoized per partition, and d_m is derived from it on each call.
-
-A full binomial or falling-factorial row of x (all k contained in x) is
-the direct expansion of Phi_x at the all-ones shift.  A row capped below
-|x| is evaluated from interpolation polynomials instead: for each k,
-x -> G_x[k] is a shifted-symmetric polynomial of degree |k| (the shifted
-Jack polynomial of Knop-Sahi and Okounkov-Olshanski), built once per table
-from the full rows of the partitions of weight <= |k|, so the cost of a
-capped row does not grow with |x|.
+One closed form, the Pieri coefficient ``raise_coefficient``, gives the
+dimensions, the full rows and the shift equations, so none of them needs
+the basis table.  The ratio rho(m) = d_m / (n/r)_m that the rows, weights
+and family coefficients use follows from the Pieri recursion (memoized
+per partition; d_m is derived from it on each call).  The full
+falling-factorial row G_x of x (all k contained in x) follows top down
+from G_x[x] = 1 / rho(x) by Lassalle's recursion, and binom(x, k) is
+G_x[k] rho(k).  A row capped below |x| is evaluated from interpolation
+polynomials instead: for each k, x -> G_x[k] is a shifted-symmetric
+polynomial of degree |k| (the shifted Jack polynomial of Knop-Sahi and
+Okounkov-Olshanski), built once per table from the full rows of the
+partitions of weight <= |k|, so the cost of a capped row does not grow
+with |x|.
 
 Row computations memoize into the owning table's ``cache`` dict, each
 entry published whole once computed.
@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from .errors import MvdopError, SingularArgumentError
 from .jack import JackTable
-from .partitions import pad, partitions_of, weight
-from .symfun import SymPoly, shift_by_one_map
+from .partitions import box_move, pad, partitions_of, sub_partitions, weight
 
 Rat = Union[int, Fraction]
 
@@ -99,44 +98,31 @@ def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
 # dimensions
 
 
-def _p1_power(jack: JackTable, n: int) -> SymPoly:
-    key = ("p1pow", n)
-    got = jack.cache.get(key)
-    if got is None:
-        if n == 0:
-            got = SymPoly.one(jack.r)
-        else:
-            got = _p1_power(jack, n - 1) * SymPoly.monomial(jack.r, (1,))
-        jack.cache[key] = got
-    return got
-
-
-def _p1_phi_row(jack: JackTable, w: int) -> dict:
-    key = ("p1row", w)
-    got = jack.cache.get(key)
-    if got is None:
-        jack.check_degree(w)
-        got = jack.to_phi_basis(_p1_power(jack, w))
-        jack.cache[key] = got
-    return got
-
-
 def _dim_ratio(jack: JackTable, m) -> Fraction:
-    """d_m / (n/r)_m for a padded m: the coefficient of the normalized
-    basis element in p1^{|m|} over |m|!."""
+    """rho(m) = d_m / (n/r)_m for a padded m, by the Pieri recursion
+
+        |m| rho(m) = sum_j raise_j(m - e_j) rho(m - e_j),   rho(0) = 1,
+
+    over the rows j where m - e_j is a partition."""
     key = ("dimratio", m)
     got = jack.cache.get(key)
     if got is None:
-        w = weight(m)
-        got = _p1_phi_row(jack, w).get(m, Fraction(0)) / factorial(w)
+        got = Fraction(1)
+        if any(m):
+            params = cone_params(jack)
+            total = Fraction(0)
+            for j in range(1, jack.r + 1):
+                down = box_move(m, j, -1)
+                if down is not None:
+                    total += raise_coefficient(j, down, params) * _dim_ratio(jack, down)
+            got = total / weight(m)
         jack.cache[key] = got
     return got
 
 
 def dim_partition(m, jack: JackTable) -> Fraction:
     """Exact dimension weight d_m, strictly positive for every rational
-    d > 0.  Computed from the coefficient of the normalized basis element
-    in p1^{|m|}."""
+    d > 0: (n/r)_m times the memoized ratio d_m / (n/r)_m."""
     m = pad(m, jack.r)
     params = cone_params(jack)
     return gen_pochhammer(params.rank_ratio, m, params) * _dim_ratio(jack, m)
@@ -284,24 +270,35 @@ def _capped_falling_row(jack: JackTable, x, cap: int) -> dict:
     return out
 
 
+def _full_falling_row(jack: JackTable, x) -> dict:
+    """G_x[k] for every k in x, top down from G_x[x] = 1 / rho(x) by
+
+        (|x| - |k|) G_x[k] = sum_j raise_j(k) G_x[k + e_j],
+
+    a k + e_j outside x, or not a partition, contributing nothing."""
+    params = cone_params(jack)
+    ks = sub_partitions(x)
+    top = weight(x)
+    # rho in increasing weight keeps each Pieri recursion one level deep
+    rho = [_dim_ratio(jack, k) for k in ks]
+    row = {x: 1 / rho[-1]}
+    for k in reversed(ks[:-1]):
+        total = Fraction(0)
+        for j in range(jack.r):
+            g = row.get(k[:j] + (k[j] + 1,) + k[j + 1 :])
+            if g:
+                total += raise_coefficient(j + 1, k, params) * g
+        row[k] = total / (top - weight(k))
+    return {k: row[k] for k in ks}
+
+
 def binomial_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     """All generalized binomial coefficients over ``x`` at once: the map
     k -> coefficient of Phi_k in the expansion of Phi_x shifted by the
     all-ones point, for |k| <= max_weight (default |x|).  Keys are exactly
-    the partitions contained in x.  A capped row is binom(x, k) =
-    G_x[k] d_k / (n/r)_k from the capped falling row."""
-    x = pad(x, jack.r)
-    cap = weight(x) if max_weight is None else min(max_weight, weight(x))
-    key = ("brow", x, cap)
-    got = jack.cache.get(key)
-    if got is None:
-        if cap < weight(x):
-            got = {k: g * _dim_ratio(jack, k) for k, g in falling_row(jack, x, cap).items()}
-        else:
-            shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs)
-            got = jack.to_phi_basis(SymPoly(jack.r, shifted))
-        jack.cache[key] = got
-    return got
+    the partitions contained in x.  Each is binom(x, k) = G_x[k] d_k /
+    (n/r)_k from the memoized falling row."""
+    return {k: g * _dim_ratio(jack, k) for k, g in falling_row(jack, x, max_weight).items()}
 
 
 def binomial(m, k, jack: JackTable) -> Fraction:
@@ -314,8 +311,9 @@ def binomial(m, k, jack: JackTable) -> Fraction:
 
 def falling_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     """Generalized falling factorials of ``x``: k -> the eigenvalue-form
-    value (n/r)_k * binomial(x, k) / d_k, for |k| <= max_weight.  A capped
-    row is evaluated from the interpolants up to degree max_weight."""
+    value (n/r)_k * binomial(x, k) / d_k, for |k| <= max_weight, in
+    (weight, descending lex) order.  A capped row is evaluated from the
+    interpolants up to degree max_weight."""
     x = pad(x, jack.r)
     cap = weight(x) if max_weight is None else min(max_weight, weight(x))
     key = ("frow", x, cap)
@@ -324,7 +322,7 @@ def falling_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
         if cap < weight(x):
             got = _capped_falling_row(jack, x, cap)
         else:
-            got = {k: b / _dim_ratio(jack, k) for k, b in binomial_row(jack, x).items()}
+            got = _full_falling_row(jack, x)
         jack.cache[key] = got
     return got
 

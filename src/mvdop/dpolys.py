@@ -41,7 +41,6 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
     with G the falling-factorial rows and the (s)_k factor left out when
     ``s`` is None.  The C_k row is memoized in ``jack.cache`` per (s, z);
     a vanishing (s)_k on a contributing term raises PoleError."""
-    jack.extend(max(weight(m), weight(x)))
     gm = falling_row(jack, m)
     gx = falling_row(jack, x, max_weight=weight(m))
     row = jack.cache.setdefault(("coef", s, z), {})

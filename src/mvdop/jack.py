@@ -17,11 +17,14 @@ from any number of threads.  The ``cache`` dict is scratch space for
 downstream layers: its entries are filled lazily, each computed in full
 before one store publishes it, so a concurrent reader finds an entry
 whole or not at all, and concurrent readers may repeat work.  Nothing
-is ever evicted.  Most entries are bounded by the table's degree, but the
-verifier keeps one shift-equation plan per distinct family-parameter set
-and index, and the family kernel one coefficient row per parameter set, so
-the cache grows with the number of parameter draws made on the table in
-one process.
+is ever evicted.  Dimension ratios and falling-factorial rows come from
+closed forms, so they are cached for any partition queried, also past
+the built degree.  The verifier keeps one shift-equation plan per distinct
+family-parameter set and index, and the family kernel one coefficient row
+per parameter set, so the cache grows with the number of parameter draws
+and the partitions queried on the table in one process.  The per-(r, d)
+memo ``_TABLES`` behind ``jack_table`` is process-wide and never evicted
+either.
 """
 
 from __future__ import annotations

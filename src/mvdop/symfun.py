@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Optional, Union
 
 from .partitions import enumerate_up_to, pad
@@ -345,25 +345,3 @@ def series_phi_of_moebius(x, c_inv: Rat, jack, max_degree: int) -> SymPoly:
     (1 - c_inv*z_i) / (1 - z_i), truncated at ``max_degree``."""
     entry = u_ratio([1, -Fraction(c_inv)], [1, -1], max_degree)
     return series_compose_diagonal(jack.phi(x), entry, max_degree)
-
-
-def shift_by_one_map(r: int, coeffs: dict) -> dict:
-    """Monomial-basis map of p(1 + z_1, ..., 1 + z_r) for a monomial-basis
-    map of p."""
-    acc: dict = defaultdict(Fraction)
-    for lam, c in coeffs.items():
-        for avec in _orbit(lam):
-            _shift_accumulate(acc, avec, c, r)
-    return {k: v for k, v in acc.items() if v}
-
-
-def _shift_accumulate(acc, avec, c, r):
-    # walk all e <= avec componentwise, weakly decreasing only
-    def rec(i, prev, coef, prefix):
-        if i == r:
-            acc[prefix] += coef
-            return
-        for e in range(min(avec[i], prev) + 1):
-            rec(i + 1, e, coef * comb(avec[i], e), prefix + (e,))
-
-    rec(0, avec[0], c, ())

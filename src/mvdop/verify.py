@@ -13,7 +13,8 @@ decimal arithmetic.
 
 Every check emits a :class:`VerificationReport` with one row per case and
 a deterministic ordering, serializable to JSON.  Case grids are pure
-fan-outs over an immutable table; the table is extended up front.
+fan-outs over an immutable table; only the checks that expand in the
+basis (generating functions, the generator kernel) extend it up front.
 """
 
 from __future__ import annotations
@@ -273,7 +274,6 @@ def orthogonality_krawtchouk(
     if not 0 < p < 1:
         raise DomainError(f"need 0 < p < 1, got {p}")
     r = jack.r
-    jack.extend(r * N)
     box = (N,) * r
     xs = [x for x in enumerate_up_to(r, r * N) if contains(x, box)]
     idx = xs if max_index_weight is None else [m for m in xs if weight(m) <= max_index_weight]
@@ -302,9 +302,11 @@ def orthogonality_krawtchouk(
 
 
 def _truncation_weights(truncation_weights: Sequence[int]) -> list:
+    # a partial sum exists only at a weight >= 0, and the decrease test
+    # needs two different ones
     ts = sorted(int(t) for t in truncation_weights)
-    if len(ts) < 2:
-        raise ParameterError("need at least two truncation weights")
+    if len(ts) < 2 or ts[0] < 0 or len(set(ts)) < len(ts):
+        raise ParameterError(f"need two or more distinct truncation weights >= 0, got {ts}")
     return ts
 
 
@@ -377,7 +379,6 @@ def _orthogonality_truncated(
 ) -> VerificationReport:
     r = jack.r
     ts = _truncation_weights(truncation_weights)
-    jack.extend(ts[-1])
 
     if fp.family == "meixner":
         if not (0 < fp.c < 1):
@@ -571,7 +572,6 @@ def _shift_equation(
     recurrence in the first index."""
     fixed = pad(fixed, jack.r)
     moving = pad(moving, jack.r)
-    jack.extend(max(weight(fixed), weight(moving) + 1))
 
     def value(y):
         return fp.evaluate(y, fixed, jack) if moving_first else fp.evaluate(fixed, y, jack)
@@ -600,7 +600,6 @@ def _equation_report(
     kind: str, fp: FamilyParams, max_weight: int, jack: JackTable
 ) -> VerificationReport:
     r = jack.r
-    jack.extend(max_weight + 1)
     residual_fn = difference_residual if kind == "difference" else recurrence_residual
     grid = enumerate_up_to(r, max_weight)
     box = (int(fp.N),) * r if fp.family == "krawtchouk" else None
@@ -718,7 +717,6 @@ def limits_check(
     the expected first-order rate along the given parameter scales."""
     a = Fraction(a)
     r = jack.r
-    jack.extend(max_index_weight)
     scales = [int(s) for s in scales]
     if len(scales) < 2 or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)

@@ -7,28 +7,31 @@ the bialternant ratio.  Both routes are exact.  The first-index
 recurrence is written out term by term in the first index, where the
 package derives it from the difference equation by duality.  The
 difference equation itself is also evaluated with every coefficient
-recomputed per call, where the package reads a memoized plan.  Capped
-binomial and falling-factorial rows are expanded directly (Phi_x at the
-all-ones shift, cut at the cap), where the package evaluates interpolation
-polynomials.  Dimensions are cross-checked in floating point against the
-classical Gamma-product expression.
+recomputed per call, where the package reads a memoized plan.  Binomial
+and falling-factorial rows are expanded directly in the basis table
+(Phi_x at the all-ones shift, cut at the cap), where the package runs
+Lassalle's recursion on full rows and evaluates interpolation polynomials
+on capped ones.  The dimension ratio d_m / (n/r)_m is read off p1^|m| in
+the basis, where the package runs the Pieri recursion; dimensions are also
+cross-checked in floating point against the classical Gamma-product
+expression.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import exp, lgamma
+from math import comb, exp, factorial, lgamma
 
 from mvdop.conearith import (
     cone_params,
     dim_partition,
-    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
 )
 from mvdop.partitions import box_move, contains, dominates, pad, partitions_of, weight
-from mvdop.symfun import SymPoly, shift_by_one_map
+from mvdop.symfun import SymPoly
 
 
 def partitions_all_lengths(w: int) -> list:
@@ -286,10 +289,52 @@ def dim_partition_gamma_check(m, params) -> float:
     return linear * exp(log_part)
 
 
+def shift_by_one_map(r: int, coeffs: dict) -> dict:
+    """Monomial-basis map of p(1 + z_1, ..., 1 + z_r) for a monomial-basis
+    map of p."""
+    acc: dict = defaultdict(Fraction)
+    for lam, c in coeffs.items():
+        for avec in set(permutations(lam)):
+            _shift_accumulate(acc, avec, c, r)
+    return {k: v for k, v in acc.items() if v}
+
+
+def _shift_accumulate(acc, avec, c, r):
+    # walk all e <= avec componentwise, weakly decreasing only
+    def rec(i, prev, coef, prefix):
+        if i == r:
+            acc[prefix] += coef
+            return
+        for e in range(min(avec[i], prev) + 1):
+            rec(i + 1, e, coef * comb(avec[i], e), prefix + (e,))
+
+    rec(0, avec[0], c, ())
+
+
+_P1_ROWS: dict = {}
+
+
+def dim_ratio_p1(jack, m) -> Fraction:
+    """d_m / (n/r)_m: the coefficient of Phi_m in p1^|m|, over |m|!.  The
+    table is extended to |m|; the row of each (r, d, |m|) is converted
+    once."""
+    m = pad(m, jack.r)
+    w = weight(m)
+    key = (jack.r, jack.d, w)
+    if key not in _P1_ROWS:
+        jack.extend(w)
+        power = SymPoly.one(jack.r)
+        for _ in range(w):
+            power = power * SymPoly.monomial(jack.r, (1,))
+        _P1_ROWS[key] = jack.to_phi_basis(power)
+    return _P1_ROWS[key].get(m, Fraction(0)) / factorial(w)
+
+
 def binomial_row_expansion(jack, x, cap: int) -> dict:
     """Generalized binomials over x with |k| <= cap: Phi_x expanded at the
     all-ones shift, cut at total degree cap, converted to the Phi basis."""
     x = pad(x, jack.r)
+    jack.extend(weight(x))
     shifted = shift_by_one_map(jack.r, jack.phi(x).coeffs)
     cut = {k: c for k, c in shifted.items() if sum(k) <= cap}
     return jack.to_phi_basis(SymPoly(jack.r, cut))
@@ -297,9 +342,7 @@ def binomial_row_expansion(jack, x, cap: int) -> dict:
 
 def falling_row_expansion(jack, x, cap: int) -> dict:
     """Generalized falling factorials (n/r)_k binom(x, k) / d_k of x with
-    |k| <= cap, from ``binomial_row_expansion``."""
-    params = cone_params(jack)
+    |k| <= cap, from ``binomial_row_expansion`` and ``dim_ratio_p1``."""
     return {
-        k: gen_pochhammer(params.rank_ratio, k, params) * b / dim_partition(k, jack)
-        for k, b in binomial_row_expansion(jack, x, cap).items()
+        k: b / dim_ratio_p1(jack, k) for k, b in binomial_row_expansion(jack, x, cap).items()
     }

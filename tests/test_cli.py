@@ -145,6 +145,21 @@ def test_verify_orthogonality_generator(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["orthogonality-generator", "--alpha", "2", "--c", "1/2", "--truncation-weights", "4,-2"],
+    ["orthogonality", "--alpha", "2", "--c", "1/8", "--max-weight", "1",
+     "--truncation-weights", "30,30"],
+    ["orthogonality", "--alpha", "2", "--c", "1/8", "--truncation-weights", ","],
+])
+def test_verify_bad_truncation_weights_exit_2(args, capsys):
+    # a negative weight is never reached, a repeated one makes the
+    # decrease test vacuous, and an empty list has nothing to truncate at
+    code, out, err = run(["verify", args[0], "--d", "2", "--r", "1", *args[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert "truncation weights" in err
+
+
 def test_verify_limits(capsys):
     code, out, _ = run(
         ["verify", "limits", "--d", "2", "--r", "2", "--a", "1",

@@ -19,11 +19,17 @@ from mvdop.conearith import (
     lower_coefficient,
     raise_coefficient,
 )
+from mvdop.dpolys import determinant_formula, meixner
 from mvdop.errors import SingularArgumentError
 from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import contains, enumerate_up_to, partitions_of, sub_partitions, weight
 
-from .oracles import binomial_row_expansion, dim_partition_gamma_check, falling_row_expansion
+from .oracles import (
+    binomial_row_expansion,
+    dim_partition_gamma_check,
+    dim_ratio_p1,
+    falling_row_expansion,
+)
 
 F = Fraction
 
@@ -80,14 +86,28 @@ def test_d2_dimension_is_squared_principal():
         assert dim_partition(m, t) == t.principal(m) ** 2
 
 
-def test_dim_query_past_built_degree():
-    from mvdop.errors import TableDegreeError
-    from mvdop.jack import JackTable
+def _dim_p1(jack, m):
+    params = cone_params(jack)
+    return gen_pochhammer(params.rank_ratio, m, params) * dim_ratio_p1(jack, m)
 
-    t = JackTable(2, 2)
-    t.extend(2)
-    with pytest.raises(TableDegreeError):
-        dim_partition((3, 0), t)
+
+def test_rows_and_dims_past_built_degree_need_no_table():
+    # the structure constants come from closed forms, so a query past the
+    # built degree is answered without extending the table
+    t = JackTable(2, 2).extend(2)
+    deep = JackTable(2, 2).extend(7)
+    for x in enumerate_up_to(2, 7):
+        if weight(x) <= 2:
+            continue
+        assert dim_partition(x, t) == _dim_p1(deep, x)
+        want = falling_row_expansion(deep, x, weight(x))
+        assert list(falling_row(t, x).items()) == list(want.items())
+        want = binomial_row_expansion(deep, x, weight(x))
+        assert list(binomial_row(t, x).items()) == list(want.items())
+    for m, x in (((3, 1), (4, 2)), ((2, 2), (5, 0)), ((4, 3), (1, 0))):
+        got = meixner(m, x, F(7, 2), F(1, 3), t)
+        assert got == determinant_formula("meixner", m, x, deep, alpha=F(7, 2), c=F(1, 3))
+    assert t.built_degree == 2
 
 
 def test_binomial_normalization_and_support():
@@ -118,6 +138,9 @@ def test_falling_factorial_r1():
             for i in range(k):
                 want *= m - i
             assert generalized_falling((k,), (m,), t) == want
+    # a full row far past the table degree and Python's recursion limit
+    row = falling_row(t, (1500,))
+    assert [row[(k,)] for k in range(4)] == [1, 1500, 1500 * 1499, 1500 * 1499 * 1498]
 
 
 def test_falling_factorial_nonnegative():
@@ -127,18 +150,19 @@ def test_falling_factorial_nonnegative():
             assert generalized_falling(k, m, t) >= 0
 
 
-def _assert_capped_rows_match(t, x, cap):
+def _assert_rows_match(t, x, cap):
     # equal as dicts and in key order
     assert list(falling_row(t, x, cap).items()) == list(falling_row_expansion(t, x, cap).items())
     assert list(binomial_row(t, x, cap).items()) == list(binomial_row_expansion(t, x, cap).items())
 
 
 def test_capped_rows_match_expansion_oracle():
+    # caps 0-3 from the interpolants, and the full row from the recursion
     for r, d, top in ((2, F(5, 2), 16), (3, F(3), 12)):
         t = JackTable(r, d).extend(top)
         for x in enumerate_up_to(r, top):
-            for cap in range(min(4, weight(x))):
-                _assert_capped_rows_match(t, x, cap)
+            for cap in [*range(min(4, weight(x))), weight(x)]:
+                _assert_rows_match(t, x, cap)
 
 
 @st.composite
@@ -154,7 +178,27 @@ def _capped_cases(draw):
 @given(_capped_cases())
 def test_capped_rows_match_expansion_oracle_property(case):
     r, d, x, cap = case
-    _assert_capped_rows_match(jack_table(r, d, weight(x)), x, cap)
+    _assert_rows_match(jack_table(r, d, weight(x)), x, cap)
+
+
+@st.composite
+def _full_cases(draw):
+    r = draw(st.integers(1, 5))
+    d = F(draw(st.integers(1, 7)), draw(st.integers(1, 3)))
+    w = draw(st.integers(0, 12 - r))
+    return r, d, draw(st.sampled_from(list(partitions_of(w, r))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_full_cases())
+def test_dims_and_full_rows_match_p1_and_expansion_oracles_property(case):
+    # a fresh table each time, and x first, so the Pieri recursion starts
+    # from an empty memo
+    r, d, x = case
+    t = JackTable(r, d)
+    for k in reversed(sub_partitions(x)):
+        assert dim_partition(k, t) == _dim_p1(t, k)
+    _assert_rows_match(t, x, weight(x))
 
 
 def test_capped_rows_thread_safe():

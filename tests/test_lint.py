@@ -79,3 +79,31 @@ def test_no_float_on_exact_layers():
                     if alias.name in FLOAT_IMPORTS:
                         found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
     assert not found, found
+
+
+TABLE_METHODS = {"phi", "to_phi_basis", "extend", "check_degree"}
+
+
+def test_structure_constants_need_no_basis_table():
+    # dimensions, binomial and falling-factorial rows and family values all
+    # come from the closed-form Pieri coefficient; only the checks that
+    # expand in the basis build or read the table
+    conearith = ast.parse((SRC / "conearith.py").read_text())
+    dpolys = ast.parse((SRC / "dpolys.py").read_text())
+    kernel = next(n for n in dpolys.body if isinstance(n, ast.FunctionDef) and n.name == "_kernel")
+    found = []
+    for name, tree in (("conearith", conearith), ("dpolys._kernel", kernel)):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    modules = [node.module]
+                if any("symfun" in mod.split(".") for mod in modules):
+                    found.append(f"{name}:{node.lineno}: imports symfun")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TABLE_METHODS
+            ):
+                found.append(f"{name}:{node.lineno}: calls .{node.func.attr}")
+    assert not found, found

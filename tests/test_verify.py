@@ -7,7 +7,7 @@ import pytest
 
 from mvdop.conearith import cone_params, gen_pochhammer
 from mvdop.dpolys import FamilyParams, univariate_meixner
-from mvdop.errors import DomainError
+from mvdop.errors import DomainError, ParameterError
 from mvdop import verify
 from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import contains, enumerate_up_to
@@ -150,6 +150,15 @@ def test_orthogonality_meixner_hypotheses():
         orthogonality_meixner(F(7, 2), F(3, 2), 1, (4, 6), t)
     with pytest.raises(DomainError):
         orthogonality_meixner(F(1, 2), F(1, 3), 1, (4, 6), t)
+
+
+@pytest.mark.parametrize("ts", [(4, -2), (30, 30), (12, 30, 30), (), (6,)])
+def test_truncated_checks_reject_bad_weights(ts):
+    t = jack_table(1, 2, 6)
+    with pytest.raises(ParameterError, match="truncation weights"):
+        orthogonality_meixner(2, F(1, 8), 1, ts, t)
+    with pytest.raises(ParameterError, match="truncation weights"):
+        orthogonality_generator_check(2, F(1, 2), 1, ts, t)
 
 
 def test_orthogonality_charlier_converges():
