@@ -257,7 +257,7 @@ def cmd_conjecture(args) -> int:
     if d <= 0:
         raise ParameterError(f"need d > 0, got {d}")
     budget = int(args.max_degree)
-    table = load_or_build_table(r, d, verify.SUITE_TABLE_DEGREE)
+    table = load_or_build_table(r, d, budget)
     rep = verify.conjecture_suite(d, r, budget, jack=table, seed=int(args.seed))
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED

@@ -8,34 +8,29 @@ form, and the closed-form raise/lower shift coefficients used by the
 difference and recurrence equations.
 
 One closed form, the Pieri coefficient ``raise_coefficient``, gives the
-dimensions, the full rows and the shift equations, so none of them needs
-the basis table.  The ratio rho(m) = d_m / (n/r)_m that the rows, weights
-and family coefficients use follows from the Pieri recursion (memoized
-per partition; d_m is derived from it on each call).  The full
+dimensions, the rows and the shift equations, so none of them needs the
+basis table.  The ratio rho(m) = d_m / (n/r)_m follows from the Pieri
+recursion (d_m is derived from it on each call).  The full
 falling-factorial row G_x of x (all k contained in x) follows top down
-from G_x[x] = 1 / rho(x) by Lassalle's recursion, and binom(x, k) is
-G_x[k] rho(k).  A row capped below |x| is evaluated from interpolation
-polynomials instead: for each k, x -> G_x[k] is a shifted-symmetric
-polynomial of degree |k| (the shifted Jack polynomial of Knop-Sahi and
-Okounkov-Olshanski), built once per table from the full rows of the
-partitions of weight <= |k|, so the cost of a capped row does not grow
-with |x|.
+from G_x[x] = 1 / rho(x) by Lassalle's recursion, a row capped below |x|
+from the rows of the partitions x - e_j at the same cap by its dual, with
+the one-box binomial in closed form, and binom(x, k) is G_x[k] rho(k).
 
-Row computations memoize into the owning table's ``cache`` dict, each
-entry published whole once computed.
+Rho, the rows and the shifted factorials (s)_x of ``weight_factor`` are
+memoized per partition (and per s) in the owning table's ``cache`` dict,
+each entry published whole once computed.  A miss fills the missing
+entries below it in increasing weight, so no computation recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
-from .errors import MvdopError, SingularArgumentError
+from .errors import SingularArgumentError
 from .jack import JackTable
-from .partitions import box_move, pad, partitions_of, sub_partitions, weight
+from .partitions import pad, sub_partitions, weight
 
 Rat = Union[int, Fraction]
 
@@ -95,6 +90,49 @@ def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# memo fills
+
+
+def _lowered(x) -> list:
+    """(j, x - e_j) for every row j (1-based) where x - e_j is a partition."""
+    pairs = enumerate(zip(x, x[1:] + (0,)))
+    return [(j + 1, x[:j] + (a - 1,) + x[j + 1 :]) for j, (a, b) in pairs if a > b]
+
+
+def _fill(jack: JackTable, x, key, lower, compute):
+    """The memo entry ``key(x)``.  A miss first collects, without
+    recursion, every missing entry below it (``lower(y)`` lists the
+    (j, y - e_j) whose entries ``compute(y, lower(y))`` reads), then
+    computes them in increasing weight, so no call nests."""
+    got = jack.cache.get(key(x))
+    if got is not None:
+        return got
+    todo, stack = {}, [x]
+    while stack:
+        y = stack.pop()
+        if y not in todo and key(y) not in jack.cache:
+            todo[y] = lower(y)
+            stack += [down for _, down in todo[y]]
+    for y in sorted(todo, key=weight):
+        jack.cache[key(y)] = compute(y, todo[y])
+    return jack.cache[key(x)]
+
+
+def _pochhammer(jack: JackTable, s: Fraction, x) -> Fraction:
+    """(s)_x memoized per (s, x), one factor per box: (s)_x is
+    (s)_{x - e_l} (s + x_l - 1 - (d/2)(l - 1)), l the last nonzero row."""
+    half = jack.d / 2
+
+    def compute(y, low):
+        if not low:
+            return Fraction(1)
+        ((l, down),) = low
+        return jack.cache[("poch", s, down)] * (s + down[l - 1] - half * (l - 1))
+
+    return _fill(jack, x, lambda y: ("poch", s, y), lambda y: _lowered(y)[-1:], compute)
+
+
+# ---------------------------------------------------------------------------
 # dimensions
 
 
@@ -104,20 +142,17 @@ def _dim_ratio(jack: JackTable, m) -> Fraction:
         |m| rho(m) = sum_j raise_j(m - e_j) rho(m - e_j),   rho(0) = 1,
 
     over the rows j where m - e_j is a partition."""
-    key = ("dimratio", m)
-    got = jack.cache.get(key)
-    if got is None:
-        got = Fraction(1)
-        if any(m):
-            params = cone_params(jack)
-            total = Fraction(0)
-            for j in range(1, jack.r + 1):
-                down = box_move(m, j, -1)
-                if down is not None:
-                    total += raise_coefficient(j, down, params) * _dim_ratio(jack, down)
-            got = total / weight(m)
-        jack.cache[key] = got
-    return got
+    params = cone_params(jack)
+
+    def compute(y, low):
+        if not low:
+            return Fraction(1)
+        total = Fraction(0)
+        for j, down in low:
+            total += raise_coefficient(j, down, params) * jack.cache[("dimratio", down)]
+        return total / weight(y)
+
+    return _fill(jack, m, lambda y: ("dimratio", y), _lowered, compute)
 
 
 def dim_partition(m, jack: JackTable) -> Fraction:
@@ -134,140 +169,59 @@ def weight_factor(x, jack: JackTable, s: Optional[Rat] = None) -> Fraction:
     is left out when ``s`` is None."""
     x = pad(x, jack.r)
     out = _dim_ratio(jack, x)
-    return out if s is None else out * gen_pochhammer(s, x, cone_params(jack))
+    return out if s is None else out * _pochhammer(jack, Fraction(s), x)
 
 
 # ---------------------------------------------------------------------------
 # generalized binomials and their eigenvalue form
 
 
-class _Interpolants(NamedTuple):
-    """The falling-factorial interpolants of one table up to ``degree``.
-
-    The variables are y_j = q (x_j - (d/2)(j - 1)), q the denominator of
-    d/2, so y is integral on partitions; the partition nu names the basis
-    element prod_i e_i(y)^(nu_i - nu_{i+1}) of degree |nu|.  ``keys`` holds
-    the partitions of weight <= degree in enumeration order and names both
-    the basis and the rows; ``sizes[w]`` counts the keys of weight <= w;
-    ``steps[i - 1] = (j, l)`` builds basis value i as value j times e_l.
-    ``rows[k] = (den, nums)`` gives G_x[k] = sum_i nums[i] basis_i(y) / den.
-    An instance never changes: a deeper build is a new instance."""
-
-    degree: int
-    keys: tuple
-    sizes: tuple
-    steps: tuple
-    rows: dict
+def _one_box_binomial(x, j: int, params: ConeParams) -> Fraction:
+    """binom(x, x - e_j) in closed form, (x_j + (d/2)(r - j)) lower_j(x)
+    (Kaneko's lowering action), evaluated in integers with d/2 = p/q; no
+    factor vanishes on partitions."""
+    p, q = params.d.numerator, 2 * params.d.denominator
+    num, den = q * x[j - 1] + p * (params.r - j), q
+    for k in range(1, params.r + 1):
+        if k != j:
+            diff = q * (x[k - 1] - x[j - 1])
+            num *= diff + p * (j - k + 1)
+            den *= diff + p * (j - k)
+    return Fraction(num, den)
 
 
-_INTERPOLANTS = ("interpolants",)
+def _falling_row(jack: JackTable, x, cap: int) -> dict:
+    """G_x[k] for |k| <= cap, memoized with the rows it reads.  A full row
+    (cap = |x|) comes from Lassalle's recursion.  A capped row has G_x[0] =
+    1, G_x[e_1] = |x| / r, and above weight one the dual recursion
 
+        (|x| - |k|) G_x[k] = sum_j binom(x, x - e_j) G_{x - e_j}[k]
 
-def _elementary(jack: JackTable, x) -> list:
-    """e_0, ..., e_r of the scaled shifted variables at x, as integers."""
-    half = jack.d / 2
-    e = [1] + [0] * jack.r
-    for j, xj in enumerate(x):
-        y = half.denominator * xj - half.numerator * j
-        for i in range(jack.r, 0, -1):
-            e[i] += y * e[i - 1]
-    return e
+    over the rows at the same cap, down to the full rows at weight cap."""
+    params = cone_params(jack)
+    unit = (1,) + (0,) * (jack.r - 1)
 
+    def compute(y, low):
+        top = weight(y)
+        if top == cap:
+            return _full_falling_row(jack, y)
+        row = {(0,) * jack.r: Fraction(1)}
+        if cap:
+            row[unit] = Fraction(top, jack.r)
+        acc: dict = {}
+        for j, down in low:
+            b = _one_box_binomial(y, j, params)
+            for k, g in jack.cache[("frow", down, cap)].items():
+                if k not in row:
+                    acc[k] = acc.get(k, 0) + b * g
+        for k in sorted(acc, key=lambda k: (weight(k), [-a for a in k])):
+            row[k] = acc[k] / (top - weight(k))
+        return row
 
-def _basis_values(steps: tuple, e: list, n: int) -> list:
-    """The first n basis values, from the elementary values e."""
-    vals = [1]
-    for j, l in steps[: n - 1]:
-        vals.append(vals[j] * e[l])
-    return vals
+    def lower(y):
+        return _lowered(y) if 1 < cap < weight(y) else []
 
-
-def _next_degree(jack: JackTable, state: _Interpolants, w: int) -> _Interpolants:
-    """``state`` extended by degree w, as a new instance.  Each new basis
-    element is expanded in the falling-factorial basis by forward
-    substitution over the nodes (triangular: G_mu[k] = 0 unless k is in
-    mu); then only the degree-w block of those expansions is inverted."""
-    new = tuple(partitions_of(w, jack.r))
-    keys = state.keys + new
-    n = len(keys)
-    index = {k: i for i, k in enumerate(keys)}
-    # nu is (nu - 1^l) times one more factor e_l, l the length of nu
-    steps = state.steps + tuple(
-        (index[tuple(a - 1 if a else 0 for a in nu)], sum(1 for a in nu if a)) for nu in new
-    )
-    node_rows = [falling_row(jack, mu) for mu in keys]
-    node_vals = [_basis_values(steps, _elementary(jack, mu), n) for mu in keys]
-    # one row per new basis element: its coefficients on the new G[k], then
-    # the element minus its lower-degree G part, over the basis
-    system = []
-    for a in range(n - len(new), n):
-        c: dict = {}
-        for mu, row, vals in zip(keys, node_rows, node_vals):
-            pivot = row.get(mu)
-            if not pivot:
-                raise MvdopError(f"interpolant build: zero pivot at node {mu}")
-            c[mu] = (vals[a] - sum(c[k] * g for k, g in row.items() if k != mu)) / pivot
-        # the lower-degree part over one common denominator, in integers
-        scaled = {k: c[k] / den for k, (den, _) in state.rows.items() if c[k]}
-        common = lcm(*(f.denominator for f in scaled.values()))
-        acc = [0] * n
-        for k, f in scaled.items():
-            g = f.numerator * (common // f.denominator)
-            for i, v in enumerate(state.rows[k][1]):
-                acc[i] += g * v
-        rhs = [int(i == a) - Fraction(t, common) for i, t in enumerate(acc)]
-        system.append([c[k] for k in new] + rhs)
-    rows = dict(state.rows)
-    for k, vec in zip(new, _solve(system, w)):
-        den = lcm(*(v.denominator for v in vec))
-        rows[k] = (den, tuple(v.numerator * (den // v.denominator) for v in vec))
-    return _Interpolants(w, keys, state.sizes + (n,), steps, rows)
-
-
-def _solve(aug: list, w: int) -> list:
-    """Exact Gauss-Jordan elimination of the augmented rows [A | B] of
-    Fractions, A square; returns the rows of A^-1 B."""
-    p = len(aug)
-    for col in range(p):
-        piv = next((i for i in range(col, p) if aug[i][col]), None)
-        if piv is None:
-            raise MvdopError(f"interpolant build: singular block at degree {w}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        head = aug[col][col]
-        aug[col] = [v / head for v in aug[col]]
-        for i in range(p):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [v - f * q for v, q in zip(aug[i], aug[col])]
-    return [row[p:] for row in aug]
-
-
-def _interpolants(jack: JackTable, cap: int) -> _Interpolants:
-    """The table's interpolants to at least degree ``cap``.  Each deeper
-    degree is built into a new instance and published with one store, so a
-    concurrent reader never sees a half-built degree."""
-    state = jack.cache.get(_INTERPOLANTS)
-    if state is None:
-        zero = (0,) * jack.r
-        state = _Interpolants(0, (zero,), (1,), (), {zero: (1, (1,))})
-    for w in range(state.degree + 1, cap + 1):
-        state = _next_degree(jack, state, w)
-        jack.cache[_INTERPOLANTS] = state
-    return state
-
-
-def _capped_falling_row(jack: JackTable, x, cap: int) -> dict:
-    state = _interpolants(jack, cap)
-    n = state.sizes[cap]
-    vals = _basis_values(state.steps, _elementary(jack, x), n)
-    out = {}
-    for k in state.keys[:n]:
-        if all(a <= b for a, b in zip(k, x)):
-            den, nums = state.rows[k]
-            v = Fraction(sum(map(mul, nums, vals)), den)
-            if v:
-                out[k] = v
-    return out
+    return _fill(jack, x, lambda y: ("frow", y, cap), lower, compute)
 
 
 def _full_falling_row(jack: JackTable, x) -> dict:
@@ -279,9 +233,7 @@ def _full_falling_row(jack: JackTable, x) -> dict:
     params = cone_params(jack)
     ks = sub_partitions(x)
     top = weight(x)
-    # rho in increasing weight keeps each Pieri recursion one level deep
-    rho = [_dim_ratio(jack, k) for k in ks]
-    row = {x: 1 / rho[-1]}
+    row = {x: 1 / _dim_ratio(jack, x)}
     for k in reversed(ks[:-1]):
         total = Fraction(0)
         for j in range(jack.r):
@@ -312,19 +264,13 @@ def binomial(m, k, jack: JackTable) -> Fraction:
 def falling_row(jack: JackTable, x, max_weight: Optional[int] = None) -> dict:
     """Generalized falling factorials of ``x``: k -> the eigenvalue-form
     value (n/r)_k * binomial(x, k) / d_k, for |k| <= max_weight, in
-    (weight, descending lex) order.  A capped row is evaluated from the
-    interpolants up to degree max_weight."""
+    (weight, descending lex) order.  A full row comes top down from
+    Lassalle's recursion, a capped one from the rows of the one-box-smaller
+    partitions at the same cap."""
     x = pad(x, jack.r)
     cap = weight(x) if max_weight is None else min(max_weight, weight(x))
-    key = ("frow", x, cap)
-    got = jack.cache.get(key)
-    if got is None:
-        if cap < weight(x):
-            got = _capped_falling_row(jack, x, cap)
-        else:
-            got = _full_falling_row(jack, x)
-        jack.cache[key] = got
-    return got
+    got = jack.cache.get(("frow", x, cap))
+    return got if got is not None else _falling_row(jack, x, cap)
 
 
 def generalized_falling(k, x, jack: JackTable) -> Fraction:

@@ -19,7 +19,9 @@ before one store publishes it, so a concurrent reader finds an entry
 whole or not at all, and concurrent readers may repeat work.  Nothing
 is ever evicted.  Dimension ratios and falling-factorial rows come from
 closed forms, so they are cached for any partition queried, also past
-the built degree.  The verifier keeps one shift-equation plan per distinct
+the built degree, together with the entries below it that a miss fills.
+``weight_factor`` keeps the shifted factorial (s)_x per distinct s and
+partition.  The verifier keeps one shift-equation plan per distinct
 family-parameter set and index, and the family kernel one coefficient row
 per parameter set, so the cache grows with the number of parameter draws
 and the partitions queried on the table in one process.  The per-(r, d)

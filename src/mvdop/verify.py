@@ -783,10 +783,9 @@ def is_classical(r: int, d: Rat) -> bool:
 
 
 # truncation weights of the suite's Meixner and Charlier orthogonality
-# checks, and the table degree the deepest of them needs
+# checks, which read no basis table
 SUITE_MEIXNER_WEIGHTS = (18, 22, 26)
 SUITE_CHARLIER_WEIGHTS = (16, 20, 24)
-SUITE_TABLE_DEGREE = max(SUITE_MEIXNER_WEIGHTS + SUITE_CHARLIER_WEIGHTS)
 
 
 def conjecture_suite(

@@ -10,11 +10,11 @@ difference equation itself is also evaluated with every coefficient
 recomputed per call, where the package reads a memoized plan.  Binomial
 and falling-factorial rows are expanded directly in the basis table
 (Phi_x at the all-ones shift, cut at the cap), where the package runs
-Lassalle's recursion on full rows and evaluates interpolation polynomials
-on capped ones.  The dimension ratio d_m / (n/r)_m is read off p1^|m| in
-the basis, where the package runs the Pieri recursion; dimensions are also
-cross-checked in floating point against the classical Gamma-product
-expression.
+Lassalle's recursion on full rows and its dual, over the rows of the
+one-box-smaller partitions, on capped ones.  The dimension ratio
+d_m / (n/r)_m is read off p1^|m| in the basis, where the package runs the
+Pieri recursion; dimensions are also cross-checked in floating point
+against the classical Gamma-product expression.
 """
 
 from __future__ import annotations

@@ -266,13 +266,12 @@ def test_conjecture_cli_non_classical_no_pole(tmp_path, capsys):
 
 
 def test_conjecture_cli_reads_and_writes_disk_cache(tmp_path, capsys):
-    from mvdop.verify import SUITE_TABLE_DEGREE
-
+    # the table is built to the degree budget (--max-degree, default 3)
     args = ["conjecture", "--d", "14/3", "--r", "2"]
     code, first, err = run(args, capsys)
     assert code == 0, err
     cache_file = tmp_path / "cache" / "jack-r2-d14_3.json"
-    fresh = JackTable(2, Fraction(14, 3)).extend(SUITE_TABLE_DEGREE)
+    fresh = JackTable(2, Fraction(14, 3)).extend(3)
     written = cache_file.read_text()
     assert written == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
     code, second, err = run(args, capsys)

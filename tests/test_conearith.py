@@ -1,13 +1,15 @@
 import sys
 import threading
 from fractions import Fraction
-from math import comb, isclose
+from math import comb, isclose, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvdop.conearith import (
     ConeParams,
+    _lowered,
+    _one_box_binomial,
     binomial,
     binomial_row,
     box_binomial,
@@ -18,6 +20,7 @@ from mvdop.conearith import (
     generalized_falling,
     lower_coefficient,
     raise_coefficient,
+    weight_factor,
 )
 from mvdop.dpolys import determinant_formula, meixner
 from mvdop.errors import SingularArgumentError
@@ -60,6 +63,47 @@ def test_dim_examples():
     for r, d in ((2, F(5, 2)), (3, F(1))):
         t = jack_table(r, d, 1)
         assert dim_partition((1,) + (0,) * (r - 1), t) == cone_params(t).n
+
+
+def test_dim_far_past_recursion_limit_on_empty_memo():
+    # the Pieri recursion fills its memo bottom up, one box per step
+    assert dim_partition((1200,), JackTable(1, 2)) == 1
+
+
+@st.composite
+def _pochhammer_cases(draw):
+    r = draw(st.integers(1, 4))
+    d = F(draw(st.integers(1, 7)), draw(st.integers(1, 3)))
+    s = F(draw(st.integers(-8, 8)), draw(st.sampled_from([1, 1, 2, 3])))
+    w = draw(st.integers(0, 12))
+    return r, d, s, draw(st.sampled_from(list(partitions_of(w, r))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pochhammer_cases())
+def test_weight_factor_shifted_factorial_property(case):
+    # (s)_x one box at a time from a fresh memo, against the direct product
+    r, d, s, x = case
+    t = JackTable(r, d)
+    assert weight_factor(x, t, s) == weight_factor(x, t) * gen_pochhammer(s, x, cone_params(t))
+
+
+def test_weight_factor_shifted_factorial_vanishing_and_deep():
+    t = JackTable(2, 2)
+    params = cone_params(t)
+    for x in reversed(enumerate_up_to(2, 7)):
+        # (-3)_x vanishes once x_1 > 3 (row two starts at -3 - d/2)
+        want = weight_factor(x, t) * gen_pochhammer(-3, x, params)
+        assert weight_factor(x, t, -3) == want
+        assert (want == 0) == (x[0] > 3)
+    t1 = JackTable(1, F(7, 2))
+    params = cone_params(t1)
+    for s in (F(5, 3), -1499, -1500):
+        want = weight_factor((1500,), t1) * gen_pochhammer(s, (1500,), params)
+        assert weight_factor((1500,), t1, s) == want
+    # at r = 1 the factor is (s)_x / x!
+    assert weight_factor((1500,), t1, -1499) == 0
+    assert weight_factor((1500,), t1, -1500) == 1
 
 
 def test_dim_positive():
@@ -138,7 +182,11 @@ def test_falling_factorial_r1():
             for i in range(k):
                 want *= m - i
             assert generalized_falling((k,), (m,), t) == want
-    # a full row far past the table degree and Python's recursion limit
+    # capped and full rows far past the table degree and Python's
+    # recursion limit
+    for cap in (1, 2, 3):
+        row = falling_row(t, (1500,), cap)
+        assert list(row.items()) == [((k,), perm(1500, k)) for k in range(cap + 1)]
     row = falling_row(t, (1500,))
     assert [row[(k,)] for k in range(4)] == [1, 1500, 1500 * 1499, 1500 * 1499 * 1498]
 
@@ -157,7 +205,8 @@ def _assert_rows_match(t, x, cap):
 
 
 def test_capped_rows_match_expansion_oracle():
-    # caps 0-3 from the interpolants, and the full row from the recursion
+    # caps 0-3 from the lowering recursion, and the full row from
+    # Lassalle's recursion
     for r, d, top in ((2, F(5, 2), 16), (3, F(3), 12)):
         t = JackTable(r, d).extend(top)
         for x in enumerate_up_to(r, top):
@@ -179,6 +228,32 @@ def _capped_cases(draw):
 def test_capped_rows_match_expansion_oracle_property(case):
     r, d, x, cap = case
     _assert_rows_match(jack_table(r, d, weight(x)), x, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_capped_cases())
+def test_capped_rows_cold_fill_match_expansion_oracle_property(case):
+    # a fresh table and x first, so every row below x is filled from an
+    # empty memo
+    r, d, x, cap = case
+    _assert_rows_match(JackTable(r, d), x, cap)
+
+
+def test_one_box_binomial_closed_form():
+    # binom(x, x - e_j) = (x_j + (d/2)(r - j)) lower_j(x) on every row j
+    # where x - e_j is a partition, against the expansion
+    for r, d, top in ((1, F(7, 2), 6), (2, F(5, 3), 7), (3, F(1, 2), 6), (4, F(7, 3), 5)):
+        t = JackTable(r, d)
+        params = cone_params(t)
+        for x in enumerate_up_to(r, top)[1:]:
+            want = binomial_row_expansion(t, x, weight(x) - 1)
+            lowered = _lowered(x)
+            assert {down for _, down in lowered} == {
+                k for k in want if weight(k) == weight(x) - 1
+            }
+            for j, down in lowered:
+                closed = (x[j - 1] + d / 2 * (r - j)) * lower_coefficient(j, x, params)
+                assert _one_box_binomial(x, j, params) == closed == want[down], (r, d, x, j)
 
 
 @st.composite
@@ -209,8 +284,8 @@ def test_capped_rows_thread_safe():
     got = [{} for _ in range(4)]
 
     def read(i):
-        # interleaved first, so the threads race to build the interpolants
-        # of the same degrees; then every call, so each thread sees them all
+        # interleaved first, so the threads race to fill the rows below the
+        # same partitions; then every call, so each thread reads them all
         for call in calls[i::4] + calls[::-1]:
             got[i][call] = list(falling_row(shared, *call).items())
 

@@ -107,3 +107,23 @@ def test_structure_constants_need_no_basis_table():
             ):
                 found.append(f"{name}:{node.lineno}: calls .{node.func.attr}")
     assert not found, found
+
+
+def test_no_self_recursion_on_exact_layers():
+    # a function that calls itself descends one level per call, so a deep
+    # enough partition exhausts Python's recursion limit; memo fills walk
+    # their partitions with an explicit stack instead
+    found = []
+    for name in ("conearith", "dpolys"):
+        path = SRC / f"{name}.py"
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == func.name
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {func.name} calls itself")
+    assert not found, found
