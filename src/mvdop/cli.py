@@ -147,7 +147,7 @@ def cmd_table(args) -> int:
     table = load_or_build_table(r, d, max_degree)
     grid = enumerate_up_to(r, max_degree)
     if fp.family == "krawtchouk":
-        box = (int(fp.N),) * r
+        box = (fp.N,) * r
         grid = [m for m in grid if contains(m, box)]
     rows = []
     for m in grid:
@@ -188,8 +188,8 @@ def cmd_verify(args) -> int:
     if identity == "orthogonality":
         fp = _family_params(args)
         if fp.family == "krawtchouk":
-            table = load_or_build_table(r, d, r * int(fp.N))
-            rep = verify.orthogonality_krawtchouk(fp.p, int(fp.N), table)
+            table = load_or_build_table(r, d, r * fp.N)
+            rep = verify.orthogonality_krawtchouk(fp.p, fp.N, table)
         else:
             ts = _parse_weights(args.truncation_weights)
             table = load_or_build_table(r, d, max(ts))
@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
         reps = []
         grid = enumerate_up_to(r, int(args.max_weight))
         if fp.family == "krawtchouk":
-            box = (int(fp.N),) * r
+            box = (fp.N,) * r
             grid = [x for x in grid if contains(x, box)]
         for x in grid:
             reps.append(verify.genfunc_family(fp, x, degree, table))

@@ -6,6 +6,10 @@ the rank-reduction determinant evaluation available at d = 2.
 Each family value is a finite sum over partitions contained in the first
 index, with exact rational arithmetic throughout; the summand is symmetric
 in the two indices, so duality holds structurally rather than numerically.
+The sum runs in integers: the terms of the first index and the
+falling-factorial row of the second are each memoized as integer
+numerators over one denominator, so a value is one integer dot product
+and one Fraction.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import index
 from typing import Optional, Sequence, Union
 
 from .conearith import (
@@ -32,6 +37,56 @@ from .symfun import SymPoly
 Rat = Union[int, Fraction]
 
 
+def _over_common_denominator(values: tuple) -> tuple:
+    """(integer numerators, denominator) of the rationals ``values`` over
+    their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _first_row(jack: JackTable, m, s: Optional[Fraction], z: Fraction) -> tuple:
+    """The terms C_k G_m[k] of the first index m as (ks, numerators,
+    denominator, poles): the k with a nonzero term and its integer
+    numerator over one denominator, and the k whose (s)_k vanishes, which
+    have no term.  Memoized per (s, z) and m in ``jack.cache``."""
+    # keyed by integer pairs, which hash and compare in C where a
+    # Fraction does both in Python
+    sk = None if s is None else (s.numerator, s.denominator)
+    key = ("mrow", sk, (z.numerator, z.denominator))
+    rows = jack.cache.get(key)
+    if rows is None:
+        rows = jack.cache.setdefault(key, {})
+    got = rows.get(m)
+    if got is not None:
+        return got
+    params = cone_params(jack)
+    terms, poles = {}, []
+    for k, g in falling_row(jack, m).items():
+        t = _dim_ratio(jack, k) * g * z ** weight(k)
+        if s is not None:
+            poch = gen_pochhammer(s, k, params)
+            if not poch:
+                poles.append(k)
+                continue
+            t /= poch
+        if t:
+            terms[k] = t
+    nums, den = _over_common_denominator(tuple(terms.values()))
+    return rows.setdefault(m, (tuple(terms), nums, den, tuple(poles)))
+
+
+def _second_row(jack: JackTable, x, cap: int) -> tuple:
+    """The nonzero G_x[k], |k| <= cap, as ({k: integer numerator},
+    denominator), memoized per (x, cap) in ``jack.cache``."""
+    key = ("xrow", x, cap)
+    got = jack.cache.get(key)
+    if got is not None:
+        return got
+    row = {k: g for k, g in falling_row(jack, x, cap).items() if g}
+    nums, den = _over_common_denominator(tuple(row.values()))
+    return jack.cache.setdefault(key, (dict(zip(row, nums)), den))
+
+
 def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fraction:
     """The sum shared by the three families over padded indices m, x:
 
@@ -39,29 +94,17 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
         C_k = d_k z^|k| / ((n/r)_k (s)_k),
 
     with G the falling-factorial rows and the (s)_k factor left out when
-    ``s`` is None.  The C_k row is memoized in ``jack.cache`` per (s, z);
-    a vanishing (s)_k on a contributing term raises PoleError."""
-    gm = falling_row(jack, m)
-    gx = falling_row(jack, x, max_weight=weight(m))
-    row = jack.cache.setdefault(("coef", s, z), {})
-    total = Fraction(0)
-    for k, gmk in gm.items():
-        gxk = gx.get(k)
-        if not gxk:
-            continue
-        ck = row.get(k)
-        if ck is None:
-            ck = _dim_ratio(jack, k) * z ** weight(k)
-            if s is not None:
-                poch = gen_pochhammer(s, k, cone_params(jack))
-                if poch == 0:
-                    raise PoleError(
-                        f"shifted factorial ({s})_k vanishes at k={format_partition(k)}"
-                    )
-                ck /= poch
-            ck = row.setdefault(k, ck)
-        total += ck * gmk * gxk
-    return total
+    ``s`` is None.  It runs as one integer dot product of the memoized
+    first-index row (C_k G_m[k]) and second-index row (G_x[k]) over the
+    product of their denominators, so each value makes one Fraction.  A
+    vanishing (s)_k raises PoleError only where G_x[k] is nonzero, that
+    is, on a term the sum actually contains."""
+    ks, nums, den, poles = _first_row(jack, m, s, z)
+    gx, xden = _second_row(jack, x, min(weight(m), weight(x)))
+    for k in poles:
+        if k in gx:
+            raise PoleError(f"shifted factorial ({s})_k vanishes at k={format_partition(k)}")
+    return Fraction(sum([n * gx.get(k, 0) for k, n in zip(ks, nums)]), den * xden)
 
 
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
@@ -81,16 +124,26 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     return _kernel(jack, pad(m, jack.r), pad(x, jack.r), None, -1 / a)
 
 
+def _box_size(N) -> int:
+    """The Krawtchouk box size as an int; a non-integral or negative N
+    raises ParameterError instead of being truncated."""
+    try:
+        N = index(N)
+    except TypeError:
+        raise ParameterError(f"krawtchouk: N must be an integer, got {N!r}") from None
+    if N < 0:
+        raise ParameterError("krawtchouk: N must be >= 0")
+    return N
+
+
 def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
     """Krawtchouk value at (m, x) with p != 0 and box size N; requires the
     first index to fit in the (N, ..., N) box.  The shifted factorial of -N
     never vanishes on contributing terms, so no pole can occur."""
     p = Fraction(p)
-    N = int(N)
+    N = _box_size(N)
     if p == 0:
         raise ParameterError("krawtchouk: p must be nonzero")
-    if N < 0:
-        raise ParameterError("krawtchouk: N must be >= 0")
     m = pad(m, jack.r)
     if not contains(m, (N,) * jack.r):
         raise DomainError(
@@ -271,7 +324,7 @@ def determinant_formula(
         ]
     elif family == "krawtchouk":
         p = Fraction(p)
-        N = int(N)
+        N = _box_size(N)
         if not (contains(m, (N,) * r) and contains(x, (N,) * r)):
             raise DomainError("krawtchouk determinant route needs m, x inside the box")
         pref = p ** (r * (r - 1) // 2)
@@ -349,8 +402,8 @@ class FamilyParams:
                 object.__setattr__(self, name, Fraction(v))
         if self.c == 0 or self.a == 0 or self.p == 0:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
-        if self.N is not None and int(self.N) < 0:
-            raise ParameterError("krawtchouk: N must be >= 0")
+        if self.N is not None:
+            object.__setattr__(self, "N", _box_size(self.N))
 
     def evaluate(self, m, x, jack: JackTable) -> Fraction:
         if self.family == "meixner":
@@ -358,7 +411,7 @@ class FamilyParams:
         if self.family == "charlier":
             return charlier(m, x, self.a, jack)
         if self.family == "krawtchouk":
-            return krawtchouk(m, x, self.p, int(self.N), jack)
+            return krawtchouk(m, x, self.p, self.N, jack)
         raise ParameterError(f"{self.family} is not indexed by two partitions")
 
     def label(self) -> dict:
@@ -366,5 +419,5 @@ class FamilyParams:
         for name in PARAM_NAMES:
             v = getattr(self, name)
             if v is not None:
-                out[name] = int(v) if name == "N" else str(v)
+                out[name] = v if name == "N" else str(v)
         return out

@@ -22,9 +22,11 @@ closed forms, so they are cached for any partition queried, also past
 the built degree, together with the entries below it that a miss fills.
 ``weight_factor`` keeps the shifted factorial (s)_x per distinct s and
 partition.  The verifier keeps one shift-equation plan per distinct
-family-parameter set and index, and the family kernel one coefficient row
-per parameter set, so the cache grows with the number of parameter draws
-and the partitions queried on the table in one process.  The per-(r, d)
+family-parameter set and index.  The family kernel keeps two integer
+rows: the terms of each first index per parameter set, and the
+falling-factorial row of each second index per cap.  So the cache grows
+with the number of parameter draws times the first indices evaluated, and
+with the partitions queried on the table in one process.  The per-(r, d)
 memo ``_TABLES`` behind ``jack_table`` is process-wide and never evicted
 either.
 """
@@ -100,6 +102,18 @@ def _solve_weight(keys: list, rows: dict) -> dict:
                 u[mu] = num / gap
         out[lam] = u
     return out
+
+
+class _ParseOnce(dict):
+    """text -> parse(text), each distinct text parsed on first lookup."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        got = self[text] = self.parse(text)
+        return got
 
 
 class JackTable:
@@ -250,13 +264,14 @@ class JackTable:
     def from_json_dict(cls, data: dict) -> "JackTable":
         table = cls(int(data["r"]), Fraction(data["d"]))
         r = table.r
+        # each distinct key and coefficient string is parsed (and so
+        # validated) once per load; the parsed values are immutable
+        key = _ParseOnce(lambda text: parse_partition(text, r))
+        rat = _ParseOnce(Fraction)
         for mtxt, items in data["polys"].items():
-            m = parse_partition(mtxt, r)
-            table._polys[m] = {
-                parse_partition(mutxt, r): Fraction(ctxt) for mutxt, ctxt in items
-            }
+            table._polys[key[mtxt]] = {key[mutxt]: rat[ctxt] for mutxt, ctxt in items}
         for mtxt, vtxt in data["principal"].items():
-            table._principal[parse_partition(mtxt, r)] = Fraction(vtxt)
+            table._principal[key[mtxt]] = rat[vtxt]
         table.built_degree = int(data["built_degree"])
         return table
 

@@ -36,6 +36,7 @@ from .conearith import (
 )
 from .dpolys import (
     FamilyParams,
+    _box_size,
     charlier,
     charlier_limit_gaps,
     companion_poly,
@@ -190,7 +191,7 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
         return rep.finalize()
 
     if fp.family == "krawtchouk":
-        N = int(fp.N)
+        N = fp.N
         box = (N,) * r
         if not contains(x, box):
             raise DomainError("krawtchouk generating function needs x inside the box")
@@ -270,7 +271,7 @@ def orthogonality_krawtchouk(
     """Finite Krawtchouk orthogonality over the (N, ..., N) box; every pair
     must give the literal zero residual."""
     p = Fraction(p)
-    N = int(N)
+    N = _box_size(N)
     if not 0 < p < 1:
         raise DomainError(f"need 0 < p < 1, got {p}")
     r = jack.r
@@ -602,7 +603,7 @@ def _equation_report(
     r = jack.r
     residual_fn = difference_residual if kind == "difference" else recurrence_residual
     grid = enumerate_up_to(r, max_weight)
-    box = (int(fp.N),) * r if fp.family == "krawtchouk" else None
+    box = (fp.N,) * r if fp.family == "krawtchouk" else None
     rep = VerificationReport(
         identity=f"{kind}-{fp.family}",
         params={**fp.label(), "d": str(jack.d), "r": r},

@@ -11,10 +11,12 @@ recomputed per call, where the package reads a memoized plan.  Binomial
 and falling-factorial rows are expanded directly in the basis table
 (Phi_x at the all-ones shift, cut at the cap), where the package runs
 Lassalle's recursion on full rows and its dual, over the rows of the
-one-box-smaller partitions, on capped ones.  The dimension ratio
-d_m / (n/r)_m is read off p1^|m| in the basis, where the package runs the
-Pieri recursion; dimensions are also cross-checked in floating point
-against the classical Gamma-product expression.
+one-box-smaller partitions, on capped ones.  The family sum is added up
+term by term in Fractions, where the package takes one integer dot
+product of two memoized rows.  The dimension ratio d_m / (n/r)_m is read
+off p1^|m| in the basis, where the package runs the Pieri recursion;
+dimensions are also cross-checked in floating point against the
+classical Gamma-product expression.
 """
 
 from __future__ import annotations
@@ -27,10 +29,22 @@ from math import comb, exp, factorial, lgamma
 from mvdop.conearith import (
     cone_params,
     dim_partition,
+    falling_row,
+    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
+    weight_factor,
 )
-from mvdop.partitions import box_move, contains, dominates, pad, partitions_of, weight
+from mvdop.errors import PoleError
+from mvdop.partitions import (
+    box_move,
+    contains,
+    dominates,
+    format_partition,
+    pad,
+    partitions_of,
+    weight,
+)
 from mvdop.symfun import SymPoly
 
 
@@ -209,6 +223,34 @@ def recurrence_residual_mirror(fp, m, x, jack) -> Fraction:
                 rhs += coef * fp.evaluate(down, x, jack)
     rhs -= dim_m * mid * fx
     return lhs - rhs
+
+
+def kernel_direct(jack, m, x, s, z) -> Fraction:
+    """The family sum over padded m, x term by term in Fractions, with
+    every coefficient recomputed per call:
+
+        sum over k in m and x of  d_k z^|k| / ((n/r)_k (s)_k) G_m[k] G_x[k],
+
+    the (s)_k factor left out when ``s`` is None.  A vanishing (s)_k on a
+    term with G_x[k] != 0 raises PoleError naming k."""
+    gm = falling_row(jack, m)
+    gx = falling_row(jack, x, max_weight=weight(m))
+    params = cone_params(jack)
+    total = Fraction(0)
+    for k, gmk in gm.items():
+        gxk = gx.get(k)
+        if not gxk:
+            continue
+        ck = weight_factor(k, jack) * z ** weight(k)
+        if s is not None:
+            poch = gen_pochhammer(s, k, params)
+            if poch == 0:
+                raise PoleError(
+                    f"shifted factorial ({s})_k vanishes at k={format_partition(k)}"
+                )
+            ck /= poch
+        total += ck * gmk * gxk
+    return total
 
 
 def shift_equation_direct(fp, fixed, moving, jack, moving_first: bool) -> Fraction:

@@ -238,6 +238,14 @@ def test_shallow_cache_hit_extends_loaded_table(tmp_path, monkeypatch):
     assert [f.name for f in path.parent.iterdir()] == [path.name]
 
 
+def test_malformed_cache_key_rebuilds_the_table(tmp_path):
+    d = Fraction(13, 4)
+    path, text = _write_shallow_cache(tmp_path, 2, d, 3)
+    path.write_text(text.replace('"2,1"', '"1,2"', 1))
+    assert cli.load_or_build_table(2, d, 3).built_degree == 3
+    assert path.read_text() == text
+
+
 def test_failed_cache_write_keeps_old_file(tmp_path, monkeypatch):
     d = Fraction(13, 4)
     path, old = _write_shallow_cache(tmp_path, 2, d, 1)

@@ -1,6 +1,10 @@
+import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdop.dpolys import (
     FamilyParams,
@@ -18,9 +22,12 @@ from mvdop.dpolys import (
     univariate_meixner,
 )
 from mvdop.errors import DomainError, ParameterError, PoleError
-from mvdop.jack import jack_table
-from mvdop.partitions import contains, enumerate_up_to, weight
+from mvdop.jack import JackTable, jack_table
+from mvdop.partitions import contains, enumerate_up_to, pad, partitions_of, weight
 from mvdop.conearith import cone_params, dim_partition, gen_pochhammer
+from mvdop.verify import orthogonality_krawtchouk
+
+from .oracles import kernel_direct
 
 F = Fraction
 
@@ -99,10 +106,124 @@ def test_krawtchouk_domain_error():
 
 
 def test_meixner_pole_error_names_k():
-    t = jack_table(1, 2, 3)
-    with pytest.raises(PoleError) as err:
+    # (-1)_k vanishes for every k with k_1 >= 2, but only the k inside both
+    # indices give a term, so x = (1) never meets the pole
+    t = JackTable(1, 2)
+    assert meixner((2,), (1,), F(-1), F(1, 2), t) == 3
+    with pytest.raises(PoleError, match="k=2$"):
         meixner((2,), (2,), F(-1), F(1, 2), t)
-    assert "k=" in str(err.value)
+    t = JackTable(2, 2)
+    assert meixner((2, 0), (1, 0), F(-1), F(1, 2), t) == 2
+    with pytest.raises(PoleError, match="k=2,0$"):
+        meixner((2, 0), (2, 0), F(-1), F(1, 2), t)
+
+
+@st.composite
+def _kernel_cases(draw):
+    r = draw(st.integers(1, 4))
+    fractional = st.builds(F, st.integers(1, 9), st.integers(2, 4))
+    d = draw(fractional.filter(lambda d: d.denominator > 1))
+    index = st.integers(0, 5).flatmap(lambda w: st.sampled_from(list(partitions_of(w, r))))
+    m, x = draw(index), draw(index)
+    rats = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+    nonzero = rats.filter(bool)
+    params = {
+        "alpha": draw(rats),
+        "c": draw(nonzero),
+        "a": draw(nonzero),
+        "p": draw(nonzero),
+        "N": draw(st.integers(m[0], m[0] + 3)),
+    }
+    return r, d, m, x, params
+
+
+def _agree(value, direct):
+    """value() equals direct(), or both raise the same PoleError; value()
+    runs first, so the package's rows start cold."""
+    try:
+        got = value()
+    except PoleError as err:
+        with pytest.raises(PoleError, match=re.escape(str(err)) + "$"):
+            direct()
+    else:
+        assert got == direct()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_families_match_direct_kernel_property(case):
+    r, d, m, x, q = case
+    t = JackTable(r, d)
+    m, x = pad(m, r), pad(x, r)
+    meix = (lambda: meixner(m, x, q["alpha"], q["c"], t), q["alpha"], 1 - 1 / q["c"])
+    charl = (lambda: charlier(m, x, q["a"], t), None, -1 / q["a"])
+    kraw = (lambda: krawtchouk(m, x, q["p"], q["N"], t), F(-q["N"]), 1 / q["p"])
+    for value, s, z in (meix, charl, kraw):
+        _agree(value, lambda: kernel_direct(t, m, x, s, z))
+
+
+def test_family_rows_thread_safe():
+    grid = enumerate_up_to(2, 4)
+    fps = [
+        FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)),
+        FamilyParams("meixner", alpha=F(7, 2), c=F(2, 5)),
+        FamilyParams("charlier", a=F(2)),
+        FamilyParams("krawtchouk", p=F(1, 3), N=4),
+    ]
+    calls = [(i, m, x) for i in range(len(fps)) for m in grid for x in grid]
+
+    def value(table, call):
+        i, m, x = call
+        v = fps[i].evaluate(m, x, table)
+        return v.numerator, v.denominator
+
+    single = JackTable(2, F(5, 2))
+    want = {call: value(single, call) for call in calls}
+    shared = JackTable(2, F(5, 2))
+    got = [{} for _ in range(4)]
+
+    def read(i):
+        # interleaved first, so the threads race to build the same rows;
+        # then every call, so each thread reads them all
+        for call in calls[i::4] + calls[::-1]:
+            got[i][call] = value(shared, call)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for values in got:
+        assert values == want
+
+
+def test_krawtchouk_box_size_must_be_an_integer():
+    # a non-integral N used to be truncated: 2.5 gave the value at N = 2,
+    # FamilyParams labelled N = 5/2 as 2, and N = -0.5 passed as 0
+    t = jack_table(2, 2, 3)
+    for bad in (2.5, F(5, 2), -0.5, "2"):
+        with pytest.raises(ParameterError, match="N must be an integer"):
+            krawtchouk((1, 0), (1, 0), F(1, 3), bad, t)
+        with pytest.raises(ParameterError, match="N must be an integer"):
+            FamilyParams("krawtchouk", p=F(1, 3), N=bad)
+        with pytest.raises(ParameterError, match="N must be an integer"):
+            orthogonality_krawtchouk(F(1, 3), bad, t)
+    with pytest.raises(ParameterError, match="N must be >= 0"):
+        FamilyParams("krawtchouk", p=F(1, 3), N=-1)
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    fp = FamilyParams("krawtchouk", p=F(1, 3), N=Two())
+    assert type(fp.N) is int and fp.label()["N"] == 2
+    assert krawtchouk((1, 0), (1, 0), F(1, 3), Two(), t) == fp.evaluate((1, 0), (1, 0), t)
 
 
 def test_family_evaluators_reject_non_integer_index():

@@ -185,3 +185,24 @@ def test_json_round_trip_bit_identical():
     assert back._polys == t._polys
     assert back._principal == t._principal
     assert json.dumps(back.to_json_dict(), sort_keys=False) == dumped
+
+
+def test_json_round_trip_bit_identical_non_classical():
+    dumped = json.dumps(JackTable(3, F(7, 3)).extend(5).to_json_dict(), sort_keys=False)
+    back = JackTable.from_json_dict(json.loads(dumped))
+    assert json.dumps(back.to_json_dict(), sort_keys=False) == dumped
+
+
+@pytest.mark.parametrize("where", ["basis", "monomial", "principal"])
+def test_json_load_validates_every_distinct_key(where):
+    # keys are parsed once per distinct string, and each of them still
+    # goes through the partition check
+    data = JackTable(2, F(5, 2)).extend(3).to_json_dict()
+    if where == "basis":
+        data["polys"]["1,2"] = data["polys"].pop("2,1")
+    elif where == "monomial":
+        data["polys"]["2,1"][-1][0] = "1,2"
+    else:
+        data["principal"]["1,2"] = data["principal"].pop("2,1")
+    with pytest.raises(ValueError, match="not a partition"):
+        JackTable.from_json_dict(data)
