@@ -32,7 +32,7 @@ from .errors import (
     SingularArgumentError,
 )
 from .jack import JackTable, jack_table
-from .partitions import contains, enumerate_up_to, format_partition, parse_partition
+from .partitions import enumerate_up_to, format_partition, parse_partition
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -145,10 +145,7 @@ def cmd_table(args) -> int:
     fp = _family_params(args)
     max_degree = int(args.max_degree)
     table = load_or_build_table(r, d, max_degree)
-    grid = enumerate_up_to(r, max_degree)
-    if fp.family == "krawtchouk":
-        box = (fp.N,) * r
-        grid = [m for m in grid if contains(m, box)]
+    grid = [m for m in enumerate_up_to(r, max_degree) if fp.fits(m)]
     rows = []
     for m in grid:
         for x in grid:
@@ -208,19 +205,17 @@ def cmd_verify(args) -> int:
         fp = _family_params(args)
         degree = int(args.degree)
         table = load_or_build_table(r, d, max(degree, int(args.max_weight)))
-        reps = []
-        grid = enumerate_up_to(r, int(args.max_weight))
-        if fp.family == "krawtchouk":
-            box = (fp.N,) * r
-            grid = [x for x in grid if contains(x, box)]
-        for x in grid:
-            reps.append(verify.genfunc_family(fp, x, degree, table))
+        reps = [
+            verify.genfunc_family(fp, x, degree, table)
+            for x in enumerate_up_to(r, int(args.max_weight))
+            if fp.fits(x)
+        ]
         rep = _merge_reports(f"genfunc-{fp.family}", reps)
     elif identity == "master-genfunc":
         fp = _family_params(args)
         degree = int(args.degree)
         table = load_or_build_table(r, d, degree)
-        rep = verify.master_genfunc(fp.family, fp, degree, degree, table)
+        rep = verify.master_genfunc(fp, degree, degree, table)
     elif identity == "orthogonality-generator":
         ts = _parse_weights(args.truncation_weights)
         table = load_or_build_table(r, d, max(max(ts), int(args.degree)))

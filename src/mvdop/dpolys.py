@@ -10,6 +10,13 @@ The sum runs in integers: the terms of the first index and the
 falling-factorial row of the second are each memoized as integer
 numerators over one denominator, so a value is one integer dot product
 and one Fraction.
+
+What each family is, is declared once, as functions of its parameters:
+the point (s, z) of the shared sum, and the triple (b, c, e) of its
+difference equation.  Krawtchouk is Meixner at alpha = -N, c = p/(p - 1),
+and Charlier the limit of Meixner; the determinant route, the generating
+functions and the shift equations read these constants instead of
+branching on the family.
 """
 
 from __future__ import annotations
@@ -21,20 +28,40 @@ from math import comb, factorial, lcm
 from operator import index
 from typing import Optional, Sequence, Union
 
-from .conearith import (
-    _dim_ratio,
-    binomial_row,
-    cone_params,
-    falling_row,
-    gen_pochhammer,
-    weight_factor,
-)
+from .conearith import _dim_ratio, _pochhammer, binomial_row, falling_row, weight_factor
 from .errors import DomainError, ParameterError, PoleError
 from .jack import JackTable
 from .partitions import contains, format_partition, pad, weight
 from .symfun import SymPoly
 
 Rat = Union[int, Fraction]
+
+# the one declaration of which parameters each family takes; N is an
+# integer, every other parameter a rational
+FAMILY_PARAMS = {
+    "meixner": ("alpha", "c"),
+    "charlier": ("a",),
+    "krawtchouk": ("p", "N"),
+    "laguerre": ("alpha",),
+}
+PARAM_NAMES = tuple(dict.fromkeys(n for names in FAMILY_PARAMS.values() for n in names))
+
+# what each two-index family is, as functions of its parameters in
+# FAMILY_PARAMS order: the point (s, z) of the family sum, s None where the
+# sum has no (s)_k factor, and the shift triple (b, c, e) of its difference
+# equation (see verify._shift_plan).  The Krawtchouk triple is the Meixner
+# one at alpha = -N, c = p/(p - 1), scaled by 1 - p so that it stays
+# finite at p = 1.
+_POINT = {
+    "meixner": lambda alpha, c: (alpha, 1 - 1 / c),
+    "charlier": lambda a: (None, -1 / a),
+    "krawtchouk": lambda p, N: (Fraction(-N), 1 / p),
+}
+_SHIFT = {
+    "meixner": lambda alpha, c: (1, c, alpha * c),
+    "charlier": lambda a: (1, 0, a),
+    "krawtchouk": lambda p, N: (1 - p, -p, N * p),
+}
 
 
 def _over_common_denominator(values: tuple) -> tuple:
@@ -59,12 +86,11 @@ def _first_row(jack: JackTable, m, s: Optional[Fraction], z: Fraction) -> tuple:
     got = rows.get(m)
     if got is not None:
         return got
-    params = cone_params(jack)
     terms, poles = {}, []
     for k, g in falling_row(jack, m).items():
         t = _dim_ratio(jack, k) * g * z ** weight(k)
         if s is not None:
-            poch = gen_pochhammer(s, k, params)
+            poch = _pochhammer(jack, s, k)
             if not poch:
                 poles.append(k)
                 continue
@@ -113,7 +139,7 @@ def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
     c = Fraction(c)
     if c == 0:
         raise ParameterError("meixner: c must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), alpha, 1 - 1 / c)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_POINT["meixner"](alpha, c))
 
 
 def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
@@ -121,7 +147,7 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("charlier: a must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), None, -1 / a)
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_POINT["charlier"](a))
 
 
 def _box_size(N) -> int:
@@ -149,7 +175,7 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
         raise DomainError(
             f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
         )
-    return _kernel(jack, m, pad(x, jack.r), Fraction(-N), 1 / p)
+    return _kernel(jack, m, pad(x, jack.r), *_POINT["krawtchouk"](p, N))
 
 
 def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:
@@ -157,12 +183,11 @@ def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:
     argument scaled by ``scale``; the superscript convention is
     alpha - n/r."""
     alpha = Fraction(alpha)
-    params = cone_params(jack)
-    m = pad(m, params.r)
+    m = pad(m, jack.r)
     jack.extend(weight(m))
-    total = SymPoly.zero(params.r)
+    total = SymPoly.zero(jack.r)
     for k, b in binomial_row(jack, m).items():
-        poch = gen_pochhammer(alpha, k, params)
+        poch = _pochhammer(jack, alpha, k)
         if poch == 0:
             raise PoleError(
                 f"laguerre: (alpha)_k vanishes at k={format_partition(k)} for alpha={alpha}"
@@ -285,62 +310,37 @@ def determinant_formula(
     """Value of a family polynomial assembled from an r x r determinant of
     single-variable polynomials at staircase-shifted indices.  Only valid
     at d = 2, where the normalized basis elements degenerate to ratios of
-    alternants."""
+    alternants.  With (s, z) the family's point, the prefactor is
+    z^(-r(r-1)/2) prod_{j<r} (s - r + 1)_j / j! and the entries are the
+    r = 1 family sums at (s - r + 1, z)."""
     if jack.d != 2:
         raise DomainError(f"determinant route needs d = 2, got d = {jack.d}")
+    fp = FamilyParams(family, alpha=alpha, c=c, a=a, p=p, N=N)
     r = jack.r
     m = pad(m, r)
     x = pad(x, r)
-    sm = jack.principal(m)
-    sx = jack.principal(x)
-    delta_fact = Fraction(1)
-    for j in range(1, r + 1):
-        delta_fact *= factorial(r - j)
-    mi = [m[mu] + r - 1 - mu for mu in range(r)]
-    xi = [x[nu] + r - 1 - nu for nu in range(r)]
-
     if family == "meixner":
-        alpha = Fraction(alpha)
-        c = Fraction(c)
-        if alpha.denominator == 1 and alpha <= r - 1:
+        if fp.alpha.denominator == 1 and fp.alpha <= r - 1:
             raise DomainError(
-                f"prefactor pole: alpha={alpha} is an integer <= r-1 = {r - 1}"
+                f"prefactor pole: alpha={fp.alpha} is an integer <= r-1 = {r - 1}"
             )
-        if c == 1 and r > 1:
+        if fp.c == 1 and r > 1:
             raise DomainError("c = 1 makes the prefactor singular for r > 1")
-        pref = (1 - 1 / c) ** (-(r * (r - 1)) // 2)
-        for j in range(1, r + 1):
-            pref *= _poch1(alpha - r + 1, j - 1)
-        mat = [
-            [univariate_meixner(mi[mu], xi[nu], alpha - r + 1, c) for nu in range(r)]
-            for mu in range(r)
-        ]
-    elif family == "charlier":
-        a = Fraction(a)
-        pref = (-a) ** (r * (r - 1) // 2)
-        mat = [
-            [univariate_charlier(mi[mu], xi[nu], a) for nu in range(r)]
-            for mu in range(r)
-        ]
-    elif family == "krawtchouk":
-        p = Fraction(p)
-        N = _box_size(N)
-        if not (contains(m, (N,) * r) and contains(x, (N,) * r)):
-            raise DomainError("krawtchouk determinant route needs m, x inside the box")
-        pref = p ** (r * (r - 1) // 2)
-        for j in range(1, r + 1):
-            pref *= _poch1(Fraction(-N - r + 1), j - 1)
-        mat = [
-            [
-                univariate_krawtchouk(mi[mu], xi[nu], p, N + r - 1)
-                for nu in range(r)
-            ]
-            for mu in range(r)
-        ]
-    else:
-        raise ParameterError(f"no determinant route for family {family!r}")
-
-    return pref / (delta_fact * sm * sx) * _det(mat)
+    if not (fp.fits(m) and fp.fits(x)):
+        raise DomainError("krawtchouk determinant route needs m, x inside the box")
+    s, z = fp.point
+    if s is not None:
+        s -= r - 1
+    pref = z ** -(r * (r - 1) // 2)
+    for j in range(r):
+        pref /= factorial(j)
+        if s is not None:
+            pref *= _poch1(s, j)
+    mat = [
+        [_univariate_kernel(m[mu] + r - 1 - mu, x[nu] + r - 1 - nu, s, z) for nu in range(r)]
+        for mu in range(r)
+    ]
+    return pref / (jack.principal(m) * jack.principal(x)) * _det(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +366,8 @@ def krawtchouk_limit_gaps(m, x, a: Rat, ns: Sequence[int], jack: JackTable) -> l
 
 
 # ---------------------------------------------------------------------------
-# parameter bundle used by the verification layer and the CLI
-
-
-# the one declaration of which parameters each family takes; N is an
-# integer, every other parameter a rational
-FAMILY_PARAMS = {
-    "meixner": ("alpha", "c"),
-    "charlier": ("a",),
-    "krawtchouk": ("p", "N"),
-    "laguerre": ("alpha",),
-}
-PARAM_NAMES = tuple(dict.fromkeys(n for names in FAMILY_PARAMS.values() for n in names))
+# parameter bundle used by the determinant route, the verification layer
+# and the CLI
 
 
 @dataclass(frozen=True)
@@ -404,6 +394,28 @@ class FamilyParams:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
         if self.N is not None:
             object.__setattr__(self, "N", _box_size(self.N))
+
+    def _declared(self, table: dict):
+        make = table.get(self.family)
+        if make is None:
+            raise ParameterError(f"{self.family} is not indexed by two partitions")
+        return make(*(getattr(self, name) for name in FAMILY_PARAMS[self.family]))
+
+    @property
+    def point(self) -> tuple:
+        """The point (s, z) of the family sum; s is None for Charlier."""
+        return self._declared(_POINT)
+
+    @property
+    def shift(self) -> tuple:
+        """The triple (b, c, e) of the family's difference equation."""
+        return self._declared(_SHIFT)
+
+    def fits(self, m) -> bool:
+        """True when the index m lies in the family's domain: inside the
+        (N, ..., N) box for a family that takes N (Krawtchouk), anywhere
+        otherwise."""
+        return "N" not in FAMILY_PARAMS[self.family] or max(m, default=0) <= self.N
 
     def evaluate(self, m, x, jack: JackTable) -> Fraction:
         if self.family == "meixner":

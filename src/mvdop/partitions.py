@@ -128,19 +128,6 @@ def box_move(m, j: int, direction: int) -> Optional[Partition]:
     return t if is_partition(t) else None
 
 
-def dominates(a, b) -> bool:
-    """Dominance order a ⊵ b for partitions of equal weight and length."""
-    if len(a) != len(b) or sum(a) != sum(b):
-        raise ValueError("dominance needs equal weight and ambient length")
-    sa = sb = 0
-    for x, y in zip(a, b):
-        sa += x
-        sb += y
-        if sa < sb:
-            return False
-    return True
-
-
 def parse_partition(text: str, r: Optional[int] = None) -> Partition:
     """Parse a comma-joined partition string like ``"2,1,0"``; pads to ``r``
     when given."""

@@ -339,9 +339,3 @@ def series_compose_diagonal(poly: SymPoly, entry: list, max_degree: int) -> SymP
             coeffs[mu] = tot
     return SymPoly(r, coeffs, max_degree)
 
-
-def series_phi_of_moebius(x, c_inv: Rat, jack, max_degree: int) -> SymPoly:
-    """Diagonal series of the normalized basis element Phi_x at entries
-    (1 - c_inv*z_i) / (1 - z_i), truncated at ``max_degree``."""
-    entry = u_ratio([1, -Fraction(c_inv)], [1, -1], max_degree)
-    return series_compose_diagonal(jack.phi(x), entry, max_degree)

@@ -37,7 +37,6 @@ from .conearith import (
 from .dpolys import (
     FamilyParams,
     _box_size,
-    charlier,
     charlier_limit_gaps,
     companion_poly,
     krawtchouk,
@@ -59,7 +58,6 @@ from .symfun import (
     series_compose_diagonal,
     series_exp_trace,
     series_prod_binomial,
-    series_phi_of_moebius,
     u_ratio,
 )
 
@@ -170,65 +168,47 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
         truncation={"degree": D},
     )
 
-    if fp.family == "meixner":
-        lhs = series_prod_binomial(-fp.alpha, 1, r, D) * series_phi_of_moebius(
-            x, 1 / fp.c, jack, D
-        )
-        coeffs = jack.to_phi_basis(lhs)
-        for n in enumerate_up_to(r, D):
-            rhs = weight_factor(n, jack, fp.alpha) * meixner(n, x, fp.alpha, fp.c, jack)
-            rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
-        return rep.finalize()
-
-    if fp.family == "charlier":
+    if not fp.fits(x):
+        raise DomainError(f"{fp.family} generating function needs x inside the box")
+    s, z = fp.point
+    if s is None:
+        # Charlier, the limit of Meixner: an exponential prefactor and
+        # entries 1 + z w
+        sign = 1
         lhs = series_exp_trace(1, r, D) * series_compose_diagonal(
-            jack.phi(x), [Fraction(1), -1 / fp.a], D
+            jack.phi(x), [Fraction(1), z], D
         )
-        coeffs = jack.to_phi_basis(lhs)
-        for n in enumerate_up_to(r, D):
-            rhs = weight_factor(n, jack) * charlier(n, x, fp.a, jack)
-            rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
-        return rep.finalize()
-
-    if fp.family == "krawtchouk":
-        N = fp.N
-        box = (N,) * r
-        if not contains(x, box):
-            raise DomainError("krawtchouk generating function needs x inside the box")
-        entry = u_ratio([1, -(1 - fp.p) / fp.p], [1, 1], D)
-        lhs = series_prod_binomial(N, -1, r, D) * series_compose_diagonal(
+    else:
+        # Krawtchouk is Meixner at alpha = -N, c = p/(p-1), read at w -> -w
+        # so that its coefficients carry the positive box binomials (the
+        # "plus" convention); no other convention is tried
+        sign = -1 if fp.family == "krawtchouk" else 1
+        entry = u_ratio([1, sign * (z - 1)], [1, -sign], D)
+        lhs = series_prod_binomial(-s, sign, r, D) * series_compose_diagonal(
             jack.phi(x), entry, D
         )
-        coeffs = jack.to_phi_basis(lhs)
-
-        # Krawtchouk is Meixner at alpha = -N, c = p/(p-1) with z -> -z; the
-        # series above carries that substitution, so no sign is left over
-        # (the "plus" convention) and no other convention is tried
-        for n in enumerate_up_to(r, D):
-            rhs = (
-                box_binomial(N, n, jack) * krawtchouk(n, x, fp.p, N, jack)
-                if contains(n, box)
-                else Fraction(0)
-            )
-            rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
-        rep.finalize()
+    coeffs = jack.to_phi_basis(lhs)
+    for n in enumerate_up_to(r, D):
+        rhs = (
+            sign ** weight(n) * weight_factor(n, jack, s) * fp.evaluate(n, x, jack)
+            if fp.fits(n)
+            else Fraction(0)
+        )
+        rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
+    rep.finalize()
+    if sign < 0:
         rep.params["sign_convention"] = "plus" if rep.passed else "none"
-        return rep
-
-    raise ParameterError(f"no generating function for family {fp.family!r}")
+    return rep
 
 
 def master_genfunc(
-    family: str,
-    fp: FamilyParams,
-    degree_first: int,
-    degree_second: int,
-    jack: JackTable,
+    fp: FamilyParams, degree_first: int, degree_second: int, jack: JackTable
 ) -> VerificationReport:
     """Bidegree check of the two-level generating function: for every first
     index m up to ``degree_first``, expand the exponential-weighted
     companion series and compare each second-index coefficient with the
     family value, exactly."""
+    family = fp.family
     if family not in ("meixner", "charlier"):
         raise ParameterError(f"master generating function covers meixner/charlier, got {family!r}")
     r = jack.r
@@ -239,24 +219,16 @@ def master_genfunc(
         params={**fp.label(), "d": str(jack.d), "r": r},
         truncation={"degree_first": dz, "degree_second": dw},
     )
+    s, z = fp.point
     exp_series = series_exp_trace(1, r, dw)
     for m in enumerate_up_to(r, dz):
-        if family == "meixner":
-            series = exp_series * companion_poly(m, fp.alpha, jack, 1 / fp.c - 1)
+        if s is None:
+            series, scale = series_compose_diagonal(jack.phi(m), [Fraction(1), z], dw), 1
         else:
-            series = exp_series * series_compose_diagonal(
-                jack.phi(m), [Fraction(1), -1 / fp.a], dw
-            )
-        got = jack.to_phi_basis(series)
+            series, scale = companion_poly(m, s, jack, -z), weight_factor(m, jack, s)
+        got = jack.to_phi_basis(exp_series * series)
         for x in enumerate_up_to(r, dw):
-            if family == "meixner":
-                rhs = (
-                    weight_factor(m, jack, fp.alpha)
-                    * weight_factor(x, jack)
-                    * meixner(m, x, fp.alpha, fp.c, jack)
-                )
-            else:
-                rhs = weight_factor(x, jack) * charlier(m, x, fp.a, jack)
+            rhs = scale * weight_factor(x, jack) * fp.evaluate(m, x, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, got.get(x, Fraction(0)), rhs))
     return rep.finalize()
 
@@ -521,43 +493,32 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
         (lam |fixed| + diag) f(moving) = sum of coef f(y) over neighbours,
 
     with (y, coef) for every up and down box move whose coefficient is
-    nonzero, in row order.  Computed once per (fp, moving) and memoized in
-    ``jack.cache``."""
+    nonzero, in row order.  The family enters only through its shift
+    triple (b, c, e) = ``fp.shift``: the move up at row j has coefficient
+    base (c (y_j - (d/2)(j - 1)) + e), the move down base b, and
+
+        diag = d_y sum_j ((b + c) y_j + e),   lam = d_y (c - b),
+
+    with ``base`` from ``_box_moves``.  Computed once per (fp, moving) and
+    memoized in ``jack.cache``."""
     key = ("shift", fp, moving)
     got = jack.cache.get(key)
     if got is not None:
         return got
+    b, c, e = fp.shift
     half = jack.d / 2
-    fam = fp.family
     dim_y, rows = _box_moves(jack, moving)
     neighbours = []
-    mid = Fraction(0)
     for j, (yj, (up, down)) in enumerate(zip(moving, rows), 1):
-        if up is not None:
-            y, base = up
-            if fam == "meixner":
-                coef = base * (yj + fp.alpha - half * (j - 1)) * fp.c
-            elif fam == "charlier":
-                coef = base * fp.a
-            else:
-                coef = base * (fp.N - yj + half * (j - 1)) * fp.p
-            # a Krawtchouk raise out of the box has a zero coefficient, so
-            # skipping it keeps the recurrence inside the box
-            if coef:
-                neighbours.append((y, coef))
-        if fam == "meixner":
-            mid += yj + (yj + fp.alpha) * fp.c
-        elif fam == "charlier":
-            mid += yj + fp.a
-        else:
-            mid += fp.p * (fp.N - yj) + yj * (1 - fp.p)
-        if down is not None:
-            y, base = down
-            coef = base * (1 - fp.p) if fam == "krawtchouk" else base
-            if coef:
-                neighbours.append((y, coef))
-    lam = dim_y * (fp.c - 1) if fam == "meixner" else -dim_y
-    got = (lam, dim_y * mid, tuple(neighbours))
+        # a zero coefficient is skipped: a Krawtchouk raise out of the box,
+        # which keeps the recurrence inside it, or any lowering at p = 1
+        for move, factor in ((up, c * (yj - half * (j - 1)) + e), (down, b)):
+            if move is not None:
+                y, base = move
+                if base * factor:
+                    neighbours.append((y, base * factor))
+    diag = dim_y * ((b + c) * weight(moving) + e * jack.r)
+    got = (dim_y * (c - b), diag, tuple(neighbours))
     jack.cache[key] = got
     return got
 
@@ -603,18 +564,17 @@ def _equation_report(
     r = jack.r
     residual_fn = difference_residual if kind == "difference" else recurrence_residual
     grid = enumerate_up_to(r, max_weight)
-    box = (fp.N,) * r if fp.family == "krawtchouk" else None
     rep = VerificationReport(
         identity=f"{kind}-{fp.family}",
         params={**fp.label(), "d": str(jack.d), "r": r},
         truncation={"max_weight": max_weight},
     )
     for m in grid:
-        if box is not None and not contains(m, box):
+        if not fp.fits(m):
             continue
         for x in grid:
             # only the difference equation holds for x outside the box
-            if box is not None and kind == "recurrence" and not contains(x, box):
+            if kind == "recurrence" and not fp.fits(x):
                 continue
             res = residual_fn(fp, m, x, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, Fraction(0), -res))
@@ -825,28 +785,17 @@ def conjecture_suite(
     }
 
     sub: list[VerificationReport] = []
-    box = (n_box,) * r
-    for fam, fp in (
-        ("meixner", FamilyParams("meixner", alpha=alpha, c=c_gf)),
-        ("charlier", FamilyParams("charlier", a=a_gf)),
-        ("krawtchouk", FamilyParams("krawtchouk", p=p_gf, N=n_box)),
-    ):
+    gf = (
+        FamilyParams("meixner", alpha=alpha, c=c_gf),
+        FamilyParams("charlier", a=a_gf),
+        FamilyParams("krawtchouk", p=p_gf, N=n_box),
+    )
+    for fp in gf:
         for x in enumerate_up_to(r, budget):
-            if fam == "krawtchouk" and not contains(x, box):
-                continue
-            sub.append(genfunc_family(fp, x, budget, jack))
-    sub.append(
-        master_genfunc(
-            "meixner", FamilyParams("meixner", alpha=alpha, c=c_gf),
-            min(3, budget), min(3, budget), jack,
-        )
-    )
-    sub.append(
-        master_genfunc(
-            "charlier", FamilyParams("charlier", a=a_gf),
-            min(3, budget), min(3, budget), jack,
-        )
-    )
+            if fp.fits(x):
+                sub.append(genfunc_family(fp, x, budget, jack))
+    for fp in gf[:2]:  # the master generating function has no Krawtchouk form
+        sub.append(master_genfunc(fp, min(3, budget), min(3, budget), jack))
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
     sub.append(
         orthogonality_meixner(

@@ -39,13 +39,25 @@ from mvdop.errors import PoleError
 from mvdop.partitions import (
     box_move,
     contains,
-    dominates,
     format_partition,
     pad,
     partitions_of,
     weight,
 )
 from mvdop.symfun import SymPoly
+
+
+def dominates(a, b) -> bool:
+    """Dominance order a ⊵ b for partitions of equal weight and length."""
+    if len(a) != len(b) or sum(a) != sum(b):
+        raise ValueError("dominance needs equal weight and ambient length")
+    sa = sb = 0
+    for x, y in zip(a, b):
+        sa += x
+        sb += y
+        if sa < sb:
+            return False
+    return True
 
 
 def partitions_all_lengths(w: int) -> list:

@@ -248,12 +248,10 @@ def test_criterion_06_generating_functions():
                 assert rep.passed and rep.summary["max_residual"] == 0.0
                 sign_seen.add(rep.params["sign_convention"])
                 cases += rep.summary["total"]
-        rep = master_genfunc(
-            "meixner", FamilyParams("meixner", alpha=alpha, c=c), 3, 3, table
-        )
+        rep = master_genfunc(FamilyParams("meixner", alpha=alpha, c=c), 3, 3, table)
         assert rep.passed and rep.summary["max_residual"] == 0.0
         cases += rep.summary["total"]
-        rep = master_genfunc("charlier", FamilyParams("charlier", a=a), 3, 3, table)
+        rep = master_genfunc(FamilyParams("charlier", a=a), 3, 3, table)
         assert rep.passed and rep.summary["max_residual"] == 0.0
         cases += rep.summary["total"]
     assert sign_seen == {"plus"}

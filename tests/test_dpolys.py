@@ -328,6 +328,41 @@ def test_determinant_meixner_prefactor_pole():
         determinant_formula("meixner", (1, 0), (1, 0), t, alpha=F(1), c=F(1, 3))
 
 
+def test_determinant_parameter_errors_are_typed():
+    # a zero or missing parameter is a ParameterError, not the
+    # ZeroDivisionError or TypeError of computing the prefactor
+    t = jack_table(2, 2, 3)
+    for family, kw in (
+        ("meixner", dict(alpha=F(7, 2), c=0)),
+        ("meixner", dict(alpha=F(7, 2))),
+        ("charlier", dict(a=0)),
+        ("charlier", dict()),
+        ("krawtchouk", dict(p=0, N=2)),
+        ("krawtchouk", dict(p=F(1, 3))),
+        ("laguerre", dict(alpha=F(7, 2))),
+        ("nosuch", dict()),
+    ):
+        with pytest.raises(ParameterError):
+            determinant_formula(family, (1, 0), (1, 0), t, **kw)
+
+
+def test_krawtchouk_constants_are_meixner_at_minus_n():
+    # the point is Meixner's at alpha = -N, c = p/(p-1), and the shift
+    # triple Meixner's scaled by 1 - p
+    for p in (F(1, 3), F(3, 2), F(-1, 2)):
+        kr = FamilyParams("krawtchouk", p=p, N=3)
+        mx = FamilyParams("meixner", alpha=-3, c=p / (p - 1))
+        assert kr.point == mx.point
+        assert kr.shift == tuple((1 - p) * v for v in mx.shift)
+    # at p = 1 the Meixner map is singular; the triple stays finite
+    assert FamilyParams("krawtchouk", p=1, N=3).shift == (0, -1, 3)
+    assert FamilyParams("charlier", a=F(5, 4)).point == (None, F(-4, 5))
+    assert not FamilyParams("krawtchouk", p=1, N=3).fits((4, 0))
+    assert FamilyParams("meixner", alpha=1, c=F(1, 2), N=3).fits((4, 0))
+    with pytest.raises(ParameterError):
+        FamilyParams("laguerre", alpha=1).point
+
+
 def test_family_params_validation():
     with pytest.raises(ParameterError):
         FamilyParams("meixner", alpha=F(2))  # missing c

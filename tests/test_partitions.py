@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from mvdop.partitions import (
     box_move,
     contains,
-    dominates,
     enumerate_up_to,
     format_partition,
     pad,
@@ -15,6 +14,8 @@ from mvdop.partitions import (
     sub_partitions,
     weight,
 )
+
+from .oracles import dominates
 
 
 def small_partitions(r=3, max_weight=6):

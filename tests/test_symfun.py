@@ -10,7 +10,6 @@ from mvdop.symfun import (
     series_exp_trace,
     series_per_variable,
     series_prod_binomial,
-    series_phi_of_moebius,
     u_binomial,
     u_inv,
     u_mul,
@@ -100,27 +99,17 @@ def test_univariate_kernels():
 
 def test_compose_diagonal_moebius_example():
     # one variable, entry (1-2z)/(1-z): the degree-1 poly z evaluates to it
-
-    class FakeTable:
-        def phi(self, x):
-            return SymPoly.monomial(1, (1,))
-
-    s = series_phi_of_moebius((1,), 2, FakeTable(), 2)
+    entry = u_ratio([1, -2], [1, -1], 2)
+    s = series_compose_diagonal(SymPoly.monomial(1, (1,)), entry, 2)
     assert s.coeffs == {(0,): F(1), (1,): F(-1), (2,): F(-1)}
 
 
 def test_phi_of_moebius_degenerate_and_empty():
-    class FakeTable:
-        def phi(self, x):
-            if sum(x) == 0:
-                return SymPoly.one(1)
-            return SymPoly.monomial(1, (1,))
-
-    # empty index: constant series 1
-    s0 = series_phi_of_moebius((0,), 2, FakeTable(), 3)
+    # the constant polynomial: constant series 1
+    s0 = series_compose_diagonal(SymPoly.one(1), u_ratio([1, -2], [1, -1], 3), 3)
     assert s0.coeffs == {(0,): F(1)}
-    # c_inv = 1 degenerates the map to the constant 1
-    s1 = series_phi_of_moebius((1,), 1, FakeTable(), 3)
+    # numerator equal to the denominator degenerates the entry to 1
+    s1 = series_compose_diagonal(SymPoly.monomial(1, (1,)), u_ratio([1, -1], [1, -1], 3), 3)
     assert s1.coeffs == {(0,): F(1)}
 
 

@@ -78,19 +78,15 @@ def test_genfunc_krawtchouk_needs_boxed_argument():
 
 def test_master_genfunc_exact():
     t = jack_table(2, 2, 4)
-    rep = master_genfunc(
-        "meixner", FamilyParams("meixner", alpha=F(3), c=F(1, 2)), 3, 3, t
-    )
+    rep = master_genfunc(FamilyParams("meixner", alpha=F(3), c=F(1, 2)), 3, 3, t)
     assert rep.passed and rep.summary["total"] == 36
-    rep2 = master_genfunc("charlier", FamilyParams("charlier", a=F(2)), 3, 3, t)
+    rep2 = master_genfunc(FamilyParams("charlier", a=F(2)), 3, 3, t)
     assert rep2.passed
 
 
 def test_master_genfunc_r1():
     t = jack_table(1, 1, 5)
-    rep = master_genfunc(
-        "meixner", FamilyParams("meixner", alpha=F(5, 2), c=F(1, 3)), 4, 4, t
-    )
+    rep = master_genfunc(FamilyParams("meixner", alpha=F(5, 2), c=F(1, 3)), 4, 4, t)
     assert rep.passed
 
 
@@ -255,6 +251,9 @@ def test_shift_plans_match_direct_evaluation():
         (dict(family="charlier", a=F(5, 4)), "a", F(7, 3)),
         # N = 2 < 4: the second index leaves the box
         (dict(family="krawtchouk", p=F(2, 7), N=2), "p", F(3, 5)),
+        # p outside (0, 1); at p = 1 no lowering enters the equation
+        (dict(family="krawtchouk", p=F(1), N=2), "p", F(3, 2)),
+        (dict(family="krawtchouk", p=F(-1, 2), N=2), "p", F(2, 7)),
     )
     for kw, name, other in pairs:
         for cls in (FamilyParams, _Skewed):
