@@ -190,12 +190,7 @@ def cmd_verify(args) -> int:
         else:
             ts = _parse_weights(args.truncation_weights)
             table = load_or_build_table(r, d, max(ts))
-            mw = int(args.max_weight)
-            rep = (
-                verify.orthogonality_meixner(fp.alpha, fp.c, mw, ts, table)
-                if fp.family == "meixner"
-                else verify.orthogonality_charlier(fp.a, mw, ts, table)
-            )
+            rep = verify.orthogonality(fp, int(args.max_weight), ts, table)
     elif identity in ("difference", "recurrence"):
         fp = _family_params(args)
         table = load_or_build_table(r, d, int(args.max_weight) + 1)

@@ -15,8 +15,8 @@ What each family is, is declared once, as functions of its parameters:
 the point (s, z) of the shared sum, and the triple (b, c, e) of its
 difference equation.  Krawtchouk is Meixner at alpha = -N, c = p/(p - 1),
 and Charlier the limit of Meixner; the determinant route, the generating
-functions and the shift equations read these constants instead of
-branching on the family.
+functions, the shift equations and the orthogonality weight read these
+constants instead of branching on the family.
 """
 
 from __future__ import annotations
@@ -387,9 +387,11 @@ class FamilyParams:
             if getattr(self, name) is None:
                 raise ParameterError(f"{self.family} needs --{name}")
         for name in PARAM_NAMES:
-            v = getattr(self, name)
-            if v is not None and name != "N":
-                object.__setattr__(self, name, Fraction(v))
+            if name not in need and getattr(self, name) is not None:
+                raise ParameterError(f"{self.family} takes no --{name}")
+        for name in need:
+            if name != "N":
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.c == 0 or self.a == 0 or self.p == 0:
             raise ParameterError(f"{self.family}: zero parameter not allowed")
         if self.N is not None:
@@ -428,8 +430,7 @@ class FamilyParams:
 
     def label(self) -> dict:
         out = {"family": self.family}
-        for name in PARAM_NAMES:
+        for name in FAMILY_PARAMS[self.family]:
             v = getattr(self, name)
-            if v is not None:
-                out[name] = v if name == "N" else str(v)
+            out[name] = v if name == "N" else str(v)
         return out

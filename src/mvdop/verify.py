@@ -11,6 +11,13 @@ the residual sequence required to decrease; closed forms that are
 irrational (non-integer powers, exponentials) are evaluated with 60-digit
 decimal arithmetic.
 
+Orthogonality has one weight for all three families, derived from the
+point (s, z) of the family sum: w(x) = d_x (s)_x / (n/r)_x c^|x| with
+c = 1/(1 - z), of mass (1 - c)^(-r s), and for Charlier (no s)
+d_x / (n/r)_x a^|x| with a = -1/z, of mass e^(r a).  At s = -N it vanishes
+outside the box, so the finite Krawtchouk sum runs through the same
+driver as the infinite ones; only the domain checks are per family.
+
 Every check emits a :class:`VerificationReport` with one row per case and
 a deterministic ordering, serializable to JSON.  Case grids are pure
 fan-outs over an immutable table; only the checks that expand in the
@@ -27,7 +34,6 @@ from math import log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
-    box_binomial,
     cone_params,
     dim_partition,
     lower_coefficient,
@@ -36,18 +42,14 @@ from .conearith import (
 )
 from .dpolys import (
     FamilyParams,
-    _box_size,
     charlier_limit_gaps,
     companion_poly,
-    krawtchouk,
     krawtchouk_limit_gaps,
-    meixner,
 )
 from .errors import DomainError, ParameterError
 from .jack import JackTable
 from .partitions import (
     box_move,
-    contains,
     enumerate_up_to,
     format_partition,
     pad,
@@ -237,43 +239,6 @@ def master_genfunc(
 # orthogonality
 
 
-def orthogonality_krawtchouk(
-    p: Rat, N: int, jack: JackTable, max_index_weight: Optional[int] = None
-) -> VerificationReport:
-    """Finite Krawtchouk orthogonality over the (N, ..., N) box; every pair
-    must give the literal zero residual."""
-    p = Fraction(p)
-    N = _box_size(N)
-    if not 0 < p < 1:
-        raise DomainError(f"need 0 < p < 1, got {p}")
-    r = jack.r
-    box = (N,) * r
-    xs = [x for x in enumerate_up_to(r, r * N) if contains(x, box)]
-    idx = xs if max_index_weight is None else [m for m in xs if weight(m) <= max_index_weight]
-    wfac = {
-        x: box_binomial(N, x, jack) * p ** weight(x) * (1 - p) ** (r * N - weight(x))
-        for x in xs
-    }
-    vals = {m: {x: krawtchouk(m, x, p, N, jack) for x in xs} for m in idx}
-    rep = VerificationReport(
-        identity="orthogonality-krawtchouk",
-        params={"family": "krawtchouk", "d": str(jack.d), "r": r, "p": str(p), "N": N},
-        truncation={"finite": True},
-    )
-    for i, m in enumerate(idx):
-        for n in idx[i:]:
-            s = Fraction(0)
-            for x in xs:
-                s += wfac[x] * vals[m][x] * vals[n][x]
-            rhs = (
-                ((1 - p) / p) ** weight(m) / box_binomial(N, m, jack)
-                if m == n
-                else Fraction(0)
-            )
-            rep.cases.append(_exact_case({"m": m, "n": n}, s, rhs))
-    return rep.finalize()
-
-
 def _truncation_weights(truncation_weights: Sequence[int]) -> list:
     # a partial sum exists only at a weight >= 0, and the decrease test
     # needs two different ones
@@ -284,14 +249,16 @@ def _truncation_weights(truncation_weights: Sequence[int]) -> list:
 
 
 def _truncated_sums(r: int, ts: list, pairs: list, shell, target, value=None):
-    """Shared driver of the infinite-sum checks.
+    """Shared driver of the orthogonality sums: the infinite ones, checked
+    at two or more truncation weights, and the finite Krawtchouk one, run
+    to the single weight past which its weight vanishes.
 
     ``shell(x)`` yields (pair, term) items for one partition x.  The terms
     are summed exactly over every x of weight <= max(ts), one weight shell
     at a time, keeping each pair's partial sum at every truncation weight.
     Each pair is then compared with ``target(pair)``: ``value(pair, s)``
     (default s itself) of each partial sum s gives the residual
-    |value - target|, relative to |target| on diagonal pairs (i == j);
+    |value - target|, relative to |target| on diagonal pairs (m == n);
     exact when both sides are Fractions, 60-digit decimal otherwise.
 
     Returns (rows, tail): a (pair, last value, target, residuals) row per
@@ -328,7 +295,7 @@ def _truncated_sums(r: int, ts: list, pairs: list, shell, target, value=None):
     return rows, tail
 
 
-def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Fraction) -> dict:
+def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Rat) -> dict:
     """A truncated case passes when its last residual is within ``tol`` and
     no larger than the one before it."""
     return {
@@ -342,67 +309,97 @@ def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Fraction) -> dict:
     }
 
 
-def _orthogonality_truncated(
-    fp: FamilyParams,
-    max_index_weight: int,
-    truncation_weights: Sequence[int],
-    jack: JackTable,
-    tol_diag: Fraction,
-    tol_off: Fraction,
-) -> VerificationReport:
-    r = jack.r
-    ts = _truncation_weights(truncation_weights)
-
+def _orthogonality_domain(fp: FamilyParams, jack: JackTable) -> None:
+    """The hypotheses on a family's parameters under which its weight is
+    positive and of finite mass."""
     if fp.family == "meixner":
-        if not (0 < fp.c < 1):
+        if not 0 < fp.c < 1:
             raise DomainError(f"need 0 < c < 1, got {fp.c}")
         rank_ratio = cone_params(jack).rank_ratio
         if not fp.alpha > rank_ratio - 1:
             raise DomainError(f"need alpha > n/r - 1 = {rank_ratio - 1}, got {fp.alpha}")
-
-        def wfac(x):
-            return weight_factor(x, jack, fp.alpha) * fp.c ** weight(x)
-
-        r_alpha = r * fp.alpha
-        exact_rhs = r_alpha.denominator == 1
-        if exact_rhs:
-            norm_scale = (1 - fp.c) ** (-int(r_alpha))
-        else:
-            norm_scale = _dec_pow(1 - fp.c, -r_alpha)
-
-        def norm(m):
-            core = fp.c ** (-weight(m)) / weight_factor(m, jack, fp.alpha)
-            return norm_scale * core if exact_rhs else norm_scale * _dec(core)
-
-    else:
+    elif fp.family == "charlier":
         if not fp.a > 0:
             raise DomainError(f"need a > 0, got {fp.a}")
+    elif fp.family == "krawtchouk":
+        if not 0 < fp.p < 1:
+            raise DomainError(f"need 0 < p < 1, got {fp.p}")
 
-        def wfac(x):
-            return weight_factor(x, jack) * fp.a ** weight(x)
 
-        exact_rhs = False
-        norm_scale = _dec_exp(r * fp.a)
+def _orthogonality_weight(fp: FamilyParams, jack: JackTable) -> tuple:
+    """The orthogonality weight of a two-index family, derived from its
+    point (s, z) alone, as (w, mass, norm):
 
-        def norm(m):
-            return norm_scale * _dec(fp.a ** (-weight(m)) / weight_factor(m, jack))
+        w(x) = weight_factor(x, s) q^|x|,   mass = sum over x of w(x),
+        norm(m) = mass q^-|m| / weight_factor(m, s),
 
-    idx = enumerate_up_to(r, max_index_weight)
-    pairs = [(i, j) for i in range(len(idx)) for j in range(i, len(idx))]
+    with q = c = 1/(1 - z) and mass (1 - c)^(-r s), or, when s is None
+    (Charlier, the limit), q = a = -1/z and mass e^(r a).  The mass, and
+    with it every norm, is a 60-digit Decimal only when irrational.  At
+    s = -N (Krawtchouk, c = p/(p - 1)) w vanishes outside the box and
+    w / mass is the binomial weight box_binomial(N, x) p^|x| (1 - p)^(rN - |x|)."""
+    r = jack.r
+    s, z = fp.point
+    if s is None:
+        q = -1 / z
+        mass = _dec_exp(r * q)
+    else:
+        q = 1 / (1 - z)
+        rs = r * s
+        mass = (1 - q) ** -int(rs) if rs.denominator == 1 else _dec_pow(1 - q, -rs)
+
+    def w(x):
+        return weight_factor(x, jack, s) * q ** weight(x)
+
+    def norm(m):
+        part = q ** -weight(m) / weight_factor(m, jack, s)
+        return mass * (_dec(part) if isinstance(mass, Decimal) else part)
+
+    return w, mass, norm
+
+
+def _orthogonality_rows(fp: FamilyParams, max_index_weight: int, ts: list, jack: JackTable):
+    """The orthogonality sums of ``fp`` through ``_truncated_sums``: for
+    every pair m <= n of indices in the family's domain up to
+    ``max_index_weight``, the partial sums of w(x) f(m, x) f(n, x) at the
+    weights ``ts`` against norm(m) on the diagonal and zero off it.
+    Returns (rows, tail, mass), a row per (m, n) pair."""
+    w, mass, norm = _orthogonality_weight(fp, jack)
+    idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
+    pairs = [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
+    zero = Decimal(0) if isinstance(mass, Decimal) else Fraction(0)
 
     def shell(x):
-        wf = wfac(x)
-        vals = [fp.evaluate(m, x, jack) for m in idx]
-        for i, j in pairs:
-            yield (i, j), wf * vals[i] * vals[j]
+        wx = w(x)
+        if wx:  # zero outside the Krawtchouk box
+            vals = {m: fp.evaluate(m, x, jack) for m in idx}
+            for m, n in pairs:
+                yield (m, n), wx * vals[m] * vals[n]
 
     def target(pair):
-        i, j = pair
-        if i == j:
-            return norm(idx[i])
-        return Fraction(0) if exact_rhs else Decimal(0)
+        m, n = pair
+        return norm(m) if m == n else zero
 
-    rows, tail = _truncated_sums(r, ts, pairs, shell, target)
+    rows, tail = _truncated_sums(jack.r, ts, pairs, shell, target)
+    return rows, tail, mass
+
+
+def orthogonality(
+    fp: FamilyParams,
+    max_index_weight: int,
+    truncation_weights: Sequence[int],
+    jack: JackTable,
+    tol_diag: Rat = Fraction(1, 10**8),
+    tol_off: Rat = Fraction(1, 10**10),
+) -> VerificationReport:
+    """Truncated orthogonality of a two-index family: exact partial sums
+    over weight shells, compared against the closed-form norm (decimal
+    where it is irrational: always for Charlier, and for Meixner when
+    r*alpha is not an integer)."""
+    r = jack.r
+    ts = _truncation_weights(truncation_weights)
+    _orthogonality_domain(fp, jack)
+    rows, tail, _ = _orthogonality_rows(fp, max_index_weight, ts, jack)
     rep = VerificationReport(
         identity=f"orthogonality-{fp.family}",
         params={**fp.label(), "d": str(jack.d), "r": r},
@@ -413,46 +410,31 @@ def _orthogonality_truncated(
             "tolerance_offdiagonal": float(tol_off),
         },
     )
-    for (i, j), s, rhs, residuals in rows:
-        tol = tol_diag if i == j else tol_off
-        rep.cases.append(_truncated_case(idx[i], idx[j], s, rhs, residuals, tol))
+    for (m, n), s, rhs, residuals in rows:
+        tol = tol_diag if m == n else tol_off
+        rep.cases.append(_truncated_case(m, n, s, rhs, residuals, tol))
     return rep.finalize()
 
 
-def orthogonality_meixner(
-    alpha: Rat,
-    c: Rat,
-    max_index_weight: int,
-    truncation_weights: Sequence[int],
-    jack: JackTable,
-    tol_diag: Rat = Fraction(1, 10**8),
-    tol_off: Rat = Fraction(1, 10**10),
-) -> VerificationReport:
-    """Truncated Meixner orthogonality: exact partial sums over weight
-    shells, compared against the closed-form norm (decimal when r*alpha is
-    not an integer)."""
-    fp = FamilyParams("meixner", alpha=Fraction(alpha), c=Fraction(c))
-    return _orthogonality_truncated(
-        fp, max_index_weight, truncation_weights, jack,
-        Fraction(tol_diag), Fraction(tol_off),
+def orthogonality_krawtchouk(p: Rat, N: int, jack: JackTable) -> VerificationReport:
+    """Finite Krawtchouk orthogonality over the (N, ..., N) box: the shared
+    orthogonality sum, run to the single weight rN, past which the weight
+    vanishes.  Both sides are reported over the rational mass, that is,
+    against the binomial weight of total mass one; every pair must give
+    the literal zero residual."""
+    fp = FamilyParams("krawtchouk", p=p, N=N)
+    _orthogonality_domain(fp, jack)
+    r = jack.r
+    rows, _, mass = _orthogonality_rows(fp, r * fp.N, [r * fp.N], jack)
+    rep = VerificationReport(
+        identity="orthogonality-krawtchouk",
+        # d and r ahead of p and N: the report's key order
+        params={"family": "krawtchouk", "d": str(jack.d), "r": r, **fp.label()},
+        truncation={"finite": True},
     )
-
-
-def orthogonality_charlier(
-    a: Rat,
-    max_index_weight: int,
-    truncation_weights: Sequence[int],
-    jack: JackTable,
-    tol_diag: Rat = Fraction(1, 10**8),
-    tol_off: Rat = Fraction(1, 10**10),
-) -> VerificationReport:
-    """Truncated Charlier orthogonality; the norm involves an exponential
-    and is always compared in decimal."""
-    fp = FamilyParams("charlier", a=Fraction(a))
-    return _orthogonality_truncated(
-        fp, max_index_weight, truncation_weights, jack,
-        Fraction(tol_diag), Fraction(tol_off),
-    )
+    for (m, n), s, rhs, _ in rows:
+        rep.cases.append(_exact_case({"m": m, "n": n}, s / mass, rhs / mass))
+    return rep.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +577,8 @@ def recurrence(fp: FamilyParams, max_weight: int, jack: JackTable) -> Verificati
 # ---------------------------------------------------------------------------
 # orthogonality-generator kernel
 
+_GENERATOR_TOL = Fraction(1, 10**6)
+
 
 def orthogonality_generator_check(
     alpha: Rat,
@@ -602,69 +586,67 @@ def orthogonality_generator_check(
     max_degree: int,
     truncation_weights: Sequence[int],
     jack: JackTable,
-    tol: Rat = Fraction(1, 10**6),
 ) -> VerificationReport:
     """Checks that the weighted double sum of generating functions against
     the Cayley-type kernel reproduces the diagonal kernel, coefficient by
     coefficient up to ``max_degree`` in both outer variables.  The inner
     index sum is infinite, so it is truncated at the given weights and the
     residuals must decrease."""
-    alpha = Fraction(alpha)
     c = Fraction(c)
     if not 0 < c < 1:
         raise DomainError(f"need 0 < c < 1, got {c}")
+    fp = FamilyParams("meixner", alpha=alpha, c=c)
+    alpha = fp.alpha
     r = jack.r
     D = int(max_degree)
     ts = _truncation_weights(truncation_weights)
     jack.extend(max(D, ts[-1]))
+    w, mass, _ = _orthogonality_weight(fp, jack)
 
     idx = enumerate_up_to(r, D)
     pref_series = series_prod_binomial(-alpha, c, r, D)
     entry = u_ratio([1, -1], [1, -c], D)
-
-    r_alpha = r * alpha
-    exact = r_alpha.denominator == 1
-    scale = (
-        (1 - c) ** int(r_alpha) if exact else _dec_pow(1 - c, r_alpha)
-    )
-    pref = [weight_factor(m, jack, alpha) for m in idx]
+    pref = {m: weight_factor(m, jack, alpha) for m in idx}
 
     def shell(x):
         kern = jack.to_phi_basis(
             pref_series * series_compose_diagonal(jack.phi(x), entry, D)
         )
-        wf = weight_factor(x, jack, alpha) * c ** weight(x)
-        for i, m in enumerate(idx):
-            base = wf * meixner(m, x, alpha, c, jack)
+        wf = w(x)
+        for m in idx:
+            base = wf * fp.evaluate(m, x, jack)
             if not base:
                 continue
-            for j, n in enumerate(idx):
+            for n in idx:
                 kn = kern.get(n)
                 if kn:
-                    yield (i, j), base * kn
+                    yield (m, n), base * kn
 
     def target(pair):
-        i, j = pair
-        return pref[i] if i == j else Fraction(0)
+        m, n = pair
+        return pref[m] if m == n else Fraction(0)
 
     def value(pair, s):
         got = pref[pair[0]] * s
-        return scale * got if exact else scale * _dec(got)
+        return _dec(got) / mass if isinstance(mass, Decimal) else got / mass
 
-    pairs = [(i, j) for i in range(len(idx)) for j in range(len(idx))]
+    pairs = [(m, n) for m in idx for n in idx]
     rows, _ = _truncated_sums(r, ts, pairs, shell, target, value)
     rep = VerificationReport(
         identity="orthogonality-generator",
         params={"d": str(jack.d), "r": r, "alpha": str(alpha), "c": str(c)},
-        truncation={"degree": D, "weights": ts, "tolerance": float(tol)},
+        truncation={"degree": D, "weights": ts, "tolerance": float(_GENERATOR_TOL)},
     )
-    for (i, j), final, lhs, residuals in rows:
-        rep.cases.append(_truncated_case(idx[i], idx[j], lhs, final, residuals, Fraction(tol)))
+    for (m, n), final, lhs, residuals in rows:
+        rep.cases.append(_truncated_case(m, n, lhs, final, residuals, _GENERATOR_TOL))
     return rep.finalize()
 
 
 # ---------------------------------------------------------------------------
 # degenerate limits
+
+# the least convergence order a limit gap sequence must show
+_LIMIT_MIN_ORDER = 0.9
 
 
 def limits_check(
@@ -672,7 +654,6 @@ def limits_check(
     scales: Sequence[int],
     max_index_weight: int,
     jack: JackTable,
-    min_order: float = 0.9,
 ) -> VerificationReport:
     """Checks that the two limit relations approach the Charlier values at
     the expected first-order rate along the given parameter scales."""
@@ -687,7 +668,7 @@ def limits_check(
     rep = VerificationReport(
         identity="limits-to-charlier",
         params={"d": str(jack.d), "r": r, "a": str(a), "scales": scales},
-        truncation={"min_order": min_order},
+        truncation={"min_order": _LIMIT_MIN_ORDER},
     )
     for kind, gap_fn in (
         ("meixner", charlier_limit_gaps),
@@ -706,7 +687,7 @@ def limits_check(
                     order = (log(float(gaps[0])) - log(float(gaps[-1]))) / (
                         log(scales[-1]) - log(scales[0])
                     )
-                    ok = order >= min_order and all(
+                    ok = order >= _LIMIT_MIN_ORDER and all(
                         gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)
                     )
                 rep.cases.append(
@@ -797,18 +778,16 @@ def conjecture_suite(
     for fp in gf[:2]:  # the master generating function has no Krawtchouk form
         sub.append(master_genfunc(fp, min(3, budget), min(3, budget), jack))
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
-    sub.append(
-        orthogonality_meixner(
-            alpha, c_orth, min(2, budget), SUITE_MEIXNER_WEIGHTS, jack,
-            tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
+    for fp, ts in (
+        (FamilyParams("meixner", alpha=alpha, c=c_orth), SUITE_MEIXNER_WEIGHTS),
+        (FamilyParams("charlier", a=Fraction(1)), SUITE_CHARLIER_WEIGHTS),
+    ):
+        sub.append(
+            orthogonality(
+                fp, min(2, budget), ts, jack,
+                tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
+            )
         )
-    )
-    sub.append(
-        orthogonality_charlier(
-            Fraction(1), min(2, budget), SUITE_CHARLIER_WEIGHTS, jack,
-            tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
-        )
-    )
     for fam, fp in fps.items():
         sub.append(difference_equation(fp, budget, jack))
         sub.append(recurrence(fp, budget, jack))

@@ -48,9 +48,8 @@ from mvdop.verify import (
     genfunc_family,
     limits_check,
     master_genfunc,
-    orthogonality_charlier,
+    orthogonality,
     orthogonality_krawtchouk,
-    orthogonality_meixner,
     recurrence_residual,
 )
 
@@ -132,8 +131,8 @@ def test_criterion_04_meixner_charlier_orthogonality_as_stated():
     the harness itself meets the tolerances."""
     t0 = time.monotonic()
     table = jack_table(2, 2, 14)
-    rep_m = orthogonality_meixner(F(7, 2), F(1, 3), 2, (10, 12, 14), table)
-    rep_c = orthogonality_charlier(F(2), 2, (10, 12, 14), table)
+    rep_m = orthogonality(FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)), 2, (10, 12, 14), table)
+    rep_c = orthogonality(FamilyParams("charlier", a=F(2)), 2, (10, 12, 14), table)
     worst_m = rep_m.summary["max_residual"]
     worst_c = rep_c.summary["max_residual"]
     ok = rep_m.passed and rep_c.passed
@@ -159,8 +158,8 @@ def test_criterion_04s_supplementary_deeper_truncation():
     tail to clear them: T in {38, 42, 46}."""
     t0 = time.monotonic()
     table = jack_table(2, 2, 46)
-    rep_m = orthogonality_meixner(F(7, 2), F(1, 3), 2, (38, 42, 46), table)
-    rep_c = orthogonality_charlier(F(2), 2, (38, 42, 46), table)
+    rep_m = orthogonality(FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)), 2, (38, 42, 46), table)
+    rep_c = orthogonality(FamilyParams("charlier", a=F(2)), 2, (38, 42, 46), table)
     for rep in (rep_m, rep_c):
         for case in rep.cases:
             assert case["residuals"][-1] <= case["residuals"][-2]
@@ -376,7 +375,7 @@ def test_criterion_09_conjecture_evidence(d, r):
 def test_criterion_10_limit_relations():
     t0 = time.monotonic()
     table = jack_table(2, 2, 2)
-    rep = limits_check(F(1), (100, 10000, 1000000), 2, table, min_order=0.9)
+    rep = limits_check(F(1), (100, 10000, 1000000), 2, table)
     orders = [c["order"] for c in rep.cases if c["order"] is not None]
     ok = rep.passed and min(orders) >= 0.9
     _report(

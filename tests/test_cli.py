@@ -59,6 +59,29 @@ def test_missing_parameter_exits_2(capsys):
     assert "needs --c" in err
 
 
+_MEIXNER_EVAL = ["eval", "--family", "meixner", "--d", "2", "--r", "2",
+                 "--alpha", "7/2", "--c", "1/3", "--m", "1", "--x", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, family, extra",
+    [
+        (_MEIXNER_EVAL + ["--a", "0"], "meixner", "--a"),
+        (_MEIXNER_EVAL + ["--N", "5"], "meixner", "--N"),
+        (["eval", "--family", "charlier", "--d", "2", "--r", "2", "--a", "2",
+          "--N", "-1", "--m", "1", "--x", "1"], "charlier", "--N"),
+        (["verify", "orthogonality", "--family", "charlier", "--d", "2", "--r", "2",
+          "--a", "2", "--p", "1/3"], "charlier", "--p"),
+    ],
+)
+def test_parameter_the_family_does_not_take_exits_2(args, family, extra, capsys):
+    # neither checked against its meaning in another family nor carried
+    # into the output: the flag is refused by name
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert f"error: {family} takes no {extra}" in err
+
+
 def test_pole_exits_3(capsys):
     code, _, err = run(
         ["eval", "--family", "meixner", "--d", "1", "--r", "1",

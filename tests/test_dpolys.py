@@ -24,8 +24,8 @@ from mvdop.dpolys import (
 from mvdop.errors import DomainError, ParameterError, PoleError
 from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import contains, enumerate_up_to, pad, partitions_of, weight
-from mvdop.conearith import cone_params, dim_partition, gen_pochhammer
-from mvdop.verify import orthogonality_krawtchouk
+from mvdop.conearith import box_binomial, cone_params, dim_partition, gen_pochhammer
+from mvdop.verify import _orthogonality_weight, orthogonality_krawtchouk
 
 from .oracles import kernel_direct
 
@@ -348,17 +348,26 @@ def test_determinant_parameter_errors_are_typed():
 
 def test_krawtchouk_constants_are_meixner_at_minus_n():
     # the point is Meixner's at alpha = -N, c = p/(p-1), and the shift
-    # triple Meixner's scaled by 1 - p
-    for p in (F(1, 3), F(3, 2), F(-1, 2)):
+    # triple Meixner's scaled by 1 - p; the orthogonality weight derived
+    # from the point is the binomial weight of the box, of mass one after
+    # division by the derived mass, and the norm the reciprocal binomial
+    t = JackTable(2, F(5, 2))
+    for p in (F(1, 3), F(5, 7), F(3, 2), F(-1, 2)):
         kr = FamilyParams("krawtchouk", p=p, N=3)
         mx = FamilyParams("meixner", alpha=-3, c=p / (p - 1))
         assert kr.point == mx.point
         assert kr.shift == tuple((1 - p) * v for v in mx.shift)
+        w, mass, norm = _orthogonality_weight(kr, t)
+        for x in enumerate_up_to(2, 8):  # reaches outside the box
+            k = weight(x)
+            assert w(x) / mass == box_binomial(3, x, t) * p**k * (1 - p) ** (6 - k)
+            if kr.fits(x):
+                assert norm(x) / mass == ((1 - p) / p) ** k / box_binomial(3, x, t)
     # at p = 1 the Meixner map is singular; the triple stays finite
     assert FamilyParams("krawtchouk", p=1, N=3).shift == (0, -1, 3)
     assert FamilyParams("charlier", a=F(5, 4)).point == (None, F(-4, 5))
     assert not FamilyParams("krawtchouk", p=1, N=3).fits((4, 0))
-    assert FamilyParams("meixner", alpha=1, c=F(1, 2), N=3).fits((4, 0))
+    assert FamilyParams("meixner", alpha=1, c=F(1, 2)).fits((4, 0))
     with pytest.raises(ParameterError):
         FamilyParams("laguerre", alpha=1).point
 
@@ -370,5 +379,16 @@ def test_family_params_validation():
         FamilyParams("charlier", a=0)
     with pytest.raises(ParameterError):
         FamilyParams("nosuch")
+    # a parameter the family does not take is refused and named, also
+    # when its value would be invalid for the family that takes it
+    for family, kw, extra in (
+        ("meixner", dict(alpha=F(7, 2), c=F(1, 3), a=0), "--a"),
+        ("meixner", dict(alpha=F(7, 2), c=F(1, 3), N=5), "--N"),
+        ("charlier", dict(a=F(2), N=-1), "--N"),
+        ("krawtchouk", dict(p=F(1, 3), N=2, alpha=F(1)), "--alpha"),
+        ("laguerre", dict(alpha=F(1), c=F(1, 2)), "--c"),
+    ):
+        with pytest.raises(ParameterError, match=f"{family} takes no {extra}$"):
+            FamilyParams(family, **kw)
     fp = FamilyParams("krawtchouk", p=F(1, 3), N=2)
     assert fp.label() == {"family": "krawtchouk", "p": "1/3", "N": 2}

@@ -1,9 +1,11 @@
 """Static checks over the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import mvdop
+from mvdop import dpolys
 
 SRC = Path(mvdop.__file__).parent
 
@@ -127,4 +129,21 @@ def test_no_self_recursion_on_exact_layers():
                     and node.func.id == func.name
                 ):
                     found.append(f"{path.name}:{node.lineno}: {func.name} calls itself")
+    assert not found, found
+
+
+def test_family_declaration_is_complete_and_ordered():
+    # FamilyParams._declared hands a family's parameters to its _POINT and
+    # _SHIFT entries by position, in FAMILY_PARAMS order, so a family left
+    # out or a lambda with two parameters swapped would go through silently
+    two_index = set(dpolys.FAMILY_PARAMS) - {"laguerre"}  # one partition index
+    found = []
+    for name, table in (("_POINT", dpolys._POINT), ("_SHIFT", dpolys._SHIFT)):
+        if set(table) != two_index:
+            found.append(f"{name} declares {sorted(table)}, not {sorted(two_index)}")
+        for family, make in table.items():
+            got = tuple(inspect.signature(make).parameters)
+            want = dpolys.FAMILY_PARAMS.get(family)
+            if got != want:
+                found.append(f"{name}[{family!r}] takes {got}, not {want}")
     assert not found, found

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,9 @@ from mvdop.verify import (
     is_classical,
     limits_check,
     master_genfunc,
-    orthogonality_charlier,
+    orthogonality,
     orthogonality_generator_check,
     orthogonality_krawtchouk,
-    orthogonality_meixner,
     recurrence,
     recurrence_residual,
 )
@@ -124,8 +124,8 @@ def test_orthogonality_krawtchouk_domain():
 def test_orthogonality_meixner_classical_norm():
     # r = 1, alpha = 2, c = 1/2: empty-index norm is (1-c)^(-alpha) = 4
     t = jack_table(1, 1, 30)
-    rep = orthogonality_meixner(
-        F(2), F(1, 2), 1, (20, 25, 30), t, tol_diag=F(1, 10**5), tol_off=F(1, 10**5)
+    rep = orthogonality(
+        FamilyParams("meixner", alpha=F(2), c=F(1, 2)), 1, (20, 25, 30), t, tol_diag=F(1, 10**5), tol_off=F(1, 10**5)
     )
     assert rep.passed
     empty = next(c for c in rep.cases if c["m"] == c["n"] == "0")
@@ -136,31 +136,55 @@ def test_orthogonality_meixner_classical_norm():
 def test_orthogonality_meixner_decimal_route():
     # r*alpha not an integer: closed form goes through decimal arithmetic
     t = jack_table(1, 1, 30)
-    rep = orthogonality_meixner(F(5, 2), F(1, 3), 1, (18, 24, 30), t)
+    rep = orthogonality(FamilyParams("meixner", alpha=F(5, 2), c=F(1, 3)), 1, (18, 24, 30), t)
     assert rep.passed
 
 
 def test_orthogonality_meixner_hypotheses():
     t = jack_table(2, 2, 10)
     with pytest.raises(DomainError):
-        orthogonality_meixner(F(7, 2), F(3, 2), 1, (4, 6), t)
+        orthogonality(FamilyParams("meixner", alpha=F(7, 2), c=F(3, 2)), 1, (4, 6), t)
     with pytest.raises(DomainError):
-        orthogonality_meixner(F(1, 2), F(1, 3), 1, (4, 6), t)
+        orthogonality(FamilyParams("meixner", alpha=F(1, 2), c=F(1, 3)), 1, (4, 6), t)
 
 
 @pytest.mark.parametrize("ts", [(4, -2), (30, 30), (12, 30, 30), (), (6,)])
 def test_truncated_checks_reject_bad_weights(ts):
     t = jack_table(1, 2, 6)
     with pytest.raises(ParameterError, match="truncation weights"):
-        orthogonality_meixner(2, F(1, 8), 1, ts, t)
+        orthogonality(FamilyParams("meixner", alpha=2, c=F(1, 8)), 1, ts, t)
     with pytest.raises(ParameterError, match="truncation weights"):
         orthogonality_generator_check(2, F(1, 2), 1, ts, t)
 
 
 def test_orthogonality_charlier_converges():
     t = jack_table(1, 1, 26)
-    rep = orthogonality_charlier(F(1), 1, (18, 22, 26), t)
+    rep = orthogonality(FamilyParams("charlier", a=F(1)), 1, (18, 22, 26), t)
     assert rep.passed
+
+
+def test_orthogonality_checks_fail_on_a_wrong_family(monkeypatch):
+    # every value taken at the parameter moved by 1/100 is a polynomial
+    # family, but not the one the weight belongs to: the exact Krawtchouk
+    # check and the Meixner check at an integer r*alpha (an exact norm)
+    # must both fail, with the off-diagonal pair (1,0)/(1,1) left nonzero
+    t = jack_table(2, 2, 4)
+    true_value = FamilyParams.evaluate
+    moved = {"krawtchouk": "p", "meixner": "alpha"}
+
+    def wrong_value(fp, m, x, jack):
+        name = moved[fp.family]
+        return true_value(replace(fp, **{name: getattr(fp, name) + F(1, 100)}), m, x, jack)
+
+    monkeypatch.setattr(FamilyParams, "evaluate", wrong_value)
+    meixner = FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3))
+    for rep in (
+        orthogonality_krawtchouk(F(1, 3), 2, t),
+        orthogonality(meixner, 2, (26, 30, 34), t),
+    ):
+        assert not rep.passed
+        case = next(c for c in rep.cases if (c["m"], c["n"]) == ("1,0", "1,1"))
+        assert F(case["residual"]) != 0 and not case["pass"]
 
 
 def test_difference_equation_r1_matches_classical_three_term():
