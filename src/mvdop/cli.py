@@ -178,10 +178,21 @@ def _parse_weights(text: str) -> list:
     return verify._truncation_weights(int(t) for t in text.split(",") if t.strip())
 
 
+# the truncation flags of verify; Krawtchouk orthogonality takes neither
+_TRUNCATION_DEFAULTS = {"--max-weight": 2, "--truncation-weights": "10,12,14"}
+
+
 def cmd_verify(args) -> int:
     d = _rat(args.d)
     r = int(args.r)
     identity = args.identity
+    for flag, default in _TRUNCATION_DEFAULTS.items():
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif identity == "orthogonality" and args.family == "krawtchouk":
+            # exact over the (N, ..., N) box, to the single weight rN
+            raise ParameterError(f"krawtchouk orthogonality is exact over the box; it takes no {flag}")
     if identity == "orthogonality":
         fp = _family_params(args)
         if fp.family == "krawtchouk":
@@ -300,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     family_flags(pv, ("meixner", "charlier", "krawtchouk"), default="meixner")
     pv.add_argument("--d", required=True)
     pv.add_argument("--r", required=True, type=int)
-    pv.add_argument("--max-weight", dest="max_weight", type=int, default=2)
+    pv.add_argument("--max-weight", dest="max_weight", type=int)
     pv.add_argument("--degree", type=int, default=3)
-    pv.add_argument("--truncation-weights", dest="truncation_weights", default="10,12,14")
+    pv.add_argument("--truncation-weights", dest="truncation_weights")
     pv.add_argument("--scales", default="100,10000,1000000")
     pv.add_argument("--out")
     pv.set_defaults(fn=cmd_verify)

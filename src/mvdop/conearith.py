@@ -329,20 +329,4 @@ def lower_coefficient(j: int, x, params: ConeParams) -> Fraction:
     through the half-sum shift (2*rho - x), which is finite on every
     partition argument; the naive sign-flipped evaluation is singular
     already for d = 2 at rows of equal length."""
-    r = params.r
-    if not 1 <= j <= r:
-        raise ValueError(f"row index {j} out of range 1..{r}")
-    xs = tuple(Fraction(a) for a in x)
-    half = params.d / 2
-    total = Fraction(1)
-    for k in range(1, r + 1):
-        if k == j:
-            continue
-        diff = xs[k - 1] - xs[j - 1]
-        den = diff + half * (j - k)
-        if den == 0:
-            raise SingularArgumentError(
-                f"zero denominator at rows (j={j}, k={k}) for argument {xs}"
-            )
-        total *= (diff + half * (j - k + 1)) / den
-    return total
+    return raise_coefficient(j, tuple(2 * h - Fraction(a) for h, a in zip(params.rho, x)), params)

@@ -1,5 +1,5 @@
 """Exact symmetric polynomials in the monomial basis, optionally truncated
-at a total degree, and builders of diagonal power series.
+at a total degree, and their composition with a diagonal power series.
 
 One type, :class:`SymPoly`, holds a sparse map from partition keys (padded
 to length ``r``) to ``fractions.Fraction`` coefficients in the monomial
@@ -281,45 +281,19 @@ def u_exp(scale: Rat, max_degree: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# multivariate builders
+# diagonal composition
 
 
-def series_per_variable(u: list, r: int, max_degree: int) -> SymPoly:
-    """The series prod_i u(z_i) truncated at total degree ``max_degree``."""
-    coeffs = {}
-    for mu in enumerate_up_to(r, max_degree):
-        v = Fraction(1)
-        for e in mu:
-            v *= u[e] if e < len(u) else Fraction(0)
-            if not v:
-                break
-        if v:
-            coeffs[mu] = v
-    return SymPoly(r, coeffs, max_degree)
-
-
-def series_prod_binomial(exponent: Rat, scale: Rat, r: int, max_degree: int) -> SymPoly:
-    """Expansion of prod_{i=1..r} (1 - scale*z_i)**exponent to total degree
-    <= max_degree; the branch with value 1 at z = 0."""
-    return series_per_variable(u_binomial(exponent, scale, max_degree), r, max_degree)
-
-
-def series_exp_trace(scale: Rat, r: int, max_degree: int) -> SymPoly:
-    """Expansion of exp(scale * (z_1 + ... + z_r))."""
-    return series_per_variable(u_exp(scale, max_degree), r, max_degree)
-
-
-def series_compose_diagonal(poly: SymPoly, entry: list, max_degree: int) -> SymPoly:
-    """Evaluate a symmetric polynomial at the diagonal point
-    (u(z_1), ..., u(z_r)), where ``entry`` holds the coefficients of the
-    univariate series u; truncate the result at total degree ``max_degree``."""
+def series_compose_diagonal(poly: SymPoly, entry: list, factor: list, max_degree: int) -> SymPoly:
+    """The series prod_i f(z_i) * poly(u(z_1), ..., u(z_r)), where ``entry``
+    holds the coefficients of the univariate series u and ``factor`` those
+    of f, truncated at total degree ``max_degree``.  One pass over the
+    per-variable powers f u^a, so no two multivariate series are multiplied."""
     r = poly.r
     max_part = max((k[0] for k in poly.coeffs), default=0)
-    base = [Fraction(x) for x in entry[: max_degree + 1]]
-    base += [Fraction(0)] * (max_degree + 1 - len(base))
-    powers = [[Fraction(1)] + [Fraction(0)] * max_degree]
+    powers = [u_mul(factor, [1], max_degree)]  # f u^a, each of length D + 1
     for _ in range(max_part):
-        powers.append(u_mul(powers[-1], base, max_degree))
+        powers.append(u_mul(powers[-1], entry, max_degree))
     coeffs: dict = {}
     for mu in enumerate_up_to(r, max_degree):
         tot = Fraction(0)

@@ -18,6 +18,11 @@ d_x / (n/r)_x a^|x| with a = -1/z, of mass e^(r a).  At s = -N it vanishes
 outside the box, so the finite Krawtchouk sum runs through the same
 driver as the infinite ones; only the domain checks are per family.
 
+The generating functions come from the point too: one series, (1 - t w)^(-s)
+composed with (1 + (z - 1) t w)/(1 - t w) (e^(tr w) with 1 + z w for
+Charlier), serves the genfunc and Charlier master checks and, at w -> c w,
+the orthogonality-generator kernel.
+
 Every check emits a :class:`VerificationReport` with one row per case and
 a deterministic ordering, serializable to JSON.  Case grids are pure
 fan-outs over an immutable table; only the checks that expand in the
@@ -56,12 +61,7 @@ from .partitions import (
     partitions_of,
     weight,
 )
-from .symfun import (
-    series_compose_diagonal,
-    series_exp_trace,
-    series_prod_binomial,
-    u_ratio,
-)
+from .symfun import series_compose_diagonal, u_binomial, u_exp, u_ratio
 
 Rat = Union[int, Fraction]
 
@@ -156,6 +156,25 @@ def _exact_case(indices: dict, lhs: Fraction, rhs: Fraction) -> dict:
 # generating functions
 
 
+def _genfunc_series(fp: FamilyParams, poly, D: int, scale: Rat = 1):
+    """The one-index generating function of ``fp`` composed on ``poly`` in
+    the variables scale*w, to total degree D, read from the point (s, z):
+
+        Charlier (s None):  exp(scale tr w) poly(1 + z scale w),
+        otherwise:          prod_i (1 - t w_i)^(-s) poly((1 + (z - 1) t w) / (1 - t w)),
+
+    with t = scale, and t = -scale for Krawtchouk: it is Meixner at
+    s = -N, c = p/(p - 1), read at w -> -w so that its coefficients carry
+    the positive box binomials (the "plus" convention); no other
+    convention is tried."""
+    s, z = fp.point
+    if s is None:
+        return series_compose_diagonal(poly, [1, z * scale], u_exp(scale, D), D)
+    t = -scale if fp.family == "krawtchouk" else scale
+    entry = u_ratio([1, t * (z - 1)], [1, -t], D)
+    return series_compose_diagonal(poly, entry, u_binomial(-s, t, D), D)
+
+
 def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> VerificationReport:
     """Coefficient-by-coefficient check of the one-index generating
     function of a family against the closed product form, exact up to the
@@ -172,24 +191,9 @@ def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> Ver
 
     if not fp.fits(x):
         raise DomainError(f"{fp.family} generating function needs x inside the box")
-    s, z = fp.point
-    if s is None:
-        # Charlier, the limit of Meixner: an exponential prefactor and
-        # entries 1 + z w
-        sign = 1
-        lhs = series_exp_trace(1, r, D) * series_compose_diagonal(
-            jack.phi(x), [Fraction(1), z], D
-        )
-    else:
-        # Krawtchouk is Meixner at alpha = -N, c = p/(p-1), read at w -> -w
-        # so that its coefficients carry the positive box binomials (the
-        # "plus" convention); no other convention is tried
-        sign = -1 if fp.family == "krawtchouk" else 1
-        entry = u_ratio([1, sign * (z - 1)], [1, -sign], D)
-        lhs = series_prod_binomial(-s, sign, r, D) * series_compose_diagonal(
-            jack.phi(x), entry, D
-        )
-    coeffs = jack.to_phi_basis(lhs)
+    s = fp.point[0]
+    sign = -1 if fp.family == "krawtchouk" else 1  # the "plus" convention
+    coeffs = jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D))
     for n in enumerate_up_to(r, D):
         rhs = (
             sign ** weight(n) * weight_factor(n, jack, s) * fp.evaluate(n, x, jack)
@@ -222,13 +226,15 @@ def master_genfunc(
         truncation={"degree_first": dz, "degree_second": dw},
     )
     s, z = fp.point
-    exp_series = series_exp_trace(1, r, dw)
     for m in enumerate_up_to(r, dz):
         if s is None:
-            series, scale = series_compose_diagonal(jack.phi(m), [Fraction(1), z], dw), 1
+            # the Charlier one-index generating function at x = m
+            series, scale = _genfunc_series(fp, jack.phi(m), dw), 1
         else:
-            series, scale = companion_poly(m, s, jack, -z), weight_factor(m, jack, s)
-        got = jack.to_phi_basis(exp_series * series)
+            companion = companion_poly(m, s, jack, -z)
+            series = series_compose_diagonal(companion, [0, 1], u_exp(1, dw), dw)
+            scale = weight_factor(m, jack, s)
+        got = jack.to_phi_basis(series)
         for x in enumerate_up_to(r, dw):
             rhs = scale * weight_factor(x, jack) * fp.evaluate(m, x, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, got.get(x, Fraction(0)), rhs))
@@ -604,14 +610,12 @@ def orthogonality_generator_check(
     w, mass, _ = _orthogonality_weight(fp, jack)
 
     idx = enumerate_up_to(r, D)
-    pref_series = series_prod_binomial(-alpha, c, r, D)
-    entry = u_ratio([1, -1], [1, -c], D)
     pref = {m: weight_factor(m, jack, alpha) for m in idx}
 
     def shell(x):
-        kern = jack.to_phi_basis(
-            pref_series * series_compose_diagonal(jack.phi(x), entry, D)
-        )
+        # (1 - c w)^(-alpha) Phi_x((1 - w)/(1 - c w)): the Meixner
+        # generating function at w -> c w
+        kern = jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D, scale=c))
         wf = w(x)
         for m in idx:
             base = wf * fp.evaluate(m, x, jack)

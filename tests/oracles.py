@@ -16,7 +16,10 @@ term by term in Fractions, where the package takes one integer dot
 product of two memoized rows.  The dimension ratio d_m / (n/r)_m is read
 off p1^|m| in the basis, where the package runs the Pieri recursion;
 dimensions are also cross-checked in floating point against the
-classical Gamma-product expression.
+classical Gamma-product expression.  A diagonal composition with a
+per-variable factor f is rebuilt as the SymPoly product of the series
+prod_i f(z_i) and the composition without it, where the package folds f
+into the per-variable powers in one pass.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from mvdop.errors import PoleError
 from mvdop.partitions import (
     box_move,
     contains,
+    enumerate_up_to,
     format_partition,
     pad,
     partitions_of,
     weight,
 )
-from mvdop.symfun import SymPoly
+from mvdop.symfun import SymPoly, u_binomial, u_exp
 
 
 def dominates(a, b) -> bool:
@@ -400,3 +404,28 @@ def falling_row_expansion(jack, x, cap: int) -> dict:
     return {
         k: b / dim_ratio_p1(jack, k) for k, b in binomial_row_expansion(jack, x, cap).items()
     }
+
+
+def series_per_variable(u: list, r: int, max_degree: int) -> SymPoly:
+    """The series prod_i u(z_i) truncated at total degree ``max_degree``."""
+    coeffs = {}
+    for mu in enumerate_up_to(r, max_degree):
+        v = Fraction(1)
+        for e in mu:
+            v *= u[e] if e < len(u) else Fraction(0)
+            if not v:
+                break
+        if v:
+            coeffs[mu] = v
+    return SymPoly(r, coeffs, max_degree)
+
+
+def series_prod_binomial(exponent, scale, r: int, max_degree: int) -> SymPoly:
+    """Expansion of prod_{i=1..r} (1 - scale*z_i)**exponent to total degree
+    <= max_degree; the branch with value 1 at z = 0."""
+    return series_per_variable(u_binomial(exponent, scale, max_degree), r, max_degree)
+
+
+def series_exp_trace(scale, r: int, max_degree: int) -> SymPoly:
+    """Expansion of exp(scale * (z_1 + ... + z_r))."""
+    return series_per_variable(u_exp(scale, max_degree), r, max_degree)

@@ -330,3 +330,25 @@ def test_verify_has_no_seed_option(capsys):
     )
     assert code == 2
     assert "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--max-weight", "1"], "--max-weight"),
+        (["--truncation-weights", "1,2"], "--truncation-weights"),
+        (["--max-weight", "1", "--truncation-weights", "1,2"], "--max-weight"),
+    ],
+)
+def test_krawtchouk_orthogonality_refuses_truncation_flags(capsys, flags, named):
+    # the sum is exact over the (N, ..., N) box; a truncation flag would be
+    # silently ignored, so it is refused by name
+    base = ["verify", "orthogonality", "--family", "krawtchouk", "--N", "2", "--p", "1/3",
+            "--d", "2", "--r", "2"]
+    code, out, err = run(base + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+    code, out, _ = run(base, capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["total"] == 21

@@ -147,3 +147,27 @@ def test_family_declaration_is_complete_and_ordered():
             if got != want:
                 found.append(f"{name}[{family!r}] takes {got}, not {want}")
     assert not found, found
+
+
+SERIES_KERNELS = {"u_ratio", "u_binomial", "u_exp"}
+SERIES_OWNERS = {"_genfunc_series", "master_genfunc"}
+
+
+def test_generating_functions_come_from_one_series():
+    # every family generating function a check reads comes from
+    # _genfunc_series; master_genfunc also composes the exponential with the
+    # companion polynomial, which is not a family series.  No other check
+    # may write a family's series a second time
+    tree = ast.parse((SRC / "verify.py").read_text())
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in SERIES_KERNELS
+                and owner not in SERIES_OWNERS
+            ):
+                found.append(f"verify.py:{node.lineno}: {owner or 'module'} calls {node.func.id}")
+    assert not found, found

@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvdop.partitions import enumerate_up_to
 from mvdop.symfun import (
     SymPoly,
     TruncatedSeries,
     series_compose_diagonal,
-    series_exp_trace,
-    series_per_variable,
-    series_prod_binomial,
     u_binomial,
     u_inv,
     u_mul,
     u_ratio,
 )
+
+from .oracles import series_exp_trace, series_per_variable, series_prod_binomial
 
 F = Fraction
 
@@ -100,23 +100,23 @@ def test_univariate_kernels():
 def test_compose_diagonal_moebius_example():
     # one variable, entry (1-2z)/(1-z): the degree-1 poly z evaluates to it
     entry = u_ratio([1, -2], [1, -1], 2)
-    s = series_compose_diagonal(SymPoly.monomial(1, (1,)), entry, 2)
+    s = series_compose_diagonal(SymPoly.monomial(1, (1,)), entry, [1], 2)
     assert s.coeffs == {(0,): F(1), (1,): F(-1), (2,): F(-1)}
 
 
 def test_phi_of_moebius_degenerate_and_empty():
     # the constant polynomial: constant series 1
-    s0 = series_compose_diagonal(SymPoly.one(1), u_ratio([1, -2], [1, -1], 3), 3)
+    s0 = series_compose_diagonal(SymPoly.one(1), u_ratio([1, -2], [1, -1], 3), [1], 3)
     assert s0.coeffs == {(0,): F(1)}
     # numerator equal to the denominator degenerates the entry to 1
-    s1 = series_compose_diagonal(SymPoly.monomial(1, (1,)), u_ratio([1, -1], [1, -1], 3), 3)
+    s1 = series_compose_diagonal(SymPoly.monomial(1, (1,)), u_ratio([1, -1], [1, -1], 3), [1], 3)
     assert s1.coeffs == {(0,): F(1)}
 
 
 def test_compose_diagonal_against_direct_expansion():
     # m_(1,1) at entries u(z_i) = 1 + z_i: (1+z1)(1+z2)
     poly = SymPoly.monomial(2, (1, 1))
-    s = series_compose_diagonal(poly, [F(1), F(1)], 2)
+    s = series_compose_diagonal(poly, [F(1), F(1)], [1], 2)
     assert s.coeffs == {(0, 0): F(1), (1, 0): F(1), (1, 1): F(1)}
 
 
@@ -156,3 +156,24 @@ def test_binary_result_takes_smaller_cap():
     assert p.max_degree is None and (p * p).max_degree is None
     with pytest.raises(ValueError):
         TruncatedSeries(2, 3, {(3, 1): 1})
+
+
+small_series = st.lists(rationals, min_size=1, max_size=3)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 5),
+    st.dictionaries(st.integers(0, 9), rationals, max_size=3),
+    small_series,
+    small_series,
+)
+@settings(max_examples=40, deadline=None)
+def test_compose_with_factor_matches_product_oracle(r, D, picks, entry, factor):
+    # the fused pass prod_i f(z_i) poly(u(z)) against the SymPoly product
+    # of the per-variable series and the composition without a factor
+    keys = enumerate_up_to(r, 3)
+    poly = SymPoly(r, {keys[i % len(keys)]: c for i, c in picks.items()})
+    got = series_compose_diagonal(poly, entry, factor, D)
+    want = series_per_variable(factor, r, D) * series_compose_diagonal(poly, entry, [1], D)
+    assert got == want
