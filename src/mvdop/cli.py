@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (single polynomial value), ``table`` (value tables in
-CSV or JSON), ``verify`` (identity checks emitting JSON reports), and
-``conjecture`` (the aggregated suite at one (r, d)).
+CSV or JSON), ``verify IDENTITY`` (identity checks emitting JSON reports),
+and ``conjecture`` (the aggregated suite at one (r, d)).
+
+Each command, and each verify identity, parses exactly the flags it reads
+(``_VERIFY_READS`` declares them for the identities); any other flag, and
+any abbreviated one, is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 pole or singular-argument error.  Rationals cross the boundary as
@@ -24,13 +28,7 @@ from typing import Optional
 
 from . import verify
 from .dpolys import FAMILY_PARAMS, PARAM_NAMES, FamilyParams, laguerre
-from .errors import (
-    DomainError,
-    MvdopError,
-    ParameterError,
-    PoleError,
-    SingularArgumentError,
-)
+from .errors import MvdopError, ParameterError, PoleError, SingularArgumentError
 from .jack import JackTable, jack_table
 from .partitions import enumerate_up_to, format_partition, parse_partition
 
@@ -38,6 +36,32 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_POLE = 3
+
+# the families indexed by two partitions; table and verify take no other
+_TWO_INDEX = ("meixner", "charlier", "krawtchouk")
+
+# the flags each verify identity reads besides --d, --r and --out; "family"
+# is --family with the family parameters, which FamilyParams checks
+_VERIFY_READS = {
+    "orthogonality": ("family", "--max-weight", "--truncation-weights"),
+    "difference": ("family", "--max-weight"),
+    "recurrence": ("family", "--max-weight"),
+    "genfunc": ("family", "--degree", "--max-weight"),
+    "master-genfunc": ("family", "--degree"),
+    "orthogonality-generator": ("--alpha", "--c", "--degree", "--truncation-weights"),
+    "limits": ("--a", "--max-weight", "--scales"),
+}
+
+# how each of those flags parses
+_VERIFY_FLAGS = {
+    "--alpha": {"required": True},
+    "--c": {"required": True},
+    "--a": {"required": True},
+    "--max-weight": {"type": int, "default": 2},
+    "--degree": {"type": int, "default": 3},
+    "--truncation-weights": {"default": "10,12,14"},
+    "--scales": {"default": "100,10000,1000000"},
+}
 
 
 def _rat(text: str) -> Fraction:
@@ -57,16 +81,17 @@ def cache_dir() -> Path:
 def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
     """Disk-backed table: load when the cached degree suffices; extend a
     shallow cached table, or build one when there is none, and rewrite the
-    file.  Cache hits are bit-identical to a fresh build because entries
-    never change once computed."""
+    file.  A file that does not parse, or holds another (r, d) than its
+    name, is rebuilt.  Cache hits are bit-identical to a fresh build
+    because entries never change once computed."""
     path = cache_dir() / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
     table = None
     if path.exists():
         try:
             table = JackTable.from_json_dict(json.loads(path.read_text()))
         except (ValueError, KeyError):
-            table = None
-    if table is None:
+            pass
+    if table is None or (table.r, table.d) != (r, d):
         table = jack_table(r, d, degree)
     elif table.built_degree >= degree:
         return table
@@ -102,50 +127,38 @@ def _write_report(rep: verify.VerificationReport, out: Optional[str]) -> None:
 
 def cmd_eval(args) -> int:
     d = _rat(args.d)
-    r = int(args.r)
+    r = args.r
     fp = _family_params(args)
     m = parse_partition(args.m, r)
-    if args.family == "laguerre":
-        if args.u is None:
-            raise ParameterError("laguerre needs --u (diagonal point)")
+    # Laguerre is evaluated at a diagonal point --u, the others at --x
+    point, unread = ("u", "x") if fp.family == "laguerre" else ("x", "u")
+    if getattr(args, unread) is not None:
+        raise ParameterError(f"{fp.family} takes no --{unread}")
+    if getattr(args, point) is None:
+        hint = " (diagonal point)" if point == "u" else ""
+        raise ParameterError(f"{fp.family} needs --{point}{hint}")
+    if point == "u":
         u = tuple(_rat(t) for t in args.u.split(","))
         table = load_or_build_table(r, d, sum(m))
         value = laguerre(m, u, fp.alpha, table)
-        payload = {
-            "family": "laguerre",
-            "params": fp.label(),
-            "d": str(d),
-            "r": r,
-            "m": format_partition(m),
-            "u": [str(v) for v in u],
-            "value": str(value),
-        }
+        shown = [str(v) for v in u]
     else:
-        if args.x is None:
-            raise ParameterError(f"{args.family} needs --x")
         x = parse_partition(args.x, r)
         table = load_or_build_table(r, d, max(sum(m), sum(x)))
         value = fp.evaluate(m, x, table)
-        payload = {
-            "family": args.family,
-            "params": fp.label(),
-            "d": str(d),
-            "r": r,
-            "m": format_partition(m),
-            "x": format_partition(x),
-            "value": str(value),
-        }
+        shown = format_partition(x)
+    payload = {"family": fp.family, "params": fp.label(), "d": str(d), "r": r,
+               "m": format_partition(m), point: shown, "value": str(value)}
     print(json.dumps(payload))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     d = _rat(args.d)
-    r = int(args.r)
+    r = args.r
     fp = _family_params(args)
-    max_degree = int(args.max_degree)
-    table = load_or_build_table(r, d, max_degree)
-    grid = [m for m in enumerate_up_to(r, max_degree) if fp.fits(m)]
+    table = load_or_build_table(r, d, args.max_degree)
+    grid = [m for m in enumerate_up_to(r, args.max_degree) if fp.fits(m)]
     rows = []
     for m in grid:
         for x in grid:
@@ -178,22 +191,21 @@ def _parse_weights(text: str) -> list:
     return verify._truncation_weights(int(t) for t in text.split(",") if t.strip())
 
 
-# the truncation flags of verify; Krawtchouk orthogonality takes neither
-_TRUNCATION_DEFAULTS = {"--max-weight": 2, "--truncation-weights": "10,12,14"}
-
-
 def cmd_verify(args) -> int:
     d = _rat(args.d)
-    r = int(args.r)
+    r = args.r
     identity = args.identity
-    for flag, default in _TRUNCATION_DEFAULTS.items():
-        name = flag[2:].replace("-", "_")
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif identity == "orthogonality" and args.family == "krawtchouk":
-            # exact over the (N, ..., N) box, to the single weight rN
-            raise ParameterError(f"krawtchouk orthogonality is exact over the box; it takes no {flag}")
     if identity == "orthogonality":
+        # parsed without defaults: the Krawtchouk sum is exact over the
+        # (N, ..., N) box, to the single weight rN, and takes neither flag
+        for flag in ("--max-weight", "--truncation-weights"):
+            name = flag[2:].replace("-", "_")
+            if getattr(args, name) is None:
+                setattr(args, name, _VERIFY_FLAGS[flag]["default"])
+            elif args.family == "krawtchouk":
+                raise ParameterError(
+                    f"krawtchouk orthogonality is exact over the box; it takes no {flag}"
+                )
         fp = _family_params(args)
         if fp.family == "krawtchouk":
             table = load_or_build_table(r, d, r * fp.N)
@@ -201,130 +213,113 @@ def cmd_verify(args) -> int:
         else:
             ts = _parse_weights(args.truncation_weights)
             table = load_or_build_table(r, d, max(ts))
-            rep = verify.orthogonality(fp, int(args.max_weight), ts, table)
+            rep = verify.orthogonality(fp, args.max_weight, ts, table)
     elif identity in ("difference", "recurrence"):
         fp = _family_params(args)
-        table = load_or_build_table(r, d, int(args.max_weight) + 1)
+        table = load_or_build_table(r, d, args.max_weight + 1)
         fn = verify.difference_equation if identity == "difference" else verify.recurrence
-        rep = fn(fp, int(args.max_weight), table)
+        rep = fn(fp, args.max_weight, table)
     elif identity == "genfunc":
         fp = _family_params(args)
-        degree = int(args.degree)
-        table = load_or_build_table(r, d, max(degree, int(args.max_weight)))
+        table = load_or_build_table(r, d, max(args.degree, args.max_weight))
         reps = [
-            verify.genfunc_family(fp, x, degree, table)
-            for x in enumerate_up_to(r, int(args.max_weight))
+            verify.genfunc_family(fp, x, args.degree, table)
+            for x in enumerate_up_to(r, args.max_weight)
             if fp.fits(x)
         ]
         rep = _merge_reports(f"genfunc-{fp.family}", reps)
     elif identity == "master-genfunc":
         fp = _family_params(args)
-        degree = int(args.degree)
-        table = load_or_build_table(r, d, degree)
-        rep = verify.master_genfunc(fp, degree, degree, table)
+        table = load_or_build_table(r, d, args.degree)
+        rep = verify.master_genfunc(fp, args.degree, args.degree, table)
     elif identity == "orthogonality-generator":
         ts = _parse_weights(args.truncation_weights)
-        table = load_or_build_table(r, d, max(max(ts), int(args.degree)))
+        table = load_or_build_table(r, d, max(max(ts), args.degree))
         rep = verify.orthogonality_generator_check(
-            _rat(args.alpha), _rat(args.c), int(args.degree), ts, table
+            _rat(args.alpha), _rat(args.c), args.degree, ts, table
         )
-    elif identity == "limits":
-        table = load_or_build_table(r, d, int(args.max_weight))
+    else:  # limits
+        table = load_or_build_table(r, d, args.max_weight)
         scales = [int(t) for t in args.scales.split(",")]
-        rep = verify.limits_check(_rat(args.a), scales, int(args.max_weight), table)
-    else:
-        raise ParameterError(f"unknown identity {identity!r}")
+        rep = verify.limits_check(_rat(args.a), scales, args.max_weight, table)
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
 def _merge_reports(identity: str, reps: list) -> verify.VerificationReport:
-    params = dict(reps[0].params) if reps else {}
+    """One report over the per-x reports, which the zero partition makes
+    nonempty."""
+    params = dict(reps[0].params)
     params.pop("x", None)
-    merged = verify.VerificationReport(identity=identity, params=params)
+    merged = verify.VerificationReport(identity, params, reps[0].truncation)
     for rp in reps:
         x = rp.params.get("x")
         for case in rp.cases:
             merged.cases.append({"x": x, **case})
-        if "sign_convention" in rp.params:
-            merged.params.setdefault("sign_convention", rp.params["sign_convention"])
-    merged.truncation = reps[0].truncation if reps else {}
-    return merged.finalize()
+    merged.finalize()
+    if "sign_convention" in params:
+        # the convention holds only where every x passed
+        params["sign_convention"] = "plus" if merged.passed else "none"
+    return merged
 
 
 def cmd_conjecture(args) -> int:
     d = _rat(args.d)
-    r = int(args.r)
+    r = args.r
     if d <= 0:
         raise ParameterError(f"need d > 0, got {d}")
-    budget = int(args.max_degree)
-    table = load_or_build_table(r, d, budget)
-    rep = verify.conjecture_suite(d, r, budget, jack=table, seed=int(args.seed))
+    table = load_or_build_table(r, d, args.max_degree)
+    rep = verify.conjecture_suite(d, r, args.max_degree, jack=table, seed=args.seed)
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser expands an abbreviated flag: one that names no flag of its
+    # own command would otherwise silently become another flag
     ap = argparse.ArgumentParser(
         prog="mvdop",
         description="Exact evaluation and identity verification for "
         "partition-indexed discrete orthogonal polynomial families.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def family_flags(p, families=tuple(FAMILY_PARAMS), **family_kw):
-        p.add_argument("--family", choices=list(families), **family_kw)
-        for name in PARAM_NAMES:
-            p.add_argument(f"--{name}", type=int if name == "N" else None)
+    def command(sub, name, fn, help, families, flags, out=True, **family_kw):
+        # --family and its parameters if any, --d, --r, the own flags, --out
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if families:
+            p.add_argument("--family", choices=list(families), **family_kw)
+            for pname in PARAM_NAMES:
+                p.add_argument(f"--{pname}", type=int if pname == "N" else None)
+        p.add_argument("--d", required=True)
+        p.add_argument("--r", required=True, type=int)
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
+        if out:
+            p.add_argument("--out")
+        p.set_defaults(fn=fn)
 
-    pe = sub.add_parser("eval", help="evaluate one polynomial value")
-    family_flags(pe, required=True)
-    pe.add_argument("--d", required=True)
-    pe.add_argument("--r", required=True, type=int)
-    pe.add_argument("--m", required=True)
-    pe.add_argument("--x")
-    pe.add_argument("--u", help="diagonal point for laguerre, e.g. 1/2,1/3")
-    pe.set_defaults(fn=cmd_eval)
-
-    pt = sub.add_parser("table", help="tabulate values over the index grid")
-    family_flags(pt, required=True)
-    pt.add_argument("--d", required=True)
-    pt.add_argument("--r", required=True, type=int)
-    pt.add_argument("--max-degree", dest="max_degree", required=True, type=int)
-    pt.add_argument("--format", choices=["json", "csv"], default="json")
-    pt.add_argument("--out")
-    pt.set_defaults(fn=cmd_table)
-
-    pv = sub.add_parser("verify", help="run one identity check, write a JSON report")
-    pv.add_argument(
-        "identity",
-        choices=[
-            "orthogonality",
-            "difference",
-            "recurrence",
-            "genfunc",
-            "master-genfunc",
-            "orthogonality-generator",
-            "limits",
-        ],
-    )
-    family_flags(pv, ("meixner", "charlier", "krawtchouk"), default="meixner")
-    pv.add_argument("--d", required=True)
-    pv.add_argument("--r", required=True, type=int)
-    pv.add_argument("--max-weight", dest="max_weight", type=int)
-    pv.add_argument("--degree", type=int, default=3)
-    pv.add_argument("--truncation-weights", dest="truncation_weights")
-    pv.add_argument("--scales", default="100,10000,1000000")
-    pv.add_argument("--out")
-    pv.set_defaults(fn=cmd_verify)
-
-    pc = sub.add_parser("conjecture", help="run the aggregated suite at one (r, d)")
-    pc.add_argument("--d", required=True)
-    pc.add_argument("--r", required=True, type=int)
-    pc.add_argument("--max-degree", dest="max_degree", type=int, default=3)
-    pc.add_argument("--seed", type=int, default=20250808)
-    pc.add_argument("--out")
-    pc.set_defaults(fn=cmd_conjecture)
+    command(sub, "eval", cmd_eval, "evaluate one polynomial value", FAMILY_PARAMS,
+            {"--m": {"required": True}, "--x": {},
+             "--u": {"help": "diagonal point for laguerre, e.g. 1/2,1/3"}},
+            out=False, required=True)
+    command(sub, "table", cmd_table, "tabulate values over the index grid", _TWO_INDEX,
+            {"--max-degree": {"required": True, "type": int},
+             "--format": {"choices": ["json", "csv"], "default": "json"}},
+            required=True)
+    pv = sub.add_parser("verify", help="run one identity check, write a JSON report",
+                        allow_abbrev=False)
+    identities = pv.add_subparsers(dest="identity", required=True)
+    for identity, reads in _VERIFY_READS.items():
+        flags = {flag: _VERIFY_FLAGS[flag] for flag in reads if flag != "family"}
+        if identity == "orthogonality":
+            flags = {flag: {**kw, "default": None} for flag, kw in flags.items()}
+        families = _TWO_INDEX if "family" in reads else ()
+        command(identities, identity, cmd_verify, None, families, flags, default="meixner")
+    command(sub, "conjecture", cmd_conjecture, "run the aggregated suite at one (r, d)", (),
+            {"--max-degree": {"type": int, "default": 3},
+             "--seed": {"type": int, "default": 20250808}})
     return ap
 
 
@@ -340,10 +335,7 @@ def main(argv: Optional[list] = None) -> int:
     except (PoleError, SingularArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POLE
-    except (ParameterError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MvdopError as exc:
+    except (MvdopError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mvdop import cli
+from mvdop.dpolys import FamilyParams
 from mvdop.jack import JackTable
 
 
@@ -352,3 +353,134 @@ def test_krawtchouk_orthogonality_refuses_truncation_flags(capsys, flags, named)
     code, out, _ = run(base, capsys)
     assert code == 0
     assert json.loads(out)["summary"]["total"] == 21
+
+
+def test_cache_file_of_another_table_is_rebuilt(tmp_path, monkeypatch, capsys):
+    # a file that holds another (r, d) than its name is malformed: its
+    # basis would silently stand in for the requested one
+    argv = ["eval", "--family", "meixner", "--d", "2", "--r", "2", "--alpha", "7/2",
+            "--c", "1/3", "--m", "2,1", "--x", "1,1"]
+    monkeypatch.setenv("MVDOP_CACHE_DIR", str(tmp_path / "clean"))
+    code, clean, _ = run(argv, capsys)
+    assert code == 0 and json.loads(clean)["value"] == "23/35"
+    monkeypatch.setenv("MVDOP_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / "cache" / "jack-r2-d2_1.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(JackTable(3, 2).extend(4).to_json_dict(), indent=None, sort_keys=False))
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out == clean
+    written = path.read_text()
+    cached = JackTable.from_json_dict(json.loads(written))
+    assert (cached.r, cached.d) == (2, 2) and cached.built_degree >= 3
+    fresh = JackTable(2, 2).extend(cached.built_degree)
+    assert written == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
+
+
+def test_verify_genfunc_failing_x_records_no_sign_convention(monkeypatch, capsys):
+    # the merged report over every x takes the convention from its own
+    # pass/fail, not from the report at x = 0
+    evaluate = FamilyParams.evaluate
+
+    def wrong_at_one_x(self, m, x, jack):
+        value = evaluate(self, m, x, jack)
+        return value + 1 if tuple(x) == (1, 0) else value
+
+    monkeypatch.setattr(FamilyParams, "evaluate", wrong_at_one_x)
+    code, out, _ = run(
+        ["verify", "genfunc", "--family", "krawtchouk", "--d", "2", "--r", "2",
+         "--p", "1/3", "--N", "2", "--degree", "3", "--max-weight", "2"],
+        capsys,
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["summary"]["passed"] < rep["summary"]["total"]
+    assert rep["params"]["sign_convention"] == "none"
+
+
+def test_table_refuses_laguerre_before_any_work(tmp_path, capsys):
+    code, out, err = run(
+        ["table", "--family", "laguerre", "--d", "2", "--r", "2", "--alpha", "3",
+         "--max-degree", "6"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "--family" in err and "'laguerre'" in err
+    assert not (tmp_path / "cache").exists()
+
+
+# what each verify identity reads besides --d, --r and --out; "family" is
+# --family with its five parameters
+_READS = {
+    "orthogonality": ("family", "--max-weight", "--truncation-weights"),
+    "difference": ("family", "--max-weight"),
+    "recurrence": ("family", "--max-weight"),
+    "genfunc": ("family", "--degree", "--max-weight"),
+    "master-genfunc": ("family", "--degree"),
+    "orthogonality-generator": ("--alpha", "--c", "--degree", "--truncation-weights"),
+    "limits": ("--a", "--max-weight", "--scales"),
+}
+_FAMILY = ("--family", "--alpha", "--c", "--a", "--p", "--N")
+_VALUES = {"--family": "charlier", "--alpha": "3", "--c": "1/8", "--a": "5", "--p": "1/3",
+           "--N": "2", "--max-weight": "7", "--degree": "9", "--truncation-weights": "1,2",
+           "--scales": "4"}
+_BASE = {
+    "orthogonality-generator": ["--alpha", "2", "--c", "1/6", "--degree", "1"],
+    "limits": ["--a", "1", "--max-weight", "1"],
+}
+_UNREAD = [
+    pytest.param(
+        ["verify", identity, "--d", "2", "--r", "1",
+         *_BASE.get(identity, ["--family", "meixner", "--alpha", "2", "--c", "1/2"]),
+         flag, _VALUES[flag]],
+        f"unrecognized arguments: {flag} {_VALUES[flag]}",
+        id=f"{identity} {flag}",
+    )
+    for identity, reads in _READS.items()
+    for flag in _VALUES
+    if flag not in reads and not ("family" in reads and flag in _FAMILY)
+] + [
+    pytest.param(_MEIXNER_EVAL + ["--u", "1/2"], "error: meixner takes no --u",
+                 id="eval meixner --u"),
+    pytest.param(["eval", "--family", "laguerre", "--d", "2", "--r", "1", "--alpha", "3",
+                  "--m", "1", "--u", "1/2", "--x", "1"], "error: laguerre takes no --x",
+                 id="eval laguerre --x"),
+]
+
+
+@pytest.mark.parametrize("args, message", _UNREAD)
+def test_flag_the_call_does_not_read_exits_2(args, message, capsys):
+    # a flag that would be silently ignored is refused by name, before any work
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "args, abbrev",
+    [
+        (["verify", "orthogonality-generator", "--d", "2", "--r", "1", "--alpha", "2",
+          "--c", "1/6", "--degree", "1", "--a", "5"], "--a"),
+        (["verify", "difference", "--family", "meixner", "--d", "2", "--r", "1",
+          "--alpha", "2", "--c", "1/2", "--max", "1"], "--max"),
+        (["conjecture", "--d", "2", "--r", "2", "--max-deg", "1"], "--max-deg"),
+    ],
+)
+def test_abbreviated_flag_exits_2(args, abbrev, capsys):
+    # an abbreviation is never expanded to the flag it is a prefix of
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {abbrev} " in err
+
+
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (["orthogonality-generator", "--c", "1/6"], "--alpha"),
+        (["orthogonality-generator", "--alpha", "2"], "--c"),
+        (["limits", "--max-weight", "1"], "--a"),
+    ],
+)
+def test_verify_parameter_without_default_is_required(args, missing, capsys):
+    code, out, err = run(["verify", args[0], "--d", "2", "--r", "1", *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert f"required: {missing}" in err
