@@ -8,16 +8,18 @@ Each command, and each verify identity, parses exactly the flags it reads
 (``_VERIFY_READS`` declares them for the identities); any other flag, and
 any abbreviated one, is a usage error.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
-3 pole or singular-argument error.  Rationals cross the boundary as
-strings ("7/2"); floats appear only inside reports where a closed form is
-irrational.  Basis tables are cached on disk per (r, d); override the
-location with the MVDOP_CACHE_DIR environment variable.
+Exit codes: 0 success, 1 verification failure, 2 usage/domain error or a
+file that cannot be written, 3 pole or singular-argument error.
+Rationals cross the boundary as strings ("7/2"); floats appear only
+inside reports where a closed form is irrational.  Basis tables are
+cached on disk per (r, d); override the location with the MVDOP_CACHE_DIR
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -222,16 +224,11 @@ def cmd_verify(args) -> int:
     elif identity == "genfunc":
         fp = _family_params(args)
         table = load_or_build_table(r, d, max(args.degree, args.max_weight))
-        reps = [
-            verify.genfunc_family(fp, x, args.degree, table)
-            for x in enumerate_up_to(r, args.max_weight)
-            if fp.fits(x)
-        ]
-        rep = _merge_reports(f"genfunc-{fp.family}", reps)
+        rep = verify.genfunc(fp, args.max_weight, args.degree, table)
     elif identity == "master-genfunc":
         fp = _family_params(args)
         table = load_or_build_table(r, d, args.degree)
-        rep = verify.master_genfunc(fp, args.degree, args.degree, table)
+        rep = verify.master_genfunc(fp, args.degree, table)
     elif identity == "orthogonality-generator":
         ts = _parse_weights(args.truncation_weights)
         table = load_or_build_table(r, d, max(max(ts), args.degree))
@@ -246,23 +243,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
-def _merge_reports(identity: str, reps: list) -> verify.VerificationReport:
-    """One report over the per-x reports, which the zero partition makes
-    nonempty."""
-    params = dict(reps[0].params)
-    params.pop("x", None)
-    merged = verify.VerificationReport(identity, params, reps[0].truncation)
-    for rp in reps:
-        x = rp.params.get("x")
-        for case in rp.cases:
-            merged.cases.append({"x": x, **case})
-    merged.finalize()
-    if "sign_convention" in params:
-        # the convention holds only where every x passed
-        params["sign_convention"] = "plus" if merged.passed else "none"
-    return merged
-
-
 def cmd_conjecture(args) -> int:
     d = _rat(args.d)
     r = args.r
@@ -274,8 +254,10 @@ def cmd_conjecture(args) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # no parser expands an abbreviated flag: one that names no flag of its
+    # built once per process: parsing keeps no state in the parser.  No
+    # parser expands an abbreviated flag: one that names no flag of its
     # own command would otherwise silently become another flag
     ap = argparse.ArgumentParser(
         prog="mvdop",
@@ -335,7 +317,8 @@ def main(argv: Optional[list] = None) -> int:
     except (PoleError, SingularArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POLE
-    except (MvdopError, ValueError) as exc:
+    except (MvdopError, ValueError, OSError) as exc:
+        # OSError: an --out path or the cache directory that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -344,28 +344,6 @@ def determinant_formula(
 
 
 # ---------------------------------------------------------------------------
-# degenerate-limit gap sequences
-
-
-def charlier_limit_gaps(m, x, a: Rat, alphas: Sequence[Rat], jack: JackTable) -> list:
-    """|Meixner(alpha, a/(a+alpha)) - Charlier(a)| along increasing alpha;
-    exact rationals, expected to decay like 1/alpha."""
-    a = Fraction(a)
-    target = charlier(m, x, a, jack)
-    return [
-        abs(meixner(m, x, Fraction(al), a / (a + Fraction(al)), jack) - target)
-        for al in alphas
-    ]
-
-
-def krawtchouk_limit_gaps(m, x, a: Rat, ns: Sequence[int], jack: JackTable) -> list:
-    """|Krawtchouk(a/N, N) - Charlier(a)| along increasing N; exact."""
-    a = Fraction(a)
-    target = charlier(m, x, a, jack)
-    return [abs(krawtchouk(m, x, a / n, n, jack) - target) for n in ns]
-
-
-# ---------------------------------------------------------------------------
 # parameter bundle used by the determinant route, the verification layer
 # and the CLI
 

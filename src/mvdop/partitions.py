@@ -60,11 +60,9 @@ def contains(k, m) -> bool:
     return all(a <= b for a, b in zip(k, m))
 
 
-def partitions_of(w: int, r: int, max_part: Optional[int] = None) -> Iterator[Partition]:
+def partitions_of(w: int, r: int) -> Iterator[Partition]:
     """Partitions of exact weight ``w`` into at most ``r`` parts (padded),
     in descending lexicographic order."""
-    if max_part is None:
-        max_part = w
 
     def gen(rem: int, slots: int, cap: int):
         if rem == 0:
@@ -78,7 +76,7 @@ def partitions_of(w: int, r: int, max_part: Optional[int] = None) -> Iterator[Pa
             for rest in gen(rem - first, slots - 1, first):
                 yield (first,) + rest
 
-    yield from gen(w, r, max_part)
+    yield from gen(w, r, w)
 
 
 def enumerate_up_to(r: int, max_weight: int) -> list[Partition]:

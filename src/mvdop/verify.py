@@ -23,10 +23,13 @@ composed with (1 + (z - 1) t w)/(1 - t w) (e^(tr w) with 1 + z w for
 Charlier), serves the genfunc and Charlier master checks and, at w -> c w,
 the orthogonality-generator kernel.
 
-Every check emits a :class:`VerificationReport` with one row per case and
-a deterministic ordering, serializable to JSON.  Case grids are pure
-fan-outs over an immutable table; only the checks that expand in the
-basis (generating functions, the generator kernel) extend it up front.
+Each identity is one check over its whole index grid (every argument x of
+a generating function, every index pair of an equation) that emits one
+:class:`VerificationReport`, with one row per case and a deterministic
+ordering, serializable to JSON; no caller builds or merges reports.  Case
+grids are pure fan-outs over an immutable table; only the checks that
+expand in the basis (generating functions, the generator kernel) extend it
+up front.
 """
 
 from __future__ import annotations
@@ -45,12 +48,7 @@ from .conearith import (
     raise_coefficient,
     weight_factor,
 )
-from .dpolys import (
-    FamilyParams,
-    charlier_limit_gaps,
-    companion_poly,
-    krawtchouk_limit_gaps,
-)
+from .dpolys import FamilyParams, companion_poly
 from .errors import DomainError, ParameterError
 from .jack import JackTable
 from .partitions import (
@@ -139,8 +137,8 @@ class VerificationReport:
             "summary": self.summary,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _exact_case(indices: dict, lhs: Fraction, rhs: Fraction) -> dict:
@@ -175,67 +173,67 @@ def _genfunc_series(fp: FamilyParams, poly, D: int, scale: Rat = 1):
     return series_compose_diagonal(poly, entry, u_binomial(-s, t, D), D)
 
 
-def genfunc_family(fp: FamilyParams, x, max_degree: int, jack: JackTable) -> VerificationReport:
+def genfunc(fp: FamilyParams, max_weight: int, degree: int, jack: JackTable) -> VerificationReport:
     """Coefficient-by-coefficient check of the one-index generating
-    function of a family against the closed product form, exact up to the
-    stated total degree."""
+    function of a family against the closed product form, exact up to total
+    degree ``degree``, at every argument x of weight <= ``max_weight`` in
+    the family's domain."""
     r = jack.r
-    D = int(max_degree)
-    x = pad(x, r)
-    jack.extend(max(D, weight(x)))
+    D = int(degree)
+    jack.extend(max(D, max_weight))
     rep = VerificationReport(
         identity=f"genfunc-{fp.family}",
-        params={**fp.label(), "d": str(jack.d), "r": r, "x": format_partition(x)},
+        params={**fp.label(), "d": str(jack.d), "r": r},
         truncation={"degree": D},
     )
-
-    if not fp.fits(x):
-        raise DomainError(f"{fp.family} generating function needs x inside the box")
     s = fp.point[0]
     sign = -1 if fp.family == "krawtchouk" else 1  # the "plus" convention
-    coeffs = jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D))
-    for n in enumerate_up_to(r, D):
-        rhs = (
-            sign ** weight(n) * weight_factor(n, jack, s) * fp.evaluate(n, x, jack)
-            if fp.fits(n)
-            else Fraction(0)
-        )
-        rep.cases.append(_exact_case({"n": n}, coeffs.get(n, Fraction(0)), rhs))
+    grid = enumerate_up_to(r, D)
+    for x in enumerate_up_to(r, max_weight):
+        if not fp.fits(x):
+            continue
+        coeffs = jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D))
+        for n in grid:
+            rhs = (
+                sign ** weight(n) * weight_factor(n, jack, s) * fp.evaluate(n, x, jack)
+                if fp.fits(n)
+                else Fraction(0)
+            )
+            rep.cases.append(_exact_case({"x": x, "n": n}, coeffs.get(n, Fraction(0)), rhs))
     rep.finalize()
     if sign < 0:
         rep.params["sign_convention"] = "plus" if rep.passed else "none"
     return rep
 
 
-def master_genfunc(
-    fp: FamilyParams, degree_first: int, degree_second: int, jack: JackTable
-) -> VerificationReport:
+def master_genfunc(fp: FamilyParams, degree: int, jack: JackTable) -> VerificationReport:
     """Bidegree check of the two-level generating function: for every first
-    index m up to ``degree_first``, expand the exponential-weighted
-    companion series and compare each second-index coefficient with the
-    family value, exactly."""
+    index m up to ``degree``, expand the exponential-weighted companion
+    series and compare each second-index coefficient up to ``degree`` with
+    the family value, exactly."""
     family = fp.family
     if family not in ("meixner", "charlier"):
         raise ParameterError(f"master generating function covers meixner/charlier, got {family!r}")
     r = jack.r
-    dz, dw = int(degree_first), int(degree_second)
-    jack.extend(max(dz, dw))
+    D = int(degree)
+    jack.extend(D)
     rep = VerificationReport(
         identity=f"master-genfunc-{family}",
         params={**fp.label(), "d": str(jack.d), "r": r},
-        truncation={"degree_first": dz, "degree_second": dw},
+        truncation={"degree_first": D, "degree_second": D},
     )
     s, z = fp.point
-    for m in enumerate_up_to(r, dz):
+    grid = enumerate_up_to(r, D)
+    for m in grid:
         if s is None:
             # the Charlier one-index generating function at x = m
-            series, scale = _genfunc_series(fp, jack.phi(m), dw), 1
+            series, scale = _genfunc_series(fp, jack.phi(m), D), 1
         else:
             companion = companion_poly(m, s, jack, -z)
-            series = series_compose_diagonal(companion, [0, 1], u_exp(1, dw), dw)
+            series = series_compose_diagonal(companion, [0, 1], u_exp(1, D), D)
             scale = weight_factor(m, jack, s)
         got = jack.to_phi_basis(series)
-        for x in enumerate_up_to(r, dw):
+        for x in grid:
             rhs = scale * weight_factor(x, jack) * fp.evaluate(m, x, jack)
             rep.cases.append(_exact_case({"m": m, "x": x}, got.get(x, Fraction(0)), rhs))
     return rep.finalize()
@@ -659,8 +657,11 @@ def limits_check(
     max_index_weight: int,
     jack: JackTable,
 ) -> VerificationReport:
-    """Checks that the two limit relations approach the Charlier values at
-    the expected first-order rate along the given parameter scales."""
+    """Checks that Meixner at alpha = t, c = a/(a + t) and Krawtchouk at
+    N = t, p = a/t approach the Charlier values at a at the expected
+    first-order rate along the given scales t (the Meixner -> Charlier and
+    Krawtchouk -> Charlier limits of the Askey scheme).  Each gap
+    |family value - Charlier value| is exact."""
     a = Fraction(a)
     r = jack.r
     scales = [int(s) for s in scales]
@@ -668,19 +669,26 @@ def limits_check(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
         raise ParameterError("scales must be strictly increasing")
+    for t in scales:
+        # alpha = t and N = t must be positive, and c = a/(a + t) finite
+        if t <= 0 or a + t == 0:
+            raise ParameterError(f"need every scale > 0 and a + scale != 0, got scale {t}")
+    target = FamilyParams("charlier", a=a)
+    paths = (
+        ("meixner", [FamilyParams("meixner", alpha=t, c=a / (a + t)) for t in scales]),
+        ("krawtchouk", [FamilyParams("krawtchouk", p=a / t, N=t) for t in scales]),
+    )
     grid = enumerate_up_to(r, max_index_weight)
+    targets = {(m, x): target.evaluate(m, x, jack) for m in grid for x in grid}
     rep = VerificationReport(
         identity="limits-to-charlier",
         params={"d": str(jack.d), "r": r, "a": str(a), "scales": scales},
         truncation={"min_order": _LIMIT_MIN_ORDER},
     )
-    for kind, gap_fn in (
-        ("meixner", charlier_limit_gaps),
-        ("krawtchouk", krawtchouk_limit_gaps),
-    ):
+    for kind, path in paths:
         for m in grid:
             for x in grid:
-                gaps = gap_fn(m, x, a, scales, jack)
+                gaps = [abs(fp.evaluate(m, x, jack) - targets[m, x]) for fp in path]
                 if all(g == 0 for g in gaps):
                     order = None
                     ok = True
@@ -776,11 +784,9 @@ def conjecture_suite(
         FamilyParams("krawtchouk", p=p_gf, N=n_box),
     )
     for fp in gf:
-        for x in enumerate_up_to(r, budget):
-            if fp.fits(x):
-                sub.append(genfunc_family(fp, x, budget, jack))
+        sub.append(genfunc(fp, budget, budget, jack))
     for fp in gf[:2]:  # the master generating function has no Krawtchouk form
-        sub.append(master_genfunc(fp, min(3, budget), min(3, budget), jack))
+        sub.append(master_genfunc(fp, min(3, budget), jack))
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
     for fp, ts in (
         (FamilyParams("meixner", alpha=alpha, c=c_orth), SUITE_MEIXNER_WEIGHTS),

@@ -39,7 +39,7 @@ from mvdop.symfun import TruncatedSeries, series_compose_diagonal, u_ratio
 from mvdop.verify import (
     conjecture_suite,
     difference_residual,
-    genfunc_family,
+    genfunc,
     limits_check,
     master_genfunc,
     orthogonality,
@@ -224,27 +224,20 @@ def test_criterion_06_generating_functions():
     cases = 0
     for d in (F(2), F(3)):
         table = jack_table(2, d, degree)
-        box = (box_n,) * 2
-        for x in enumerate_up_to(2, 3):
-            rep = genfunc_family(
-                FamilyParams("meixner", alpha=alpha, c=c), x, degree, table
-            )
+        for fp in (
+            FamilyParams("meixner", alpha=alpha, c=c),
+            FamilyParams("charlier", a=a),
+            FamilyParams("krawtchouk", p=p, N=box_n),
+        ):
+            rep = genfunc(fp, 3, degree, table)
             assert rep.passed and rep.summary["max_residual"] == 0.0
             cases += rep.summary["total"]
-            rep = genfunc_family(FamilyParams("charlier", a=a), x, degree, table)
-            assert rep.passed and rep.summary["max_residual"] == 0.0
-            cases += rep.summary["total"]
-            if contains(x, box):
-                rep = genfunc_family(
-                    FamilyParams("krawtchouk", p=p, N=box_n), x, degree, table
-                )
-                assert rep.passed and rep.summary["max_residual"] == 0.0
+            if fp.family == "krawtchouk":
                 sign_seen.add(rep.params["sign_convention"])
-                cases += rep.summary["total"]
-        rep = master_genfunc(FamilyParams("meixner", alpha=alpha, c=c), 3, 3, table)
+        rep = master_genfunc(FamilyParams("meixner", alpha=alpha, c=c), 3, table)
         assert rep.passed and rep.summary["max_residual"] == 0.0
         cases += rep.summary["total"]
-        rep = master_genfunc(FamilyParams("charlier", a=a), 3, 3, table)
+        rep = master_genfunc(FamilyParams("charlier", a=a), 3, table)
         assert rep.passed and rep.summary["max_residual"] == 0.0
         cases += rep.summary["total"]
     assert sign_seen == {"plus"}

@@ -193,6 +193,36 @@ def test_verify_limits(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("a, scales, bad", [
+    ("1", "0,1", "0"),  # alpha = N = 0 and p = a/0
+    ("-1", "1,2", "1"),  # c = a/(a + scale) with a + scale = 0
+    ("1", "-2,5", "-2"),
+])
+@pytest.mark.parametrize("max_weight", ["0", "1"])
+def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, capsys):
+    code, out, err = run(
+        ["verify", "limits", "--d", "2", "--r", "2", "--a", a,
+         "--max-weight", max_weight, f"--scales={scales}"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"scale {bad}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "difference", "--family", "meixner", "--d", "2", "--r", "1",
+     "--alpha", "2", "--c", "1/2", "--max-weight", "1"],
+    ["table", "--family", "charlier", "--d", "2", "--r", "1", "--a", "2",
+     "--max-degree", "1"],
+])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(out_path) in err
+    assert not out_path.exists()
+
+
 def test_table_csv_golden(capsys):
     argv = ["table", "--family", "charlier", "--d", "2", "--r", "2",
             "--a", "2", "--max-degree", "1", "--format", "csv"]
@@ -377,8 +407,8 @@ def test_cache_file_of_another_table_is_rebuilt(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_genfunc_failing_x_records_no_sign_convention(monkeypatch, capsys):
-    # the merged report over every x takes the convention from its own
-    # pass/fail, not from the report at x = 0
+    # the report over every x takes the convention from its own pass/fail,
+    # not from the cases at x = 0
     evaluate = FamilyParams.evaluate
 
     def wrong_at_one_x(self, m, x, jack):

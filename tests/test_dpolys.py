@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mvdop.dpolys import (
     FamilyParams,
     charlier,
-    charlier_limit_gaps,
     determinant_formula,
     krawtchouk,
-    krawtchouk_limit_gaps,
     laguerre,
     meixner,
     univariate,
@@ -23,9 +21,9 @@ from mvdop.dpolys import (
 )
 from mvdop.errors import DomainError, ParameterError, PoleError
 from mvdop.jack import JackTable, jack_table
-from mvdop.partitions import contains, enumerate_up_to, pad, partitions_of, weight
+from mvdop.partitions import contains, enumerate_up_to, format_partition, pad, partitions_of, weight
 from mvdop.conearith import box_binomial, cone_params, dim_partition, gen_pochhammer
-from mvdop.verify import _orthogonality_weight, orthogonality_krawtchouk
+from mvdop.verify import _orthogonality_weight, limits_check, orthogonality_krawtchouk
 
 from .oracles import kernel_direct
 
@@ -268,27 +266,30 @@ def test_laguerre_classical_values():
         assert univariate_laguerre(1, u, F(3)) == 3 - u
 
 
+def _limit_gaps(m, x, scales, table) -> dict:
+    """The gap sequence of each limit path at (m, x), from limits_check."""
+    rep = limits_check(1, scales, weight(m), table)
+    m, x = format_partition(m), format_partition(x)
+    return {c["kind"]: c["gaps"] for c in rep.cases if (c["m"], c["x"]) == (m, x)}
+
+
 @pytest.mark.parametrize("r,d", [(1, F(2)), (2, F(2)), (2, F(5, 2))])
 def test_limit_gaps_decay_first_order(r, d):
     t = jack_table(r, d, 3)
-    alphas = (100, 10000)
     # both indices must share a sub-partition of weight >= 2, otherwise the
     # relation is exact and the gap is identically zero
     m = (2,) + (0,) * (r - 1)
-    x = m
-    gaps = charlier_limit_gaps(m, x, 1, alphas, t)
-    assert gaps[0] > gaps[1] > 0
-    # one extra decade of alpha buys at least ~0.9 orders of accuracy
-    assert gaps[1] <= gaps[0] / 50
-    kgaps = krawtchouk_limit_gaps(m, x, 1, (100, 10000), t)
-    assert kgaps[0] > kgaps[1] > 0
-    assert kgaps[1] <= kgaps[0] / 50
+    gaps = _limit_gaps(m, m, (100, 10000), t)
+    for kind in ("meixner", "krawtchouk"):
+        assert gaps[kind][0] > gaps[kind][1] > 0, kind
+        # one extra decade of the scale buys at least ~0.9 orders of accuracy
+        assert gaps[kind][1] <= gaps[kind][0] / 50, kind
 
 
 def test_limit_gap_zero_cases():
     t = jack_table(2, 2, 2)
-    gaps = charlier_limit_gaps((0, 0), (0, 0), 1, (100, 10000), t)
-    assert gaps == [0, 0]
+    gaps = _limit_gaps((0, 0), (0, 0), (100, 10000), t)
+    assert gaps == {"meixner": [0, 0], "krawtchouk": [0, 0]}
 
 
 # ---------------------------------------------------------------------------

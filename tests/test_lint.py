@@ -171,3 +171,19 @@ def test_generating_functions_come_from_one_series():
             ):
                 found.append(f"verify.py:{node.lineno}: {owner or 'module'} calls {node.func.id}")
     assert not found, found
+
+
+def test_only_verify_builds_reports():
+    # each identity check returns its one report over the whole grid; a
+    # report assembled anywhere else would merge or re-derive a verdict
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "VerificationReport":
+                    found.append(f"{path.name}:{node.lineno}: builds a VerificationReport")
+    assert not found, found

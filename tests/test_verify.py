@@ -17,7 +17,7 @@ from mvdop.verify import (
     conjecture_suite,
     difference_equation,
     difference_residual,
-    genfunc_family,
+    genfunc,
     is_classical,
     limits_check,
     master_genfunc,
@@ -36,12 +36,12 @@ F = Fraction
 def test_genfunc_meixner_r1_classical_display():
     # (1-z)^(-alpha) ((1-z/c)/(1-z))^x  =  sum_m (alpha)_m/m! M_m(x) z^m
     t = jack_table(1, 1, 6)
-    alpha, c, x = F(2), F(1, 2), 3
-    rep = genfunc_family(FamilyParams("meixner", alpha=alpha, c=c), (x,), 6, t)
+    alpha, c = F(2), F(1, 2)
+    rep = genfunc(FamilyParams("meixner", alpha=alpha, c=c), 3, 6, t)
     assert rep.passed
     params = cone_params(t)
     for case in rep.cases:
-        m = int(case["n"])
+        m, x = int(case["n"]), int(case["x"])
         want = (
             gen_pochhammer(alpha, (m,), params)
             / gen_pochhammer(params.rank_ratio, (m,), params)
@@ -53,40 +53,45 @@ def test_genfunc_meixner_r1_classical_display():
 @pytest.mark.parametrize("d", [F(2), F(3)])
 def test_genfunc_families_exact(d):
     t = jack_table(2, d, 4)
-    for fp, x in (
-        (FamilyParams("meixner", alpha=F(3), c=F(1, 2)), (2, 1)),
-        (FamilyParams("charlier", a=F(2)), (2, 0)),
-        (FamilyParams("krawtchouk", p=F(1, 3), N=2), (2, 1)),
+    for fp in (
+        FamilyParams("meixner", alpha=F(3), c=F(1, 2)),
+        FamilyParams("charlier", a=F(2)),
+        FamilyParams("krawtchouk", p=F(1, 3), N=2),
     ):
-        rep = genfunc_family(fp, x, 4, t)
+        rep = genfunc(fp, 3, 4, t)
         assert rep.passed, (d, fp.family)
         assert rep.summary["max_residual"] == 0.0
 
 
 def test_genfunc_krawtchouk_sign_detected():
     t = jack_table(2, 2, 4)
-    rep = genfunc_family(FamilyParams("krawtchouk", p=F(1, 3), N=2), (1, 1), 4, t)
+    rep = genfunc(FamilyParams("krawtchouk", p=F(1, 3), N=2), 2, 4, t)
     assert rep.params["sign_convention"] in ("plus", "minus")
     assert rep.passed
 
 
 def test_genfunc_krawtchouk_needs_boxed_argument():
+    # the generating function holds only at x inside the box, so (3, 0) is
+    # left out of the grid rather than reported as a failure
     t = jack_table(2, 2, 4)
-    with pytest.raises(DomainError):
-        genfunc_family(FamilyParams("krawtchouk", p=F(1, 3), N=2), (3, 0), 4, t)
+    rep = genfunc(FamilyParams("krawtchouk", p=F(1, 3), N=2), 3, 4, t)
+    assert rep.passed
+    xs = list(dict.fromkeys(case["x"] for case in rep.cases))
+    assert xs == ["0,0", "1,0", "2,0", "1,1", "2,1"]
 
 
 def test_master_genfunc_exact():
     t = jack_table(2, 2, 4)
-    rep = master_genfunc(FamilyParams("meixner", alpha=F(3), c=F(1, 2)), 3, 3, t)
+    rep = master_genfunc(FamilyParams("meixner", alpha=F(3), c=F(1, 2)), 3, t)
     assert rep.passed and rep.summary["total"] == 36
-    rep2 = master_genfunc(FamilyParams("charlier", a=F(2)), 3, 3, t)
+    assert rep.truncation == {"degree_first": 3, "degree_second": 3}
+    rep2 = master_genfunc(FamilyParams("charlier", a=F(2)), 3, t)
     assert rep2.passed
 
 
 def test_master_genfunc_r1():
     t = jack_table(1, 1, 5)
-    rep = master_genfunc(FamilyParams("meixner", alpha=F(5, 2), c=F(1, 3)), 4, 4, t)
+    rep = master_genfunc(FamilyParams("meixner", alpha=F(5, 2), c=F(1, 3)), 4, t)
     assert rep.passed
 
 
@@ -407,6 +412,16 @@ def test_is_classical_table():
     assert not is_classical(2, F(5, 2))
     assert not is_classical(3, 3)
     assert not is_classical(4, 8)
+
+
+def test_conjecture_suite_one_genfunc_subreport_per_family():
+    rep = conjecture_suite(F(2), 1, 2)
+    subs = rep.truncation["subreports"]
+    names = [s["identity"] for s in subs if s["identity"].startswith("genfunc-")]
+    assert names == ["genfunc-meixner", "genfunc-charlier", "genfunc-krawtchouk"]
+    for s in subs:
+        if s["identity"] in names:
+            assert s["cases"] and all("x" in case for case in s["cases"])
 
 
 def test_conjecture_suite_classical_gate():
