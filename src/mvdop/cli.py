@@ -54,13 +54,27 @@ _VERIFY_READS = {
     "limits": ("--a", "--max-weight", "--scales"),
 }
 
+
+def _count(text: str) -> int:
+    """The type of the weight and degree flags: an integer >= 0.  argparse
+    refuses any other value under the flag's name, before any table is
+    loaded or built."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # how each of those flags parses
 _VERIFY_FLAGS = {
     "--alpha": {"required": True},
     "--c": {"required": True},
     "--a": {"required": True},
-    "--max-weight": {"type": int, "default": 2},
-    "--degree": {"type": int, "default": 3},
+    "--max-weight": {"type": _count, "default": 2},
+    "--degree": {"type": _count, "default": 3},
     "--truncation-weights": {"default": "10,12,14"},
     "--scales": {"default": "100,10000,1000000"},
 }
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--u": {"help": "diagonal point for laguerre, e.g. 1/2,1/3"}},
             out=False, required=True)
     command(sub, "table", cmd_table, "tabulate values over the index grid", _TWO_INDEX,
-            {"--max-degree": {"required": True, "type": int},
+            {"--max-degree": {"required": True, "type": _count},
              "--format": {"choices": ["json", "csv"], "default": "json"}},
             required=True)
     pv = sub.add_parser("verify", help="run one identity check, write a JSON report",
@@ -300,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         families = _TWO_INDEX if "family" in reads else ()
         command(identities, identity, cmd_verify, None, families, flags, default="meixner")
     command(sub, "conjecture", cmd_conjecture, "run the aggregated suite at one (r, d)", (),
-            {"--max-degree": {"type": int, "default": 3},
+            {"--max-degree": {"type": _count, "default": 3},
              "--seed": {"type": int, "default": 20250808}})
     return ap
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb, factorial, lcm
 from operator import index
@@ -113,6 +114,19 @@ def _second_row(jack: JackTable, x, cap: int) -> tuple:
     return jack.cache.setdefault(key, (dict(zip(row, nums)), den))
 
 
+def _row_dot(first: tuple, row: dict, den: int, s: Optional[Fraction]) -> Fraction:
+    """The pairing of a first-index row from ``_first_row`` with a row
+    {k: integer numerator} over ``den`` in the second index's space: one
+    integer dot product over the product of the two denominators, so it
+    makes one Fraction.  A pole of the first row raises PoleError only
+    where it is a key of ``row``, that is, on a term the sum contains."""
+    ks, nums, fden, poles = first
+    for k in poles:
+        if k in row:
+            raise PoleError(f"shifted factorial ({s})_k vanishes at k={format_partition(k)}")
+    return Fraction(sum([n * row.get(k, 0) for k, n in zip(ks, nums)]), fden * den)
+
+
 def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fraction:
     """The sum shared by the three families over padded indices m, x:
 
@@ -120,17 +134,11 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
         C_k = d_k z^|k| / ((n/r)_k (s)_k),
 
     with G the falling-factorial rows and the (s)_k factor left out when
-    ``s`` is None.  It runs as one integer dot product of the memoized
-    first-index row (C_k G_m[k]) and second-index row (G_x[k]) over the
-    product of their denominators, so each value makes one Fraction.  A
-    vanishing (s)_k raises PoleError only where G_x[k] is nonzero, that
-    is, on a term the sum actually contains."""
-    ks, nums, den, poles = _first_row(jack, m, s, z)
+    ``s`` is None: the memoized first-index row (C_k G_m[k]) paired with
+    the second-index row (G_x[k]) by ``_row_dot``."""
+    first = _first_row(jack, m, s, z)
     gx, xden = _second_row(jack, x, min(weight(m), weight(x)))
-    for k in poles:
-        if k in gx:
-            raise PoleError(f"shifted factorial ({s})_k vanishes at k={format_partition(k)}")
-    return Fraction(sum([n * gx.get(k, 0) for k, n in zip(ks, nums)]), den * xden)
+    return _row_dot(first, gx, xden, s)
 
 
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
@@ -381,12 +389,12 @@ class FamilyParams:
             raise ParameterError(f"{self.family} is not indexed by two partitions")
         return make(*(getattr(self, name) for name in FAMILY_PARAMS[self.family]))
 
-    @property
+    @cached_property
     def point(self) -> tuple:
         """The point (s, z) of the family sum; s is None for Charlier."""
         return self._declared(_POINT)
 
-    @property
+    @cached_property
     def shift(self) -> tuple:
         """The triple (b, c, e) of the family's difference equation."""
         return self._declared(_SHIFT)

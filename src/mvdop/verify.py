@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import log
+from math import lcm, log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
@@ -48,7 +48,7 @@ from .conearith import (
     raise_coefficient,
     weight_factor,
 )
-from .dpolys import FamilyParams, companion_poly
+from .dpolys import FamilyParams, _first_row, _row_dot, _second_row, companion_poly
 from .errors import DomainError, ParameterError
 from .jack import JackTable
 from .partitions import (
@@ -473,20 +473,31 @@ def _box_moves(jack: JackTable, y) -> tuple:
 
 
 def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
-    """The coefficients of the difference equation in the padded index
-    ``moving``, as (lam, diag, neighbours): the equation reads
+    """The residual row of the difference equation in the padded index
+    ``moving``, as (lam, row, den).  The equation reads
 
         (lam |fixed| + diag) f(moving) = sum of coef f(y) over neighbours,
 
     with (y, coef) for every up and down box move whose coefficient is
-    nonzero, in row order.  The family enters only through its shift
-    triple (b, c, e) = ``fp.shift``: the move up at row j has coefficient
-    base (c (y_j - (d/2)(j - 1)) + e), the move down base b, and
+    nonzero.  The family enters only through its shift triple (b, c, e) =
+    ``fp.shift``: the move up at row j has coefficient base (c (y_j -
+    (d/2)(j - 1)) + e), the move down base b, and
 
         diag = d_y sum_j ((b + c) y_j + e),   lam = d_y (c - b),
 
-    with ``base`` from ``_box_moves``.  Computed once per (fp, moving) and
-    memoized in ``jack.cache``."""
+    with ``base`` from ``_box_moves``.  The family value f(fixed, y) is
+    linear in the falling-factorial row G_y of y, so all but the lam term
+    is one pairing with the row
+
+        H = diag G_moving - sum of coef G_y
+
+    over the full rows from ``dpolys._second_row``, returned as {k:
+    integer numerator} over den.  It is built with one Fraction per row
+    and integer multiply-adds over the lcm of their denominators.  It keeps
+    every key of those rows, entries that cancel to 0 included, so a pole
+    of the fixed index's row raises where evaluating the family at the
+    neighbours would.  Computed once per (fp, moving) and memoized in
+    ``jack.cache``."""
     key = ("shift", fp, moving)
     got = jack.cache.get(key)
     if got is not None:
@@ -494,7 +505,7 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
     b, c, e = fp.shift
     half = jack.d / 2
     dim_y, rows = _box_moves(jack, moving)
-    neighbours = []
+    terms = [(moving, dim_y * ((b + c) * weight(moving) + e * jack.r))]
     for j, (yj, (up, down)) in enumerate(zip(moving, rows), 1):
         # a zero coefficient is skipped: a Krawtchouk raise out of the box,
         # which keeps the recurrence inside it, or any lowering at p = 1
@@ -502,11 +513,18 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
             if move is not None:
                 y, base = move
                 if base * factor:
-                    neighbours.append((y, base * factor))
-    diag = dim_y * ((b + c) * weight(moving) + e * jack.r)
-    got = (dim_y * (c - b), diag, tuple(neighbours))
-    jack.cache[key] = got
-    return got
+                    terms.append((y, -base * factor))
+    scaled = []
+    for y, coef in terms:
+        nums, den = _second_row(jack, y, weight(y))
+        scaled.append((nums, Fraction(coef, den)))
+    hden = lcm(*(q.denominator for _, q in scaled))
+    row = {}
+    for nums, q in scaled:
+        a = q.numerator * (hden // q.denominator)
+        for k, n in nums.items():
+            row[k] = row.get(k, 0) + a * n
+    return jack.cache.setdefault(key, (dim_y * (c - b), row, hden))
 
 
 def _shift_equation(
@@ -515,21 +533,21 @@ def _shift_equation(
     """Exact residual (lhs - rhs) of the difference equation in the index
     ``moving`` with ``fixed`` held.  Terms whose shifted index is not a
     partition are omitted, which reproduces the classical r = 1 equations.
-    The family is evaluated with ``moving`` as its first index when
+    The centre value is evaluated with ``moving`` as its first index when
     ``moving_first``; by duality that turns the equation into the
-    recurrence in the first index."""
+    recurrence in the first index.  The rest is the first-index row of
+    ``fixed`` paired with the residual row of ``moving``: the family sum
+    is symmetric in its two indices, so the one row serves both
+    equations."""
     fixed = pad(fixed, jack.r)
     moving = pad(moving, jack.r)
-
-    def value(y):
-        return fp.evaluate(y, fixed, jack) if moving_first else fp.evaluate(fixed, y, jack)
-
-    fy = value(moving)
-    lam, diag, neighbours = _shift_plan(fp, moving, jack)
-    res = (lam * weight(fixed) + diag) * fy
-    for y, coef in neighbours:
-        res -= coef * value(y)
-    return res
+    if moving_first:
+        fy = fp.evaluate(moving, fixed, jack)
+    else:
+        fy = fp.evaluate(fixed, moving, jack)
+    lam, row, den = _shift_plan(fp, moving, jack)
+    s, z = fp.point
+    return lam * weight(fixed) * fy + _row_dot(_first_row(jack, fixed, s, z), row, den, s)
 
 
 def difference_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:
@@ -668,7 +686,7 @@ def limits_check(
     if len(scales) < 2 or any(
         scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
     ):
-        raise ParameterError("scales must be strictly increasing")
+        raise ParameterError(f"need two or more strictly increasing scales, got {scales}")
     for t in scales:
         # alpha = t and N = t must be positive, and c = a/(a + t) finite
         if t <= 0 or a + t == 0:

@@ -209,6 +209,40 @@ def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, capsys):
     assert err.startswith("error:") and f"scale {bad}" in err
 
 
+@pytest.mark.parametrize("scales", ["100", "100,100", "10000,100"])
+def test_verify_limits_needs_two_increasing_scales(scales, capsys):
+    code, out, err = run(
+        ["verify", "limits", "--d", "2", "--r", "1", "--a", "1", "--scales", scales],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "need two or more strictly increasing scales" in err
+
+
+_MEIXNER = ["--family", "meixner", "--alpha", "2", "--c", "1/2"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "difference", *_MEIXNER, "--max-weight", "-1"], "--max-weight"),
+    (["verify", "recurrence", *_MEIXNER, "--max-weight", "-1"], "--max-weight"),
+    (["verify", "orthogonality", *_MEIXNER, "--max-weight", "-1"], "--max-weight"),
+    (["verify", "genfunc", *_MEIXNER, "--degree", "-1"], "--degree"),
+    (["verify", "genfunc", *_MEIXNER, "--max-weight", "-2"], "--max-weight"),
+    (["verify", "master-genfunc", *_MEIXNER, "--degree", "-1"], "--degree"),
+    (["verify", "orthogonality-generator", "--alpha", "2", "--c", "1/6", "--degree", "-1"],
+     "--degree"),
+    (["verify", "limits", "--a", "1", "--max-weight", "-1"], "--max-weight"),
+    (["table", "--family", "charlier", "--a", "2", "--max-degree", "-1"], "--max-degree"),
+    (["conjecture", "--max-degree", "-1"], "--max-degree"),
+])
+def test_negative_weight_or_degree_exits_2_before_any_table(args, flag, tmp_path, capsys):
+    # refused under its own flag's name, and no cache file is left behind
+    code, out, err = run(args + ["--d", "2", "--r", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be >= 0" in err
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "difference", "--family", "meixner", "--d", "2", "--r", "1",
      "--alpha", "2", "--c", "1/2", "--max-weight", "1"],

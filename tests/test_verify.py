@@ -8,10 +8,10 @@ import pytest
 
 from mvdop.conearith import cone_params, gen_pochhammer
 from mvdop.dpolys import FamilyParams, univariate_meixner
-from mvdop.errors import DomainError, ParameterError
-from mvdop import verify
+from mvdop.errors import DomainError, MvdopError, ParameterError
+from mvdop import dpolys, verify
 from mvdop.jack import JackTable, jack_table
-from mvdop.partitions import contains, enumerate_up_to
+from mvdop.partitions import contains, enumerate_up_to, pad
 from mvdop.verify import (
     VerificationReport,
     conjecture_suite,
@@ -227,11 +227,19 @@ def test_difference_and_recurrence_exact(d):
 
 
 class _Skewed(FamilyParams):
-    """A family value plus an asymmetric term that solves no equation, so
-    the residuals are nonzero and depend on which index is shifted."""
+    """A family whose values are read at a point moved off the one its
+    shift triple describes, so its residuals need not vanish.  Every value
+    of the residual comes from the point, the centre value through
+    ``evaluate`` and the others through the first-index row, so the oracles
+    see the same family as the package."""
+
+    @property
+    def point(self):
+        s, z = super().point
+        return s, z + F(1, 7)
 
     def evaluate(self, m, x, jack):
-        return super().evaluate(m, x, jack) + F(m[0] + 1, x[0] + 2)
+        return dpolys._kernel(jack, pad(m, jack.r), pad(x, jack.r), *self.point)
 
 
 def test_recurrence_is_difference_under_duality_swap():
@@ -268,7 +276,7 @@ def test_recurrence_is_difference_under_duality_swap():
 
 
 def test_shift_plans_match_direct_evaluation():
-    # the residuals read memoized coefficient plans; the oracle recomputes
+    # the residuals read memoized residual rows; the oracle recomputes
     # every coefficient per call.  Each pair of parameter sets shares one
     # table and differs in a single parameter, and the two are evaluated
     # alternately, so a plan keyed by anything less than the full parameter
@@ -378,6 +386,43 @@ def test_equation_residuals_reject_krawtchouk_index_outside_box():
         recurrence_residual(fp, (2, 0), (1, 0), t)
     with pytest.raises(DomainError):
         difference_residual(fp, (2, 0), (1, 0), t)
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type of the MvdopError it raises."""
+    try:
+        return fn(*args)
+    except MvdopError as exc:
+        return type(exc)
+
+
+def test_residual_rows_raise_where_direct_evaluation_does():
+    # the residuals pair one first-index row with a memoized residual row;
+    # the oracle evaluates the family at every neighbour.  Poles of
+    # (alpha)_k at alpha <= 0 and half-integers, the Krawtchouk box edge,
+    # p = 1 (no lowering) and p outside (0, 1): every outcome, a raised
+    # error or a value, must be the oracle's
+    fps = [FamilyParams("meixner", alpha=alpha, c=F(3, 5))
+           for alpha in (0, -1, -2, F(1, 2), F(-1, 2), 1, F(-3, 2), F(7, 3))]
+    fps += [FamilyParams("krawtchouk", p=p, N=N) for p in (F(1, 3), 1, F(-1, 2)) for N in (1, 2)]
+    fps.append(FamilyParams("charlier", a=F(5, 4)))
+    seen = {}
+    for r, d in ((1, 2), (2, 1), (2, 2), (2, F(5, 2)), (3, 1)):
+        t = JackTable(r, F(d)).extend(5)
+        grid = enumerate_up_to(r, 4)
+        for fp in fps:
+            for m in grid:
+                for x in grid:
+                    for got, want in (
+                        (_outcome(difference_residual, fp, m, x, t),
+                         _outcome(shift_equation_direct, fp, m, x, t, False)),
+                        (_outcome(recurrence_residual, fp, m, x, t),
+                         _outcome(shift_equation_direct, fp, x, m, t, True)),
+                    ):
+                        assert got == want and type(got) is type(want), (fp, r, d, m, x)
+                        kind = want.__name__ if isinstance(want, type) else want != 0
+                        seen[kind] = seen.get(kind, 0) + 1
+    assert seen == {"PoleError": 1176, "DomainError": 2268, True: 717, False: 7509}
 
 
 def test_equation_reports():
