@@ -299,8 +299,8 @@ def raise_coefficient(j: int, x, params: ConeParams) -> Fraction:
         prod_{k != j} (x_j - x_k - (d/2)(j-k-1)) / (x_j - x_k - (d/2)(j-k))
 
     Accepts arbitrary rational tuples.  On partition arguments the values
-    are finite, sum to r over j, and agree with the basis-expansion route
-    ``JackTable.pieri_coefficients``."""
+    are finite, sum to r over j, and agree with the coefficients of
+    m_(1) * Phi_x expanded in the basis table."""
     r = params.r
     if not 1 <= j <= r:
         raise ValueError(f"row index {j} out of range 1..{r}")

@@ -399,6 +399,17 @@ class FamilyParams:
         """The triple (b, c, e) of the family's difference equation."""
         return self._declared(_SHIFT)
 
+    @cached_property
+    def _key(self) -> tuple:
+        """The family and its parameters, each Fraction as its integer
+        pair: a memo key that hashes and compares in C, where the
+        dataclass hash runs Fraction.__hash__ in Python per field."""
+        out = [self.family]
+        for name in FAMILY_PARAMS[self.family]:
+            v = getattr(self, name)
+            out.append(v if name == "N" else (v.numerator, v.denominator))
+        return tuple(out)
+
     def fits(self, m) -> bool:
         """True when the index m lies in the family's domain: inside the
         (N, ..., N) box for a family that takes N (Krawtchouk), anywhere

@@ -1,6 +1,5 @@
 """Triangular tables of the deformed symmetric basis P_m at parameter
-alpha = 2/d, their values at the all-ones point, basis conversion, and the
-multiplication-by-p1 coefficients.
+alpha = 2/d, their values at the all-ones point, and basis conversion.
 
 Construction is an exact eigenfunction recursion: the operator
 
@@ -8,9 +7,13 @@ Construction is an exact eigenfunction recursion: the operator
 
 acts triangularly (with respect to dominance) on the monomial basis within
 each weight, with distinct eigenvalues for d > 0, so each basis element is
-solved by back-substitution in descending lexicographic order.  Entries
-never change once computed, so tables are extended in place and may be
-cached or serialized.
+solved by back-substitution in descending lexicographic order.  The
+recursion runs in Python ints: with d = p/q it builds q*E, whose entries
+and eigenvalue gaps are integers, and keeps each solved coefficient as a
+reduced numerator over its own denominator, so one ``Fraction`` is made
+per stored coefficient and one per principal value.  Entries never
+change once computed, so tables are extended in place and may be cached
+or serialized.
 
 Tables are single-writer during ``extend``; a finished table may be read
 from any number of threads.  The ``cache`` dict is scratch space for
@@ -35,22 +38,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ParameterError, TableDegreeError
-from .partitions import box_move, format_partition, pad, parse_partition, partitions_of
+from .partitions import format_partition, pad, parse_partition, partitions_of
 from .symfun import SymPoly, _orbit
 
 Rat = Union[int, Fraction]
 
 
 def _operator_rows(r: int, d: Fraction, keys: list) -> dict:
-    """Matrix of the deformation operator on the monomial basis of one
-    weight space.  rows[nu][mu] is the coefficient of m_mu in E(m_nu)."""
+    """Matrix of q*E on the monomial basis of one weight space, d = p/q in
+    lowest terms, so every entry is an int.  rows[nu][mu] is the
+    coefficient of m_mu in q*E(m_nu)."""
+    p, q = d.numerator, d.denominator
     rows = {}
     for nu in keys:
-        acc: dict = defaultdict(Fraction)
-        diag = Fraction(sum(a * (a - 1) for a in nu))
+        acc: dict = defaultdict(int)
+        diag = q * sum(a * (a - 1) for a in nu)
         for vec in _orbit(nu):
             if diag:
                 acc[vec] += diag
@@ -58,19 +64,20 @@ def _operator_rows(r: int, d: Fraction, keys: list) -> dict:
                 ai = vec[i]
                 if not ai:
                     continue
+                pa = p * ai
                 for j in range(i + 1, r):
                     aj = vec[j]
                     if ai == aj:
-                        acc[vec] += d * ai
+                        acc[vec] += pa
                     elif ai > aj:
                         # paired with the (i, j)-swapped orbit element,
                         # which the loop skips when it reaches it
-                        acc[vec] += d * ai
+                        acc[vec] += pa
                         sw = list(vec)
                         sw[i], sw[j] = aj, ai
-                        acc[tuple(sw)] += d * ai
+                        acc[tuple(sw)] += pa
                         gap = ai - aj
-                        transfer = d * gap
+                        transfer = p * gap
                         for s in range(1, gap):
                             e = list(vec)
                             e[i] = ai - s
@@ -82,25 +89,49 @@ def _operator_rows(r: int, d: Fraction, keys: list) -> dict:
 
 def _solve_weight(keys: list, rows: dict) -> dict:
     """Unitriangular eigenvector solve: for each lam, the expansion of the
-    basis element with leading monomial m_lam."""
+    basis element with leading monomial m_lam, as two dicts ({mu: num},
+    {mu: den}) with gcd(num, den) = 1 and den > 0.  ``rows`` is q*E in
+    ints; scaling the operator scales every eigenvalue gap by the same q,
+    so each ratio sum_nu u_nu A[nu][mu] / (e_lam - e_mu) is that of E."""
+    cols: dict = {mu: {} for mu in keys}
+    for nu, row in rows.items():
+        for mu, a in row.items():
+            if mu != nu:
+                cols[mu][nu] = a
     out = {}
     for pos, lam in enumerate(keys):
-        e_lam = rows[lam].get(lam, Fraction(0))
-        u = {lam: Fraction(1)}
+        e_lam = rows[lam].get(lam, 0)
+        # numerators and denominators in two dicts, and each lcm folded in
+        # the loop: a tuple per coefficient or per lcm(*...) call would
+        # leave tuples of every size on the interpreter's free lists
+        nums = {lam: 1}
+        dens = {lam: 1}
         for mu in keys[pos + 1 :]:
-            num = Fraction(0)
-            for nu, c in u.items():
-                a = rows[nu].get(mu)
-                if a:
-                    num += c * a
-            if num:
-                gap = e_lam - rows[mu].get(mu, Fraction(0))
+            total = 0
+            lcd = 1
+            for nu, a in cols[mu].items():
+                n = nums.get(nu)
+                if n is None:
+                    continue
+                den = dens[nu]
+                if lcd % den:
+                    grow = den // gcd(lcd, den)
+                    total *= grow
+                    lcd *= grow
+                total += n * a * (lcd // den)
+            if total:
+                gap = e_lam - rows[mu].get(mu, 0)
                 if gap == 0:
                     raise ArithmeticError(
                         f"eigenvalue collision between {lam} and {mu}"
                     )
-                u[mu] = num / gap
-        out[lam] = u
+                den = lcd * gap
+                g = gcd(total, den)
+                if den < 0:
+                    g = -g
+                nums[mu] = total // g
+                dens[mu] = den // g
+        out[lam] = nums, dens
     return out
 
 
@@ -152,12 +183,14 @@ class JackTable:
             self._principal[keys[0]] = Fraction(1)
             return
         rows = _operator_rows(self.r, self.d, keys)
-        solved = _solve_weight(keys, rows)
-        for lam, expansion in solved.items():
-            self._polys[lam] = expansion
-            self._principal[lam] = sum(
-                c * len(_orbit(mu)) for mu, c in expansion.items()
-            )
+        for lam, (nums, dens) in _solve_weight(keys, rows).items():
+            self._polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
+            lcd = 1
+            for den in dens.values():
+                if lcd % den:
+                    lcd *= den // gcd(lcd, den)
+            total = sum(n * (lcd // dens[mu]) * len(_orbit(mu)) for mu, n in nums.items())
+            self._principal[lam] = Fraction(total, lcd)
 
     def check_degree(self, w: int):
         if w > self.built_degree:
@@ -221,20 +254,6 @@ class JackTable:
                         rem.pop(nu, None)
             if rem:
                 raise ValueError(f"non-symmetric input slice at weight {w}: {rem}")
-        return out
-
-    def pieri_coefficients(self, m) -> dict:
-        """Coefficients b_j with m_(1) * Phi_m = sum_j b_j Phi_{m + e_j},
-        obtained by basis expansion (no closed form)."""
-        m = pad(m, self.r)
-        self.check_degree(sum(m) + 1)
-        p1 = SymPoly.monomial(self.r, (1,))
-        conv = self.to_phi_basis(p1 * self.phi(m))
-        out = {}
-        for j in range(1, self.r + 1):
-            up = box_move(m, j, +1)
-            if up is not None and up in conv:
-                out[j] = conv[up]
         return out
 
     # -- serialization --------------------------------------------------

@@ -178,9 +178,6 @@ class SymPoly:
             raise ValueError(f"point length {len(pt)} != r = {self.r}")
         return _eval_map(self.coeffs, pt)
 
-    def homogeneous(self, w: int) -> dict:
-        return {k: v for k, v in self.coeffs.items() if sum(k) == w}
-
     def coefficient(self, key) -> Fraction:
         return self.coeffs.get(pad(key, self.r), Fraction(0))
 

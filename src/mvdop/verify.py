@@ -497,8 +497,8 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
     every key of those rows, entries that cancel to 0 included, so a pole
     of the fixed index's row raises where evaluating the family at the
     neighbours would.  Computed once per (fp, moving) and memoized in
-    ``jack.cache``."""
-    key = ("shift", fp, moving)
+    ``jack.cache``, keyed by the integer pairs of ``fp._key``."""
+    key = ("shift", fp._key, moving)
     got = jack.cache.get(key)
     if got is not None:
         return got

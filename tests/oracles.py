@@ -3,7 +3,11 @@
 Nothing here shares an algorithm with the package: the deformed basis is
 rebuilt by Gram-Schmidt against the deformation inner product in the
 power-sum coordinates, and the d = 2 specialization is evaluated through
-the bialternant ratio.  Both routes are exact.  The first-index
+the bialternant ratio.  Both routes are exact.  The one exception shares
+the algorithm but not the arithmetic: the eigenoperator recursion that
+builds the table is run on E itself in Fractions, where the package runs
+it on q*E (d = p/q) in ints.  The Pieri coefficients of m_(1) * Phi_m are
+read off the basis expansion, where the package has a closed form.  The first-index
 recurrence is written out term by term in the first index, where the
 package derives it from the difference equation by duality.  The
 difference equation itself is also evaluated with every coefficient
@@ -48,7 +52,7 @@ from mvdop.partitions import (
     partitions_of,
     weight,
 )
-from mvdop.symfun import SymPoly, u_binomial, u_exp
+from mvdop.symfun import SymPoly, _orbit, u_binomial, u_exp
 
 
 def dominates(a, b) -> bool:
@@ -429,3 +433,91 @@ def series_prod_binomial(exponent, scale, r: int, max_degree: int) -> SymPoly:
 def series_exp_trace(scale, r: int, max_degree: int) -> SymPoly:
     """Expansion of exp(scale * (z_1 + ... + z_r))."""
     return series_per_variable(u_exp(scale, max_degree), r, max_degree)
+
+
+def operator_rows_fraction(r: int, d: Fraction, keys: list) -> dict:
+    """The deformation operator E on the monomial basis of one weight
+    space, in Fractions: rows[nu][mu] is the coefficient of m_mu in
+    E(m_nu)."""
+    rows = {}
+    for nu in keys:
+        acc: dict = defaultdict(Fraction)
+        diag = Fraction(sum(a * (a - 1) for a in nu))
+        for vec in _orbit(nu):
+            if diag:
+                acc[vec] += diag
+            for i in range(r):
+                ai = vec[i]
+                if not ai:
+                    continue
+                for j in range(i + 1, r):
+                    aj = vec[j]
+                    if ai == aj:
+                        acc[vec] += d * ai
+                    elif ai > aj:
+                        # paired with the (i, j)-swapped orbit element,
+                        # which the loop skips when it reaches it
+                        acc[vec] += d * ai
+                        sw = list(vec)
+                        sw[i], sw[j] = aj, ai
+                        acc[tuple(sw)] += d * ai
+                        gap = ai - aj
+                        transfer = d * gap
+                        for s in range(1, gap):
+                            e = list(vec)
+                            e[i] = ai - s
+                            e[j] = aj + s
+                            acc[tuple(e)] += transfer
+        rows[nu] = {mu: acc[mu] for mu in keys if acc.get(mu)}
+    return rows
+
+
+def solve_weight_fraction(keys: list, rows: dict) -> dict:
+    """Unitriangular eigenvector solve in Fractions: for each lam, the
+    expansion of the basis element with leading monomial m_lam."""
+    out = {}
+    for pos, lam in enumerate(keys):
+        e_lam = rows[lam].get(lam, Fraction(0))
+        u = {lam: Fraction(1)}
+        for mu in keys[pos + 1 :]:
+            num = Fraction(0)
+            for nu, c in u.items():
+                a = rows[nu].get(mu)
+                if a:
+                    num += c * a
+            if num:
+                gap = e_lam - rows[mu].get(mu, Fraction(0))
+                if gap == 0:
+                    raise ArithmeticError(f"eigenvalue collision between {lam} and {mu}")
+                u[mu] = num / gap
+        out[lam] = u
+    return out
+
+
+def basis_table_fraction(r: int, d, degree: int) -> tuple:
+    """The basis expansions and principal values up to ``degree``, as
+    (polys, principal), from the eigenoperator recursion run in
+    Fractions."""
+    d = Fraction(d)
+    polys, principal = {}, {}
+    for w in range(degree + 1):
+        keys = list(partitions_of(w, r))
+        for lam, u in solve_weight_fraction(keys, operator_rows_fraction(r, d, keys)).items():
+            polys[lam] = u
+            principal[lam] = sum(c * len(_orbit(mu)) for mu, c in u.items())
+    return polys, principal
+
+
+def pieri_coefficients(table, m) -> dict:
+    """Coefficients b_j with m_(1) * Phi_m = sum_j b_j Phi_{m + e_j},
+    obtained by basis expansion (no closed form)."""
+    m = pad(m, table.r)
+    table.check_degree(sum(m) + 1)
+    p1 = SymPoly.monomial(table.r, (1,))
+    conv = table.to_phi_basis(p1 * table.phi(m))
+    out = {}
+    for j in range(1, table.r + 1):
+        up = box_move(m, j, +1)
+        if up is not None and up in conv:
+            out[j] = conv[up]
+    return out

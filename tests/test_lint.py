@@ -84,6 +84,31 @@ def test_no_float_on_exact_layers():
     assert not found, found
 
 
+INTEGER_BUILD = ("_operator_rows", "_solve_weight")
+
+
+def test_basis_build_stays_integral():
+    # the eigenoperator recursion runs on q*E in ints, one numerator over
+    # one denominator per coefficient; the table makes the Fractions it
+    # stores after the solve.  A Fraction or a true division inside the
+    # build would put the per-step rational arithmetic back
+    tree = ast.parse((SRC / "jack.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(INTEGER_BUILD) <= set(funcs)
+    found = []
+    for name in INTEGER_BUILD:
+        # the body only: the signature may annotate d as a Fraction
+        body = ast.Module(body=funcs[name].body, type_ignores=[])
+        for node in ast.walk(body):
+            if isinstance(node, ast.Name) and node.id == "Fraction":
+                found.append(f"jack.py:{node.lineno}: {name} uses Fraction")
+            elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+                found.append(f"jack.py:{node.lineno}: {name} uses Fraction")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"jack.py:{node.lineno}: {name} divides with /")
+    assert not found, found
+
+
 TABLE_METHODS = {"phi", "to_phi_basis", "extend", "check_degree"}
 
 
