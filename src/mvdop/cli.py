@@ -50,7 +50,7 @@ _VERIFY_READS = {
     "recurrence": ("family", "--max-weight"),
     "genfunc": ("family", "--degree", "--max-weight"),
     "master-genfunc": ("family", "--degree"),
-    "orthogonality-generator": ("--alpha", "--c", "--degree", "--truncation-weights"),
+    "orthogonality-generator": ("--alpha", "--c", "--degree"),
     "limits": ("--a", "--max-weight", "--scales"),
 }
 
@@ -75,7 +75,7 @@ _VERIFY_FLAGS = {
     "--a": {"required": True},
     "--max-weight": {"type": _count, "default": 2},
     "--degree": {"type": _count, "default": 3},
-    "--truncation-weights": {"default": "10,12,14"},
+    "--truncation-weights": {},
     "--scales": {"default": "100,10000,1000000"},
 }
 
@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
         for flag in ("--max-weight", "--truncation-weights"):
             name = flag[2:].replace("-", "_")
             if getattr(args, name) is None:
-                setattr(args, name, _VERIFY_FLAGS[flag]["default"])
+                setattr(args, name, _VERIFY_FLAGS[flag].get("default"))
             elif args.family == "krawtchouk":
                 raise ParameterError(
                     f"krawtchouk orthogonality is exact over the box; it takes no {flag}"
@@ -227,8 +227,12 @@ def cmd_verify(args) -> int:
             table = load_or_build_table(r, d, r * fp.N)
             rep = verify.orthogonality_krawtchouk(fp.p, fp.N, table)
         else:
-            ts = _parse_weights(args.truncation_weights)
-            table = load_or_build_table(r, d, max(ts))
+            # without weights the sums are exact from binomial moments, which
+            # read falling rows, not the basis: the table is loaded at
+            # --max-weight, as for the limits
+            ts = args.truncation_weights
+            ts = None if ts is None else _parse_weights(ts)
+            table = load_or_build_table(r, d, args.max_weight if ts is None else max(ts))
             rep = verify.orthogonality(fp, args.max_weight, ts, table)
     elif identity in ("difference", "recurrence"):
         fp = _family_params(args)
@@ -244,10 +248,9 @@ def cmd_verify(args) -> int:
         table = load_or_build_table(r, d, args.degree)
         rep = verify.master_genfunc(fp, args.degree, table)
     elif identity == "orthogonality-generator":
-        ts = _parse_weights(args.truncation_weights)
-        table = load_or_build_table(r, d, max(max(ts), args.degree))
+        table = load_or_build_table(r, d, 2 * args.degree)
         rep = verify.orthogonality_generator_check(
-            _rat(args.alpha), _rat(args.c), args.degree, ts, table
+            _rat(args.alpha), _rat(args.c), args.degree, table
         )
     else:  # limits
         table = load_or_build_table(r, d, args.max_weight)

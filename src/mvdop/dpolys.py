@@ -211,7 +211,7 @@ def laguerre(m, diag_u: Sequence[Rat], alpha: Rat, jack: JackTable) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# classical single-variable versions (independent of everything above)
+# classical single-variable versions
 
 
 def _poch1(s: Fraction, k: int) -> Fraction:
@@ -233,29 +233,6 @@ def _univariate_kernel(m: int, x: int, s: Optional[Fraction], z: Fraction) -> Fr
     return total
 
 
-def univariate_meixner(m: int, x: int, alpha: Rat, c: Rat) -> Fraction:
-    c = Fraction(c)
-    if c == 0:
-        raise ParameterError("c must be nonzero")
-    return _univariate_kernel(m, x, Fraction(alpha), 1 - 1 / c)
-
-
-def univariate_charlier(m: int, x: int, a: Rat) -> Fraction:
-    a = Fraction(a)
-    if a == 0:
-        raise ParameterError("a must be nonzero")
-    return _univariate_kernel(m, x, None, -1 / a)
-
-
-def univariate_krawtchouk(m: int, x: int, p: Rat, N: int) -> Fraction:
-    p = Fraction(p)
-    if p == 0:
-        raise ParameterError("p must be nonzero")
-    if not 0 <= m <= N:
-        raise DomainError(f"index {m} outside 0..{N}")
-    return _univariate_kernel(m, x, Fraction(-N), 1 / p)
-
-
 def univariate_laguerre(m: int, u: Rat, alpha: Rat) -> Fraction:
     """Classical Laguerre with superscript alpha - 1, matching the r = 1
     reduction of ``laguerre``."""
@@ -271,19 +248,15 @@ def univariate_laguerre(m: int, u: Rat, alpha: Rat) -> Fraction:
 
 
 def univariate(family: str, m: int, x, **params) -> Fraction:
-    need = FAMILY_PARAMS.get(family)
-    if need is None:
-        raise ParameterError(f"unknown family {family!r}")
-    missing = [k for k in need if params.get(k) is None]
-    if missing:
-        raise ParameterError(f"{family} needs {', '.join(missing)}")
-    if family == "meixner":
-        return univariate_meixner(m, x, params["alpha"], params["c"])
-    if family == "charlier":
-        return univariate_charlier(m, x, params["a"])
-    if family == "krawtchouk":
-        return univariate_krawtchouk(m, x, params["p"], params["N"])
-    return univariate_laguerre(m, x, params["alpha"])
+    """The classical r = 1 value of ``family`` at index m: at the point x
+    for the two-index families, read off the declared point (s, z), with
+    m >= 0 (and <= N for Krawtchouk); at the point u = x for Laguerre."""
+    fp = FamilyParams(family, **params)
+    if family == "laguerre":
+        return univariate_laguerre(m, x, fp.alpha)
+    if m < 0 or not fp.fits((m,)):
+        raise DomainError(f"{family}: index {m} outside its domain")
+    return _univariate_kernel(m, x, *fp.point)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ closed forms, so they are cached for any partition queried, also past
 the built degree, together with the entries below it that a miss fills.
 ``weight_factor`` keeps the shifted factorial (s)_x per distinct s and
 partition.  The verifier keeps one shift-equation plan per distinct
-family-parameter set and index.  The family kernel keeps two integer
+family-parameter set and index, and one row of orthogonality moment
+weights per family-parameter set and degree.  The family kernel keeps two integer
 rows: the terms of each first index per parameter set, and the
 falling-factorial row of each second index per cap.  So the cache grows
 with the number of parameter draws times the first indices evaluated, and

@@ -1,22 +1,26 @@
 """Machine checks for the identities satisfied by the partition-indexed
 discrete orthogonal families.
 
-Finite identities (Krawtchouk orthogonality, difference and recurrence
-equations, generating-function coefficients up to a stated degree) are
-checked in exact rational arithmetic and must produce the literal zero
-residual.  Infinite sums (Meixner/Charlier orthogonality, the
-orthogonality-generator kernel) are checked by exact partial sums at two
-or more truncation weights, compared against the closed-form value, with
-the residual sequence required to decrease; closed forms that are
-irrational (non-integer powers, exponentials) are evaluated with 60-digit
-decimal arithmetic.
+Every identity but the degenerate limits, whose check measures rates
+(orthogonality, difference and recurrence equations, generating-function
+coefficients up to a stated degree, the orthogonality-generator kernel),
+is checked in exact rational arithmetic and must produce the literal zero
+residual.  The infinite orthogonality sums are exact through the binomial
+moments of the weight: a shifted-symmetric f of degree D is sum of a_k
+binom(x, k) over |k| <= D, and sum over x of w(x) binom(x, k) is mass
+weight_factor(k, s) (-1/z)^|k|, so the sum over the mass is rational
+(``_moment_sum``).  Only a check asked for explicit truncation weights
+cuts its sums: exact partial sums, compared against the closed-form norm
+(60-digit decimal where the mass is irrational), with the residual
+sequence required to decrease.
 
 Orthogonality has one weight for all three families, derived from the
 point (s, z) of the family sum: w(x) = d_x (s)_x / (n/r)_x c^|x| with
 c = 1/(1 - z), of mass (1 - c)^(-r s), and for Charlier (no s)
 d_x / (n/r)_x a^|x| with a = -1/z, of mass e^(r a).  At s = -N it vanishes
-outside the box, so the finite Krawtchouk sum runs through the same
-driver as the infinite ones; only the domain checks are per family.
+outside the box, so the finite Krawtchouk sum runs through the driver of
+the truncated sums, to the single weight rN; only the domain checks are
+per family.
 
 The generating functions come from the point too: one series, (1 - t w)^(-s)
 composed with (1 + (z - 1) t w)/(1 - t w) (e^(tr w) with 1 + z w for
@@ -42,6 +46,7 @@ from math import lcm, log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
+    binomial_row,
     cone_params,
     dim_partition,
     lower_coefficient,
@@ -70,10 +75,6 @@ def _dec(q: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_PREC
         return Decimal(q.numerator) / Decimal(q.denominator)
-
-
-def _as_dec(v) -> Decimal:
-    return v if isinstance(v, Decimal) else _dec(v)
 
 
 def _dec_pow(base: Fraction, expo: Fraction) -> Decimal:
@@ -252,51 +253,55 @@ def _truncation_weights(truncation_weights: Sequence[int]) -> list:
     return ts
 
 
-def _truncated_sums(r: int, ts: list, pairs: list, shell, target, value=None):
-    """Shared driver of the orthogonality sums: the infinite ones, checked
-    at two or more truncation weights, and the finite Krawtchouk one, run
-    to the single weight past which its weight vanishes.
+def _truncated_sums(fp: FamilyParams, max_index_weight: int, ts: list, jack: JackTable):
+    """The orthogonality sums of ``fp`` cut at weights: the infinite ones,
+    checked at two or more truncation weights, and the finite Krawtchouk
+    one, run to the single weight past which its weight vanishes.
 
-    ``shell(x)`` yields (pair, term) items for one partition x.  The terms
-    are summed exactly over every x of weight <= max(ts), one weight shell
-    at a time, keeping each pair's partial sum at every truncation weight.
-    Each pair is then compared with ``target(pair)``: ``value(pair, s)``
-    (default s itself) of each partial sum s gives the residual
-    |value - target|, relative to |target| on diagonal pairs (m == n);
-    exact when both sides are Fractions, 60-digit decimal otherwise.
+    For every pair m <= n of indices in the family's domain up to
+    ``max_index_weight``, w(x) f(m, x) f(n, x) is summed exactly over every
+    x of weight <= max(ts), one weight shell at a time, keeping each
+    pair's partial sum at every truncation weight.  Each partial sum s is
+    compared with norm(m) on the diagonal and zero off it: the residual
+    |s - target|, relative to |target| on the diagonal, is exact when the
+    mass is rational and 60-digit decimal otherwise.
 
-    Returns (rows, tail): a (pair, last value, target, residuals) row per
-    pair, and the largest |term| of the deepest shell."""
+    Returns (rows, tail, mass): a (pair, last partial sum, target,
+    residuals) row per pair, the largest |term| of the deepest shell, and
+    the mass."""
+    w, mass, norm = _orthogonality_weight(fp, jack)
+    idx, pairs = _index_pairs(fp, max_index_weight, jack)
     sums = dict.fromkeys(pairs, Fraction(0))
     snapshots = {}
     tail = Fraction(0)
-    for w in range(ts[-1] + 1):
+    for t in range(ts[-1] + 1):
         tail = Fraction(0)
-        for x in partitions_of(w, r):
-            for pair, term in shell(x):
-                sums[pair] += term
+        for x in partitions_of(t, jack.r):
+            wx = w(x)
+            if not wx:  # zero outside the Krawtchouk box
+                continue
+            vals = {m: fp.evaluate(m, x, jack) for m in idx}
+            for m, n in pairs:
+                term = wx * vals[m] * vals[n]
+                sums[m, n] += term
                 tail = max(tail, abs(term))
-        if w in ts:
-            snapshots[w] = dict(sums)
+        if t in ts:
+            snapshots[t] = dict(sums)
 
+    decimal = isinstance(mass, Decimal)
+    zero = Decimal(0) if decimal else Fraction(0)
     rows = []
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_PREC
-        for pair in pairs:
-            goal = target(pair)
-            values = [snapshots[t][pair] for t in ts]
-            if value is not None:
-                values = [value(pair, v) for v in values]
+        for m, n in pairs:
+            goal = norm(m) if m == n else zero
+            values = [snapshots[t][m, n] for t in ts]
             residuals = []
             for v in values:
-                if isinstance(v, Decimal) or isinstance(goal, Decimal):
-                    v, g = _as_dec(v), _as_dec(goal)
-                else:
-                    g = goal
-                res = abs(v - g)
-                residuals.append(res / abs(g) if pair[0] == pair[1] else res)
-            rows.append((pair, values[-1], goal, residuals))
-    return rows, tail
+                res = abs((_dec(v) if decimal else v) - goal)
+                residuals.append(res / abs(goal) if m == n else res)
+            rows.append(((m, n), values[-1], goal, residuals))
+    return rows, tail, mass
 
 
 def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Rat) -> dict:
@@ -330,83 +335,114 @@ def _orthogonality_domain(fp: FamilyParams, jack: JackTable) -> None:
             raise DomainError(f"need 0 < p < 1, got {fp.p}")
 
 
-def _orthogonality_weight(fp: FamilyParams, jack: JackTable) -> tuple:
+def _weight(fp: FamilyParams, jack: JackTable):
     """The orthogonality weight of a two-index family, derived from its
-    point (s, z) alone, as (w, mass, norm):
+    point (s, z) alone, as (w, q) with w(x) = weight_factor(x, s) q^|x|:
+    q = c = 1/(1 - z), or, when s is None (Charlier), q = a = -1/z."""
+    s, z = fp.point
+    q = -1 / z if s is None else 1 / (1 - z)
+    return (lambda x: weight_factor(x, jack, s) * q ** weight(x)), q
 
-        w(x) = weight_factor(x, s) q^|x|,   mass = sum over x of w(x),
-        norm(m) = mass q^-|m| / weight_factor(m, s),
 
-    with q = c = 1/(1 - z) and mass (1 - c)^(-r s), or, when s is None
-    (Charlier, the limit), q = a = -1/z and mass e^(r a).  The mass, and
+def _orthogonality_weight(fp: FamilyParams, jack: JackTable) -> tuple:
+    """The weight w of ``_weight`` with its mass and norms, as (w, mass,
+    norm):
+
+        mass = sum over x of w(x),   norm(m) = mass / w(m),
+
+    with mass (1 - c)^(-r s), or, when s is None, e^(r a).  The mass, and
     with it every norm, is a 60-digit Decimal only when irrational.  At
     s = -N (Krawtchouk, c = p/(p - 1)) w vanishes outside the box and
     w / mass is the binomial weight box_binomial(N, x) p^|x| (1 - p)^(rN - |x|)."""
-    r = jack.r
-    s, z = fp.point
+    w, q = _weight(fp, jack)
+    s = fp.point[0]
     if s is None:
-        q = -1 / z
-        mass = _dec_exp(r * q)
+        mass = _dec_exp(jack.r * q)
     else:
-        q = 1 / (1 - z)
-        rs = r * s
+        rs = jack.r * s
         mass = (1 - q) ** -int(rs) if rs.denominator == 1 else _dec_pow(1 - q, -rs)
 
-    def w(x):
-        return weight_factor(x, jack, s) * q ** weight(x)
-
     def norm(m):
-        part = q ** -weight(m) / weight_factor(m, jack, s)
+        part = 1 / w(m)
         return mass * (_dec(part) if isinstance(mass, Decimal) else part)
 
     return w, mass, norm
 
 
-def _orthogonality_rows(fp: FamilyParams, max_index_weight: int, ts: list, jack: JackTable):
-    """The orthogonality sums of ``fp`` through ``_truncated_sums``: for
-    every pair m <= n of indices in the family's domain up to
-    ``max_index_weight``, the partial sums of w(x) f(m, x) f(n, x) at the
-    weights ``ts`` against norm(m) on the diagonal and zero off it.
-    Returns (rows, tail, mass), a row per (m, n) pair."""
-    w, mass, norm = _orthogonality_weight(fp, jack)
+def _index_pairs(fp: FamilyParams, max_index_weight: int, jack: JackTable) -> tuple:
+    """(idx, pairs): the indices in the family's domain up to
+    ``max_index_weight``, and every pair m <= n of them."""
     idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
-    pairs = [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
-    zero = Decimal(0) if isinstance(mass, Decimal) else Fraction(0)
+    return idx, [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
 
-    def shell(x):
-        wx = w(x)
-        if wx:  # zero outside the Krawtchouk box
-            vals = {m: fp.evaluate(m, x, jack) for m in idx}
-            for m, n in pairs:
-                yield (m, n), wx * vals[m] * vals[n]
 
-    def target(pair):
-        m, n = pair
-        return norm(m) if m == n else zero
+def _moment_sum(fp: FamilyParams, f, degree: int, jack: JackTable) -> Fraction:
+    """The weighted sum of f over every x, divided by the mass, exactly, for
+    f shifted-symmetric of degree <= ``degree`` (as a product of family
+    values is), so f = sum of a_k binom(x, k) over |k| <= degree.  With
+    the closed-form binomial moments
 
-    rows, tail = _truncated_sums(jack.r, ts, pairs, shell, target)
-    return rows, tail, mass
+        sum over x of w(x) binom(x, k) = mass weight_factor(k, s) rho^|k| = mass M_k,
+
+    rho = -1/z from the point (s, z) (c/(1 - c) for Meixner, a for
+    Charlier, -p for Krawtchouk), and f(mu) = sum of binom(mu, k) a_k over
+    k in mu, the sum is sum of l_mu f(mu) over the nodes |mu| <= degree,
+    l_k = M_k - sum over mu strictly containing k of binom(mu, k) l_mu:
+    solved once per family-parameter set and degree, memoized in
+    ``jack.cache``.  No basis table is read."""
+    key = ("moments", fp._key, degree)
+    ell = jack.cache.get(key)
+    if ell is None:
+        s, z = fp.point
+        rho = -1 / z
+        nodes = enumerate_up_to(jack.r, degree)
+        ell = {k: weight_factor(k, jack, s) * rho ** weight(k) for k in nodes}
+        # every mu strictly containing k is heavier, so l_mu is final first
+        for mu in reversed(nodes):
+            for k, b in binomial_row(jack, mu).items():
+                if k != mu:
+                    ell[k] -= b * ell[mu]
+        jack.cache[key] = ell
+    return sum(l * f(mu) for mu, l in ell.items())
 
 
 def orthogonality(
     fp: FamilyParams,
     max_index_weight: int,
-    truncation_weights: Sequence[int],
+    truncation_weights: Optional[Sequence[int]],
     jack: JackTable,
     tol_diag: Rat = Fraction(1, 10**8),
     tol_off: Rat = Fraction(1, 10**10),
 ) -> VerificationReport:
-    """Truncated orthogonality of a two-index family: exact partial sums
-    over weight shells, compared against the closed-form norm (decimal
-    where it is irrational: always for Charlier, and for Meixner when
-    r*alpha is not an integer)."""
+    """Orthogonality of a two-index family over every index pair of weight
+    <= ``max_index_weight``.  Without truncation weights each sum is exact
+    (``_moment_sum``): reported over the mass, against norm(m) / mass =
+    1 / w(m) on the diagonal, every pair must give the literal zero
+    residual.  With them, exact partial sums over weight shells are
+    compared against the closed-form norm (decimal where it is
+    irrational: always for Charlier, and for Meixner when r*alpha is not
+    an integer), within the tolerances and with decreasing residuals."""
     r = jack.r
-    ts = _truncation_weights(truncation_weights)
+    ts = None if truncation_weights is None else _truncation_weights(truncation_weights)
     _orthogonality_domain(fp, jack)
-    rows, tail, _ = _orthogonality_rows(fp, max_index_weight, ts, jack)
+    params = {**fp.label(), "d": str(jack.d), "r": r}
+    if ts is None:
+        w, _ = _weight(fp, jack)
+        idx, pairs = _index_pairs(fp, max_index_weight, jack)
+        vals = {x: {m: fp.evaluate(m, x, jack) for m in idx}
+                for x in enumerate_up_to(r, 2 * max_index_weight)}
+        rep = VerificationReport(
+            identity=f"orthogonality-{fp.family}", params=params, truncation={"exact": True}
+        )
+        for m, n in pairs:
+            lhs = _moment_sum(fp, lambda x: vals[x][m] * vals[x][n], weight(m) + weight(n), jack)
+            rhs = 1 / w(m) if m == n else Fraction(0)
+            rep.cases.append(_exact_case({"m": m, "n": n}, lhs, rhs))
+        return rep.finalize()
+    rows, tail, _ = _truncated_sums(fp, max_index_weight, ts, jack)
     rep = VerificationReport(
         identity=f"orthogonality-{fp.family}",
-        params={**fp.label(), "d": str(jack.d), "r": r},
+        params=params,
         truncation={
             "weights": ts,
             "tail_estimate": float(tail),
@@ -429,7 +465,7 @@ def orthogonality_krawtchouk(p: Rat, N: int, jack: JackTable) -> VerificationRep
     fp = FamilyParams("krawtchouk", p=p, N=N)
     _orthogonality_domain(fp, jack)
     r = jack.r
-    rows, _, mass = _orthogonality_rows(fp, r * fp.N, [r * fp.N], jack)
+    rows, _, mass = _truncated_sums(fp, r * fp.N, [r * fp.N], jack)
     rep = VerificationReport(
         identity="orthogonality-krawtchouk",
         # d and r ahead of p and N: the report's key order
@@ -599,66 +635,47 @@ def recurrence(fp: FamilyParams, max_weight: int, jack: JackTable) -> Verificati
 # ---------------------------------------------------------------------------
 # orthogonality-generator kernel
 
-_GENERATOR_TOL = Fraction(1, 10**6)
-
 
 def orthogonality_generator_check(
     alpha: Rat,
     c: Rat,
     max_degree: int,
-    truncation_weights: Sequence[int],
     jack: JackTable,
 ) -> VerificationReport:
     """Checks that the weighted double sum of generating functions against
     the Cayley-type kernel reproduces the diagonal kernel, coefficient by
-    coefficient up to ``max_degree`` in both outer variables.  The inner
-    index sum is infinite, so it is truncated at the given weights and the
-    residuals must decrease."""
+    coefficient up to ``max_degree`` in both outer variables.  The kernel
+    coefficient K_n(x) at Phi_n is a combination of binom(x, k), |k| <=
+    |n| (binomial formula), so each infinite sum over x of w(x) F_m(x)
+    K_n(x) is exact from ``_moment_sum``, which reads K_n at the nodes of
+    weight <= |m| + |n|: the basis is needed to degree 2 ``max_degree``."""
     c = Fraction(c)
     if not 0 < c < 1:
         raise DomainError(f"need 0 < c < 1, got {c}")
     fp = FamilyParams("meixner", alpha=alpha, c=c)
-    alpha = fp.alpha
     r = jack.r
     D = int(max_degree)
-    ts = _truncation_weights(truncation_weights)
-    jack.extend(max(D, ts[-1]))
-    w, mass, _ = _orthogonality_weight(fp, jack)
-
+    jack.extend(2 * D)
     idx = enumerate_up_to(r, D)
-    pref = {m: weight_factor(m, jack, alpha) for m in idx}
-
-    def shell(x):
-        # (1 - c w)^(-alpha) Phi_x((1 - w)/(1 - c w)): the Meixner
-        # generating function at w -> c w
-        kern = jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D, scale=c))
-        wf = w(x)
-        for m in idx:
-            base = wf * fp.evaluate(m, x, jack)
-            if not base:
-                continue
-            for n in idx:
-                kn = kern.get(n)
-                if kn:
-                    yield (m, n), base * kn
-
-    def target(pair):
-        m, n = pair
-        return pref[m] if m == n else Fraction(0)
-
-    def value(pair, s):
-        got = pref[pair[0]] * s
-        return _dec(got) / mass if isinstance(mass, Decimal) else got / mass
-
-    pairs = [(m, n) for m in idx for n in idx]
-    rows, _ = _truncated_sums(r, ts, pairs, shell, target, value)
+    nodes = enumerate_up_to(r, 2 * D)
+    # (1 - c w)^(-alpha) Phi_x((1 - w)/(1 - c w)): the Meixner generating
+    # function at w -> c w
+    kern = {x: jack.to_phi_basis(_genfunc_series(fp, jack.phi(x), D, scale=c)) for x in nodes}
+    vals = {x: {m: fp.evaluate(m, x, jack) for m in idx} for x in nodes}
     rep = VerificationReport(
         identity="orthogonality-generator",
-        params={"d": str(jack.d), "r": r, "alpha": str(alpha), "c": str(c)},
-        truncation={"degree": D, "weights": ts, "tolerance": float(_GENERATOR_TOL)},
+        params={"d": str(jack.d), "r": r, "alpha": str(fp.alpha), "c": str(c)},
+        truncation={"degree": D},
     )
-    for (m, n), final, lhs, residuals in rows:
-        rep.cases.append(_truncated_case(m, n, lhs, final, residuals, _GENERATOR_TOL))
+    for m in idx:
+        pref = weight_factor(m, jack, fp.alpha)
+        for n in idx:
+            got = _moment_sum(
+                fp, lambda x: vals[x][m] * kern[x].get(n, 0), weight(m) + weight(n), jack
+            )
+            rep.cases.append(
+                _exact_case({"m": m, "n": n}, pref * got, pref if m == n else Fraction(0))
+            )
     return rep.finalize()
 
 
@@ -754,12 +771,6 @@ def is_classical(r: int, d: Rat) -> bool:
     return False
 
 
-# truncation weights of the suite's Meixner and Charlier orthogonality
-# checks, which read no basis table
-SUITE_MEIXNER_WEIGHTS = (18, 22, 26)
-SUITE_CHARLIER_WEIGHTS = (16, 20, 24)
-
-
 def conjecture_suite(
     d: Rat,
     r: int,
@@ -768,8 +779,8 @@ def conjecture_suite(
     seed: int = 20250808,
 ) -> VerificationReport:
     """Runs the full identity battery at one (r, d): generating functions,
-    master generating functions, exact Krawtchouk orthogonality, truncated
-    Meixner/Charlier orthogonality, and exact difference/recurrence grids.
+    master generating functions, Krawtchouk, Meixner and Charlier
+    orthogonality, and difference/recurrence grids, every check exact.
     At non-classical (r, d) a passing report is evidence for the
     conjectured extension of the identities."""
     d = Fraction(d)
@@ -787,7 +798,6 @@ def conjecture_suite(
     a_gf = Fraction(2)
     p_gf = Fraction(1, 3)
     n_box = max(2, (budget + 1) // 2)
-    c_orth = Fraction(1, 8)
     n_eq = max(3, budget)
     fps = {
         "meixner": FamilyParams("meixner", alpha=alpha, c=Fraction(3, 5)),
@@ -806,16 +816,9 @@ def conjecture_suite(
     for fp in gf[:2]:  # the master generating function has no Krawtchouk form
         sub.append(master_genfunc(fp, min(3, budget), jack))
     sub.append(orthogonality_krawtchouk(p_gf, n_box, jack))
-    for fp, ts in (
-        (FamilyParams("meixner", alpha=alpha, c=c_orth), SUITE_MEIXNER_WEIGHTS),
-        (FamilyParams("charlier", a=Fraction(1)), SUITE_CHARLIER_WEIGHTS),
-    ):
-        sub.append(
-            orthogonality(
-                fp, min(2, budget), ts, jack,
-                tol_diag=Fraction(1, 10**6), tol_off=Fraction(1, 10**8),
-            )
-        )
+    for fp in (FamilyParams("meixner", alpha=alpha, c=Fraction(1, 8)),
+               FamilyParams("charlier", a=1)):
+        sub.append(orthogonality(fp, min(2, budget), None, jack))
     for fam, fp in fps.items():
         sub.append(difference_equation(fp, budget, jack))
         sub.append(recurrence(fp, budget, jack))
@@ -828,10 +831,6 @@ def conjecture_suite(
             "classical": is_classical(r, d),
             "degree_budget": budget,
             "seed": seed,
-        },
-        truncation={
-            "orthogonality_weights": list(SUITE_MEIXNER_WEIGHTS),
-            "charlier_weights": list(SUITE_CHARLIER_WEIGHTS),
         },
     )
     for s in sub:

@@ -20,7 +20,10 @@ term by term in Fractions, where the package takes one integer dot
 product of two memoized rows.  The dimension ratio d_m / (n/r)_m is read
 off p1^|m| in the basis, where the package runs the Pieri recursion;
 dimensions are also cross-checked in floating point against the
-classical Gamma-product expression.  A diagonal composition with a
+classical Gamma-product expression.  The classical r = 1 Meixner,
+Charlier and Krawtchouk values are the terminating hypergeometric series
+of the Askey scheme with their parameters written out by hand, where the
+package reads each family's declared point (s, z).  A diagonal composition with a
 per-variable factor f is rebuilt as the SymPoly product of the series
 prod_i f(z_i) and the composition without it, where the package folds f
 into the per-variable powers in one pass.
@@ -42,7 +45,7 @@ from mvdop.conearith import (
     raise_coefficient,
     weight_factor,
 )
-from mvdop.errors import PoleError
+from mvdop.errors import DomainError, ParameterError, PoleError
 from mvdop.partitions import (
     box_move,
     contains,
@@ -186,6 +189,46 @@ def schur_eval(m: tuple, xs: tuple) -> Fraction:
     num = [[xs[i] ** (m[k] + r - 1 - k) for k in range(r)] for i in range(r)]
     den = [[xs[i] ** (r - 1 - k) for k in range(r)] for i in range(r)]
     return det(num) / det(den)
+
+
+def _terminating_series(m: int, x: int, b, z) -> Fraction:
+    """sum over k <= min(m, x) of (-m)_k (-x)_k z^k / ((b)_k k!): the
+    terminating 2F1(-m, -x; b; z), or 2F0(-m, -x; ; z) when b is None."""
+    total, term = Fraction(0), Fraction(1)
+    for k in range(min(m, x) + 1):
+        if k:
+            den = k if b is None else k * (b + k - 1)
+            if not den:
+                raise PoleError(f"({b})_{k} = 0")
+            term *= (k - 1 - m) * (k - 1 - x) * z / Fraction(den)
+        total += term
+    return total
+
+
+def univariate_meixner(m: int, x: int, alpha, c) -> Fraction:
+    """Classical Meixner M_m(x; alpha, c) = 2F1(-m, -x; alpha; 1 - 1/c)."""
+    c = Fraction(c)
+    if c == 0:
+        raise ParameterError("c must be nonzero")
+    return _terminating_series(m, x, Fraction(alpha), 1 - 1 / c)
+
+
+def univariate_charlier(m: int, x: int, a) -> Fraction:
+    """Classical Charlier C_m(x; a) = 2F0(-m, -x; ; -1/a)."""
+    a = Fraction(a)
+    if a == 0:
+        raise ParameterError("a must be nonzero")
+    return _terminating_series(m, x, None, -1 / a)
+
+
+def univariate_krawtchouk(m: int, x: int, p, N: int) -> Fraction:
+    """Classical Krawtchouk K_m(x; p, N) = 2F1(-m, -x; -N; 1/p), 0 <= m <= N."""
+    p = Fraction(p)
+    if p == 0:
+        raise ParameterError("p must be nonzero")
+    if not 0 <= m <= N:
+        raise DomainError(f"index {m} outside 0..{N}")
+    return _terminating_series(m, x, Fraction(-N), 1 / p)
 
 
 def recurrence_residual_mirror(fp, m, x, jack) -> Fraction:

@@ -29,9 +29,6 @@ from mvdop.dpolys import (
     determinant_formula,
     krawtchouk,
     meixner,
-    univariate_charlier,
-    univariate_krawtchouk,
-    univariate_meixner,
 )
 from mvdop.jack import jack_table
 from mvdop.partitions import contains, enumerate_up_to, weight
@@ -52,6 +49,9 @@ from .oracles import (
     pieri_coefficients,
     series_exp_trace,
     series_prod_binomial,
+    univariate_charlier,
+    univariate_krawtchouk,
+    univariate_meixner,
 )
 
 F = Fraction

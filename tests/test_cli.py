@@ -162,15 +162,30 @@ def test_verify_master_genfunc(capsys):
 def test_verify_orthogonality_generator(capsys):
     code, out, _ = run(
         ["verify", "orthogonality-generator", "--d", "2", "--r", "1",
-         "--alpha", "2", "--c", "1/6", "--degree", "1",
-         "--truncation-weights", "10,14,18"],
+         "--alpha", "2", "--c", "1/6", "--degree", "1"],
         capsys,
     )
     assert code == 0
+    assert all(case["residual"] == "0" for case in json.loads(out)["cases"])
 
 
 @pytest.mark.parametrize("args", [
-    ["orthogonality-generator", "--alpha", "2", "--c", "1/2", "--truncation-weights", "4,-2"],
+    ["orthogonality", "--family", "meixner", "--alpha", "7/2", "--c", "1/3", "--max-weight", "2"],
+    ["orthogonality", "--family", "charlier", "--a", "2", "--max-weight", "2"],
+    ["orthogonality-generator", "--alpha", "7/2", "--c", "1/3"],
+])
+def test_verify_orthogonality_defaults_are_exact(args, capsys):
+    # without --truncation-weights the sums are exact: every residual is
+    # the literal zero and the call exits 0
+    code, out, _ = run(["verify", args[0], "--d", "2", "--r", "2", *args[1:]], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["summary"]["passed"] == rep["summary"]["total"] > 0
+    assert all(case["residual"] == "0" for case in rep["cases"])
+
+
+@pytest.mark.parametrize("args", [
+    ["orthogonality", "--alpha", "2", "--c", "1/2", "--truncation-weights", "4,-2"],
     ["orthogonality", "--alpha", "2", "--c", "1/8", "--max-weight", "1",
      "--truncation-weights", "30,30"],
     ["orthogonality", "--alpha", "2", "--c", "1/8", "--truncation-weights", ","],
@@ -480,7 +495,7 @@ _READS = {
     "recurrence": ("family", "--max-weight"),
     "genfunc": ("family", "--degree", "--max-weight"),
     "master-genfunc": ("family", "--degree"),
-    "orthogonality-generator": ("--alpha", "--c", "--degree", "--truncation-weights"),
+    "orthogonality-generator": ("--alpha", "--c", "--degree"),
     "limits": ("--a", "--max-weight", "--scales"),
 }
 _FAMILY = ("--family", "--alpha", "--c", "--a", "--p", "--N")

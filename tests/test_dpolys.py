@@ -14,10 +14,7 @@ from mvdop.dpolys import (
     laguerre,
     meixner,
     univariate,
-    univariate_charlier,
-    univariate_krawtchouk,
     univariate_laguerre,
-    univariate_meixner,
 )
 from mvdop.errors import DomainError, ParameterError, PoleError
 from mvdop.jack import JackTable, jack_table
@@ -25,21 +22,49 @@ from mvdop.partitions import contains, enumerate_up_to, format_partition, pad, p
 from mvdop.conearith import box_binomial, cone_params, dim_partition, gen_pochhammer
 from mvdop.verify import _orthogonality_weight, limits_check, orthogonality_krawtchouk
 
-from .oracles import kernel_direct
+from .oracles import (
+    kernel_direct,
+    univariate_charlier,
+    univariate_krawtchouk,
+    univariate_meixner,
+)
 
 F = Fraction
 
 
 def test_univariate_examples():
-    assert univariate_meixner(0, 5, F(7, 2), F(1, 3)) == 1
-    assert univariate_meixner(1, 1, 2, F(1, 2)) == F(1, 2)
-    assert univariate_charlier(1, 1, 1) == 0  # 1 - x/a at x = a = 1
-    assert univariate_charlier(2, 1, 1) == -1
-    assert univariate_krawtchouk(1, 1, F(1, 2), 2) == 0
+    assert univariate("meixner", 0, 5, alpha=F(7, 2), c=F(1, 3)) == 1
+    assert univariate("meixner", 1, 1, alpha=2, c=F(1, 2)) == F(1, 2)
+    assert univariate("charlier", 1, 1, a=1) == 0  # 1 - x/a at x = a = 1
+    assert univariate("charlier", 2, 1, a=1) == -1
+    assert univariate("krawtchouk", 1, 1, p=F(1, 2), N=2) == 0
     assert univariate("charlier", 0, 3, a=2) == 1
+    # the package's declared points agree with the hand-written series
+    alpha, c, p = F(7, 2), F(1, 3), F(1, 3)
+    for m in range(4):
+        for x in range(4):
+            assert univariate("meixner", m, x, alpha=alpha, c=c) == univariate_meixner(m, x, alpha, c)
+            assert univariate("charlier", m, x, a=2) == univariate_charlier(m, x, 2)
+            assert univariate("krawtchouk", m, x, p=p, N=3) == univariate_krawtchouk(m, x, p, 3)
+
+
+def test_univariate_reads_the_family_declaration():
+    # the parameters go through FamilyParams: one a family does not take is
+    # refused by name, and the box size N is checked as krawtchouk checks it
+    with pytest.raises(ParameterError, match="meixner takes no --N"):
+        univariate("meixner", 1, 1, alpha=2, c=F(1, 2), N=5)
+    with pytest.raises(ParameterError, match="N must be an integer"):
+        univariate("krawtchouk", 1, 1, p=F(1, 3), N=2.5)
+    with pytest.raises(ParameterError, match="N must be >= 0"):
+        univariate("krawtchouk", 1, 1, p=F(1, 3), N=-1)
+    for m in (-1, 3):
+        with pytest.raises(DomainError, match=f"index {m} outside"):
+            univariate("krawtchouk", m, 1, p=F(1, 3), N=2)
 
 
 def test_univariate_meixner_pole():
+    with pytest.raises(PoleError):
+        univariate("meixner", 2, 2, alpha=-1, c=F(1, 2))
     with pytest.raises(PoleError):
         univariate_meixner(2, 2, F(-1), F(1, 2))
 

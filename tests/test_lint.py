@@ -212,3 +212,41 @@ def test_only_verify_builds_reports():
                 if name == "VerificationReport":
                     found.append(f"{path.name}:{node.lineno}: builds a VerificationReport")
     assert not found, found
+
+
+def _verify_functions() -> dict:
+    tree = ast.parse((SRC / "verify.py").read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_truncated_sums_serve_explicit_weights_only():
+    # the exact routes sum from binomial moments; only a check at explicit
+    # truncation weights and the finite Krawtchouk box sum cut a sum
+    callers = set()
+    for name, func in _verify_functions().items():
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_truncated_sums"
+            ):
+                callers.add(name)
+    assert callers == {"orthogonality", "orthogonality_krawtchouk"}
+
+
+INEXACT = {"Decimal", "float", "log"}
+
+
+def test_moment_sum_stays_rational():
+    # the closed-form moments make every orthogonality sum a rational: the
+    # mass divides out, so no decimal or floating-point value may enter
+    funcs = _verify_functions()
+    assert "_moment_sum" in funcs
+    found = []
+    for node in ast.walk(funcs["_moment_sum"]):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in INEXACT:
+            found.append(f"verify.py:{node.lineno}: _moment_sum uses {name}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"verify.py:{node.lineno}: _moment_sum uses {node.value!r}")
+    assert not found, found

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mvdop.conearith import cone_params, gen_pochhammer
-from mvdop.dpolys import FamilyParams, univariate_meixner
+from mvdop.dpolys import FamilyParams
 from mvdop.errors import DomainError, MvdopError, ParameterError
 from mvdop import dpolys, verify
 from mvdop.jack import JackTable, jack_table
@@ -28,7 +28,7 @@ from mvdop.verify import (
     recurrence_residual,
 )
 
-from .oracles import recurrence_residual_mirror, shift_equation_direct
+from .oracles import recurrence_residual_mirror, shift_equation_direct, univariate_meixner
 
 F = Fraction
 
@@ -158,8 +158,6 @@ def test_truncated_checks_reject_bad_weights(ts):
     t = jack_table(1, 2, 6)
     with pytest.raises(ParameterError, match="truncation weights"):
         orthogonality(FamilyParams("meixner", alpha=2, c=F(1, 8)), 1, ts, t)
-    with pytest.raises(ParameterError, match="truncation weights"):
-        orthogonality_generator_check(2, F(1, 2), 1, ts, t)
 
 
 def test_orthogonality_charlier_converges():
@@ -190,6 +188,74 @@ def test_orthogonality_checks_fail_on_a_wrong_family(monkeypatch):
         assert not rep.passed
         case = next(c for c in rep.cases if (c["m"], c["n"]) == ("1,0", "1,1"))
         assert F(case["residual"]) != 0 and not case["pass"]
+
+
+@pytest.mark.parametrize("r, d, max_index_weight", [(2, F(2), 2), (3, F(7, 3), 3), (4, F(5, 2), 3)])
+def test_orthogonality_from_moments_is_exact(r, d, max_index_weight):
+    # without truncation weights every sum is exact, the Charlier one (of
+    # irrational mass e^(r a)) included
+    t = JackTable(r, d)
+    alpha = F(7, 2) + d / 2 * (r - 1)
+    k = len(enumerate_up_to(r, max_index_weight))
+    for fp in (FamilyParams("meixner", alpha=alpha, c=F(1, 3)), FamilyParams("charlier", a=F(2))):
+        rep = orthogonality(fp, max_index_weight, None, t)
+        assert rep.passed and rep.truncation == {"exact": True}, (r, d, fp.family)
+        assert rep.summary["total"] == k * (k + 1) // 2
+        assert all(case["residual"] == "0" for case in rep.cases)
+
+
+@pytest.mark.parametrize("r, alpha, c, degree", [(1, F(2), F(1, 6), 3), (2, F(7, 2), F(1, 3), 2)])
+def test_orthogonality_generator_is_exact(r, alpha, c, degree):
+    t = JackTable(r, 2)
+    rep = orthogonality_generator_check(alpha, c, degree, t)
+    assert rep.passed and rep.summary["total"] == len(enumerate_up_to(r, degree)) ** 2
+    assert all(case["residual"] == "0" for case in rep.cases)
+    # the kernel is read at the nodes of weight <= 2 degree
+    assert t.built_degree == 2 * degree
+
+
+def test_moment_routes_fail_on_a_wrong_family(monkeypatch):
+    # values at alpha + 1/100 (a + 1/100 for Charlier) are a polynomial
+    # family, but not the one the weight belongs to: both exact routes must
+    # leave an off-diagonal and a diagonal pair nonzero
+    t = JackTable(2, 2)
+    true_value = FamilyParams.evaluate
+    moved = {"meixner": "alpha", "charlier": "a"}
+
+    def wrong_value(fp, m, x, jack):
+        name = moved[fp.family]
+        return true_value(replace(fp, **{name: getattr(fp, name) + F(1, 100)}), m, x, jack)
+
+    monkeypatch.setattr(FamilyParams, "evaluate", wrong_value)
+    families = (FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)), FamilyParams("charlier", a=F(2)))
+    reports = [(orthogonality(fp, 2, None, t), (("1,0", "1,1"), ("2,0", "2,0"))) for fp in families]
+    reports.append(
+        (orthogonality_generator_check(F(7, 2), F(1, 3), 2, t), (("1,0", "0,0"), ("2,0", "2,0")))
+    )
+    for rep, named in reports:
+        assert not rep.passed
+        cases = {(c["m"], c["n"]): c for c in rep.cases}
+        for pair in named:
+            assert F(cases[pair]["residual"]) != 0 and not cases[pair]["pass"], (rep.identity, pair)
+
+
+def test_exact_norm_bounds_the_truncated_partial_sums():
+    # r alpha = 7, so the mass (1 - c)^(-7) is rational: the exact norm
+    # over the mass, times the mass, minus a partial sum is the exact tail,
+    # which is positive on the diagonal and shrinks as the cut deepens
+    t = JackTable(2, 2)
+    fp = FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3))
+    mass = (1 - fp.c) ** -7
+    exact = {(c["m"], c["n"]): mass * F(c["lhs"]) for c in orthogonality(fp, 2, None, t).cases}
+    tails = {}
+    for cut in (10, 12, 14):
+        for case in orthogonality(fp, 2, (cut - 1, cut), t).cases:
+            if case["m"] == case["n"]:
+                pair = case["m"], case["n"]
+                tails.setdefault(pair, []).append(exact[pair] - F(case["lhs"]))
+    assert len(tails) == 4
+    for pair, tail in tails.items():
+        assert 0 < tail[2] < tail[1] < tail[0], pair
 
 
 def test_difference_equation_r1_matches_classical_three_term():
@@ -435,11 +501,13 @@ def test_equation_reports():
 
 
 def test_orthogonality_generator_exact_and_decimal():
-    t = jack_table(2, 2, 20)
-    rep = orthogonality_generator_check(F(2), F(1, 6), 1, (12, 16, 20), t)
-    assert rep.passed
-    rep2 = orthogonality_generator_check(F(5, 4), F(1, 6), 1, (12, 16, 20), t)
-    assert rep2.passed
+    # r alpha = 4 gives a rational mass, r alpha = 5/2 an irrational one;
+    # the sums are taken over the mass, so both end in the literal zero
+    t = jack_table(2, 2, 2)
+    for alpha in (F(2), F(5, 4)):
+        rep = orthogonality_generator_check(alpha, F(1, 6), 1, t)
+        assert rep.passed and rep.summary["total"] == 4
+        assert all(case["residual"] == "0" for case in rep.cases)
 
 
 def test_limits_check_orders():
