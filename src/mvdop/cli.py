@@ -227,12 +227,12 @@ def cmd_verify(args) -> int:
             table = load_or_build_table(r, d, r * fp.N)
             rep = verify.orthogonality_krawtchouk(fp.p, fp.N, table)
         else:
-            # without weights the sums are exact from binomial moments, which
-            # read falling rows, not the basis: the table is loaded at
-            # --max-weight, as for the limits
+            # exact or cut at weights, the sums come from binomial moments
+            # and family values, which read falling rows, not the basis: the
+            # table is loaded at --max-weight, as for the limits
             ts = args.truncation_weights
             ts = None if ts is None else _parse_weights(ts)
-            table = load_or_build_table(r, d, args.max_weight if ts is None else max(ts))
+            table = load_or_build_table(r, d, args.max_weight)
             rep = verify.orthogonality(fp, args.max_weight, ts, table)
     elif identity in ("difference", "recurrence"):
         fp = _family_params(args)

@@ -221,15 +221,22 @@ def _poch1(s: Fraction, k: int) -> Fraction:
     return out
 
 
-def _univariate_kernel(m: int, x: int, s: Optional[Fraction], z: Fraction) -> Fraction:
-    """The r = 1 family sum: k! C(m, k) C(x, k) z^k / (s)_k over
-    k <= min(m, x), the (s)_k factor left out when ``s`` is None."""
+def _univariate_kernel(m: int, x: Rat, s: Optional[Fraction], z: Fraction) -> Fraction:
+    """The r = 1 family sum: C(m, k) x(x - 1)...(x - k + 1) z^k / (s)_k
+    over k <= m, the (s)_k factor left out when ``s`` is None.  A
+    polynomial of degree m in any rational x; at an integer x >= 0 the
+    falling factorial vanishes past k = x, and a pole of (s)_k raises only
+    on a term the sum contains."""
     total = Fraction(0)
-    for k in range(min(m, x) + 1):
+    falling = Fraction(1)
+    for k in range(m + 1):
+        if not falling:
+            break
         poch = Fraction(1) if s is None else _poch1(s, k)
         if poch == 0:
             raise PoleError(f"({s})_{k} = 0")
-        total += Fraction(factorial(k)) * comb(m, k) * comb(x, k) * z**k / poch
+        total += comb(m, k) * falling * z**k / poch
+        falling *= x - k
     return total
 
 

@@ -26,13 +26,15 @@ the built degree, together with the entries below it that a miss fills.
 ``weight_factor`` keeps the shifted factorial (s)_x per distinct s and
 partition.  The verifier keeps one shift-equation plan per distinct
 family-parameter set and index, and one row of orthogonality moment
-weights per family-parameter set and degree.  The family kernel keeps two integer
-rows: the terms of each first index per parameter set, and the
-falling-factorial row of each second index per cap.  So the cache grows
-with the number of parameter draws times the first indices evaluated, and
-with the partitions queried on the table in one process.  The per-(r, d)
-memo ``_TABLES`` behind ``jack_table`` is process-wide and never evicted
-either.
+weights per family-parameter set, degree and truncation weight (none for
+the exact sums); a truncated sum also keeps, per family-parameter set and
+truncation weight, its partial shell moments, one per node weight |k|.
+The family kernel keeps two integer rows: the terms of each first index
+per parameter set, and the falling-factorial row of each second index
+per cap.  So the cache grows with the number of parameter draws times
+the first indices evaluated, and with the partitions queried on the
+table in one process.  The per-(r, d) memo ``_TABLES`` behind
+``jack_table`` is process-wide and never evicted either.
 """
 
 from __future__ import annotations

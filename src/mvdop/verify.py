@@ -12,7 +12,11 @@ weight_factor(k, s) (-1/z)^|k|, so the sum over the mass is rational
 (``_moment_sum``).  Only a check asked for explicit truncation weights
 cuts its sums: exact partial sums, compared against the closed-form norm
 (60-digit decimal where the mass is irrational), with the residual
-sequence required to decrease.
+sequence required to decrease.  Those partial sums come from the same
+nodes: each weight shell of a binomial moment has a closed form too
+(``_shell_moment``), so no shell is summed point by point.  Only the
+deepest shell is evaluated, for the report's ``tail_estimate``, its
+largest |term|: an indication of the tail, not a bound on it.
 
 Orthogonality has one weight for all three families, derived from the
 point (s, z) of the family sum: w(x) = d_x (s)_x / (n/r)_x c^|x| with
@@ -259,34 +263,48 @@ def _truncated_sums(fp: FamilyParams, max_index_weight: int, ts: list, jack: Jac
     one, run to the single weight past which its weight vanishes.
 
     For every pair m <= n of indices in the family's domain up to
-    ``max_index_weight``, w(x) f(m, x) f(n, x) is summed exactly over every
-    x of weight <= max(ts), one weight shell at a time, keeping each
-    pair's partial sum at every truncation weight.  Each partial sum s is
-    compared with norm(m) on the diagonal and zero off it: the residual
+    ``max_index_weight``, the sum of w(x) f(m, x) f(n, x) over every x of
+    weight <= T is exact at each truncation weight T: from the shell
+    moments (``_moment_sum`` with ``cut=T``) for Meixner and Charlier,
+    and term by term over the (N, ..., N) box for Krawtchouk, whose full
+    sum to rN would need nodes up to 2rN.  Each partial sum s is compared
+    with norm(m) on the diagonal and zero off it: the residual
     |s - target|, relative to |target| on the diagonal, is exact when the
     mass is rational and 60-digit decimal otherwise.
 
     Returns (rows, tail, mass): a (pair, last partial sum, target,
-    residuals) row per pair, the largest |term| of the deepest shell, and
-    the mass."""
+    residuals) row per pair, the largest |term| of the deepest shell
+    |x| = max(ts), and the mass."""
     w, mass, norm = _orthogonality_weight(fp, jack)
     idx, pairs = _index_pairs(fp, max_index_weight, jack)
-    sums = dict.fromkeys(pairs, Fraction(0))
-    snapshots = {}
-    tail = Fraction(0)
-    for t in range(ts[-1] + 1):
-        tail = Fraction(0)
-        for x in partitions_of(t, jack.r):
-            wx = w(x)
-            if not wx:  # zero outside the Krawtchouk box
-                continue
-            vals = {m: fp.evaluate(m, x, jack) for m in idx}
-            for m, n in pairs:
-                term = wx * vals[m] * vals[n]
-                sums[m, n] += term
-                tail = max(tail, abs(term))
-        if t in ts:
-            snapshots[t] = dict(sums)
+
+    def family_values(points):
+        return {x: {m: fp.evaluate(m, x, jack) for m in idx} for x in points}
+
+    if fp.family == "krawtchouk":
+        # w vanishes outside the box, so the sums are finite: term by term
+        # over its points
+        wts = {x: wx for x in enumerate_up_to(jack.r, ts[-1]) if (wx := w(x))}
+        vals = family_values(wts)
+        snapshots = {
+            t: {(m, n): sum(wx * vals[x][m] * vals[x][n]
+                            for x, wx in wts.items() if weight(x) <= t)
+                for m, n in pairs}
+            for t in ts
+        }
+        shell = {x: v for x, v in vals.items() if weight(x) == ts[-1]}
+    else:
+        vals = family_values(enumerate_up_to(jack.r, 2 * max_index_weight))
+        snapshots = {
+            t: {(m, n): _moment_sum(fp, lambda x: vals[x][m] * vals[x][n],
+                                    weight(m) + weight(n), jack, cut=t)
+                for m, n in pairs}
+            for t in ts
+        }
+        shell = family_values(partitions_of(ts[-1], jack.r))
+    # the tail estimate: the largest |term| of the deepest shell
+    tail = max((abs(w(x)) * max(abs(v[m] * v[n]) for m, n in pairs) for x, v in shell.items()),
+               default=Fraction(0))
 
     decimal = isinstance(mass, Decimal)
     zero = Decimal(0) if decimal else Fraction(0)
@@ -376,7 +394,33 @@ def _index_pairs(fp: FamilyParams, max_index_weight: int, jack: JackTable) -> tu
     return idx, [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
 
 
-def _moment_sum(fp: FamilyParams, f, degree: int, jack: JackTable) -> Fraction:
+def _shell_moment(fp: FamilyParams, K: int, cut: int, jack: JackTable) -> Fraction:
+    """The partial binomial moment of |k| = K cut at weight ``cut``, over
+    weight_factor(k, s): by the generalized binomial formula each weight
+    shell has the closed form
+
+        sum over |x| = t of w(x) binom(x, k) = weight_factor(k, s) q^t coef_(t - K),
+
+    with q and w from ``_weight``, coef_j = (rs + K)_j / j! (r^j / j! when s
+    is None, Charlier), so the moment is sum of q^t coef_(t - K) over
+    K <= t <= cut, and 0 for K > cut.  The series over K is memoized per
+    (family parameters, cut) in ``jack.cache``."""
+    series = jack.cache.setdefault(("shells", fp._key, cut), {})
+    got = series.get(K)
+    if got is None:
+        s = fp.point[0]
+        q = _weight(fp, jack)[1]
+        got, term = Fraction(0), q**K
+        for j in range(cut - K + 1):
+            got += term
+            term *= q * (jack.r if s is None else jack.r * s + K + j) / (j + 1)
+        got = series.setdefault(K, got)
+    return got
+
+
+def _moment_sum(
+    fp: FamilyParams, f, degree: int, jack: JackTable, cut: Optional[int] = None
+) -> Fraction:
     """The weighted sum of f over every x, divided by the mass, exactly, for
     f shifted-symmetric of degree <= ``degree`` (as a product of family
     values is), so f = sum of a_k binom(x, k) over |k| <= degree.  With
@@ -388,15 +432,23 @@ def _moment_sum(fp: FamilyParams, f, degree: int, jack: JackTable) -> Fraction:
     Charlier, -p for Krawtchouk), and f(mu) = sum of binom(mu, k) a_k over
     k in mu, the sum is sum of l_mu f(mu) over the nodes |mu| <= degree,
     l_k = M_k - sum over mu strictly containing k of binom(mu, k) l_mu:
-    solved once per family-parameter set and degree, memoized in
-    ``jack.cache``.  No basis table is read."""
-    key = ("moments", fp._key, degree)
+    solved once per family-parameter set, degree and cut, memoized in
+    ``jack.cache``.  No basis table is read.
+
+    With ``cut`` = T the sum runs over |x| <= T only and is not divided by
+    the mass: M_k is the partial moment weight_factor(k, s) times
+    ``_shell_moment``, so the sum stays rational where the mass is not."""
+    key = ("moments", fp._key, degree, cut)
     ell = jack.cache.get(key)
     if ell is None:
         s, z = fp.point
-        rho = -1 / z
         nodes = enumerate_up_to(jack.r, degree)
-        ell = {k: weight_factor(k, jack, s) * rho ** weight(k) for k in nodes}
+        if cut is None:
+            rho = -1 / z
+            ell = {k: weight_factor(k, jack, s) * rho ** weight(k) for k in nodes}
+        else:
+            ell = {k: weight_factor(k, jack, s) * _shell_moment(fp, weight(k), cut, jack)
+                   for k in nodes}
         # every mu strictly containing k is heavier, so l_mu is final first
         for mu in reversed(nodes):
             for k, b in binomial_row(jack, mu).items():

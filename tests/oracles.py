@@ -26,7 +26,10 @@ of the Askey scheme with their parameters written out by hand, where the
 package reads each family's declared point (s, z).  A diagonal composition with a
 per-variable factor f is rebuilt as the SymPoly product of the series
 prod_i f(z_i) and the composition without it, where the package folds f
-into the per-variable powers in one pass.
+into the per-variable powers in one pass.  The truncated orthogonality
+sums are added up term by term over every x, one weight shell at a time,
+where the package takes them from the closed-form shell moments at the
+nodes.
 """
 
 from __future__ import annotations
@@ -314,6 +317,38 @@ def kernel_direct(jack, m, x, s, z) -> Fraction:
             ck /= poch
         total += ck * gmk * gxk
     return total
+
+
+def truncated_sums_by_shells(fp, max_index_weight: int, ts, jack) -> tuple:
+    """The orthogonality sums of ``fp`` cut at each weight T in ``ts``,
+    added up term by term over every x of weight <= max(ts), one weight
+    shell at a time, with the weight w(x) = d_x (s)_x / (n/r)_x q^|x|
+    read off the family point (q = 1/(1 - z), or -1/z when s is None).
+
+    Returns (snapshots, tail): {T: {(m, n): partial sum}} for every pair
+    m <= n of indices in the family's domain up to ``max_index_weight``,
+    and the largest |term| of the deepest shell."""
+    s, z = fp.point
+    q = -1 / z if s is None else 1 / (1 - z)
+    idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
+    pairs = [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
+    sums = dict.fromkeys(pairs, Fraction(0))
+    snapshots = {}
+    tail = Fraction(0)
+    for t in range(max(ts) + 1):
+        tail = Fraction(0)
+        for x in partitions_of(t, jack.r):
+            wx = weight_factor(x, jack, s) * q**t
+            if not wx:  # zero outside the Krawtchouk box
+                continue
+            vals = {m: fp.evaluate(m, x, jack) for m in idx}
+            for m, n in pairs:
+                term = wx * vals[m] * vals[n]
+                sums[m, n] += term
+                tail = max(tail, abs(term))
+        if t in ts:
+            snapshots[t] = dict(sums)
+    return snapshots, tail
 
 
 def shift_equation_direct(fp, fixed, moving, jack, moving_first: bool) -> Fraction:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvdop import cli
+from mvdop import cli, jack, verify
 from mvdop.dpolys import FamilyParams
 from mvdop.jack import JackTable
 
@@ -182,6 +182,27 @@ def test_verify_orthogonality_defaults_are_exact(args, capsys):
     rep = json.loads(out)
     assert rep["summary"]["passed"] == rep["summary"]["total"] > 0
     assert all(case["residual"] == "0" for case in rep["cases"])
+
+
+def test_truncated_orthogonality_loads_its_table_at_max_weight(tmp_path, monkeypatch, capsys):
+    # the partial sums come from shell moments and family values, which
+    # read no basis: the table is loaded at --max-weight, not at the
+    # deepest truncation weight.  No (r, d) is memoized yet, as in a fresh
+    # process
+    monkeypatch.setattr(jack, "_TABLES", {})
+    out_path = tmp_path / "orth.json"
+    code, _, _ = run(
+        ["verify", "orthogonality", "--family", "meixner", "--d", "2", "--r", "2",
+         "--alpha", "7/2", "--c", "1/3", "--max-weight", "2",
+         "--truncation-weights", "10,12,14", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1  # criterion 04's tolerances are out of reach at T = 14
+    (cache_file,) = (tmp_path / "cache").iterdir()
+    assert json.loads(cache_file.read_text())["built_degree"] == 2
+    fp = FamilyParams("meixner", alpha=Fraction(7, 2), c=Fraction(1, 3))
+    rep = verify.orthogonality(fp, 2, [10, 12, 14], JackTable(2, 2))
+    assert out_path.read_text() == rep.to_json() + "\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -69,6 +69,45 @@ def test_univariate_meixner_pole():
         univariate_meixner(2, 2, F(-1), F(1, 2))
 
 
+def _forward_differences(values: list) -> list:
+    """[values, first differences, second differences, ...]."""
+    rows = [values]
+    while len(rows[-1]) > 1:
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    return rows
+
+
+@pytest.mark.parametrize("family, params", [
+    ("meixner", {"alpha": 2, "c": F(1, 2)}),
+    ("meixner", {"alpha": F(7, 2), "c": F(1, 3)}),
+    ("charlier", {"a": F(5, 4)}),
+    ("krawtchouk", {"p": F(1, 3), "N": 4}),
+])
+def test_univariate_is_a_polynomial_of_degree_m_in_x(family, params):
+    # the sum used to stop at k <= min(m, x), so a negative x gave the
+    # empty sum 0 and a Fraction x raised TypeError; it is a polynomial of
+    # degree m in x, and at x >= 0 its values are the terminating series
+    oracle = {"meixner": univariate_meixner, "charlier": univariate_charlier,
+              "krawtchouk": univariate_krawtchouk}[family]
+    xs = range(-3, 7)
+    for m in range(5):
+        values = [univariate(family, m, x, **params) for x in xs]
+        diffs = _forward_differences(values)
+        assert all(v == 0 for v in diffs[m + 1]), (m, diffs[m + 1])
+        assert diffs[m][0] != 0
+        for x, v in zip(xs, values):
+            if x >= 0:
+                assert v == oracle(m, x, *params.values())
+        # Newton's forward formula from x = -3 gives the value at a rational x
+        u = F(5, 2)
+        newton, binom = F(0), F(1)
+        for j, row in enumerate(diffs[: m + 1]):
+            newton += row[0] * binom
+            binom *= (u + 3 - j) / (j + 1)
+        assert univariate(family, m, u, **params) == newton
+    assert univariate("meixner", 1, -1, alpha=2, c=F(1, 2)) == F(3, 2)
+
+
 def test_normalization_at_empty_index():
     t = jack_table(2, F(5, 2), 4)
     for x in enumerate_up_to(2, 4):

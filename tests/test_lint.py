@@ -239,14 +239,17 @@ INEXACT = {"Decimal", "float", "log"}
 
 def test_moment_sum_stays_rational():
     # the closed-form moments make every orthogonality sum a rational: the
-    # mass divides out, so no decimal or floating-point value may enter
+    # mass divides out, and a partial sum cut at a weight is a finite sum
+    # of rational shell moments, so no decimal or floating-point value may
+    # enter either
     funcs = _verify_functions()
-    assert "_moment_sum" in funcs
     found = []
-    for node in ast.walk(funcs["_moment_sum"]):
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if name in INEXACT:
-            found.append(f"verify.py:{node.lineno}: _moment_sum uses {name}")
-        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
-            found.append(f"verify.py:{node.lineno}: _moment_sum uses {node.value!r}")
+    for fn in ("_moment_sum", "_shell_moment"):
+        assert fn in funcs
+        for node in ast.walk(funcs[fn]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in INEXACT:
+                found.append(f"verify.py:{node.lineno}: {fn} uses {name}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"verify.py:{node.lineno}: {fn} uses {node.value!r}")
     assert not found, found

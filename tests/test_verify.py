@@ -11,7 +11,7 @@ from mvdop.dpolys import FamilyParams
 from mvdop.errors import DomainError, MvdopError, ParameterError
 from mvdop import dpolys, verify
 from mvdop.jack import JackTable, jack_table
-from mvdop.partitions import contains, enumerate_up_to, pad
+from mvdop.partitions import contains, enumerate_up_to, pad, partitions_of
 from mvdop.verify import (
     VerificationReport,
     conjecture_suite,
@@ -28,7 +28,12 @@ from mvdop.verify import (
     recurrence_residual,
 )
 
-from .oracles import recurrence_residual_mirror, shift_equation_direct, univariate_meixner
+from .oracles import (
+    recurrence_residual_mirror,
+    shift_equation_direct,
+    truncated_sums_by_shells,
+    univariate_meixner,
+)
 
 F = Fraction
 
@@ -256,6 +261,63 @@ def test_exact_norm_bounds_the_truncated_partial_sums():
     assert len(tails) == 4
     for pair, tail in tails.items():
         assert 0 < tail[2] < tail[1] < tail[0], pair
+
+
+def _shell_cases():
+    # Meixner at an integer and a non-integer r alpha, and Charlier
+    for r in (1, 2, 3):
+        for d in (F(2), F(5, 2), F(7, 3)):
+            rank_ratio = 1 + d / 2 * (r - 1)
+            alpha = F(int(r * rank_ratio) + 1, r)
+            for fp in (FamilyParams("meixner", alpha=alpha, c=F(2, 5)),
+                       FamilyParams("meixner", alpha=alpha + F(1, 2 * r + 1), c=F(1, 3)),
+                       FamilyParams("charlier", a=F(3, 2))):
+                yield r, d, fp
+
+
+@pytest.mark.parametrize("r, d, fp", list(_shell_cases()))
+def test_shell_moments_match_shell_oracle(r, d, fp):
+    # every partial sum at every cut T, T = 0 and T below |m| + |n|
+    # included, equals the sum added up shell by shell over every x
+    t = JackTable(r, d)
+    max_index_weight = 2 if r < 3 else 1
+    cuts = list(range(0, 8 if r < 3 else 6))
+    snapshots, tail = truncated_sums_by_shells(fp, max_index_weight, cuts, t)
+    idx = enumerate_up_to(r, max_index_weight)
+    vals = {x: {m: fp.evaluate(m, x, t) for m in idx}
+            for x in enumerate_up_to(r, 2 * max_index_weight)}
+    for cut in cuts:
+        for (m, n), want in snapshots[cut].items():
+            got = verify._moment_sum(fp, lambda x: vals[x][m] * vals[x][n],
+                                     sum(m) + sum(n), t, cut=cut)
+            assert got == want, (cut, m, n)
+    rows, got_tail, _ = verify._truncated_sums(fp, max_index_weight, cuts[-2:], t)
+    assert got_tail == tail
+    assert {pair: last for pair, last, _, _ in rows} == snapshots[cuts[-1]]
+
+
+@pytest.mark.parametrize("r, ts", [(1, (6, 9)), (1, (30, 40)), (2, (6, 9)), (2, (30, 40))])
+def test_truncated_sums_evaluate_only_nodes_and_the_deepest_shell(monkeypatch, r, ts):
+    # the partial sums read the family at the nodes |x| <= 2 max_weight,
+    # and the tail estimate at the deepest shell; no other shell is visited
+    calls = []
+    true_value = FamilyParams.evaluate
+
+    def counted(fp, m, x, jack):
+        calls.append(x)
+        return true_value(fp, m, x, jack)
+
+    monkeypatch.setattr(FamilyParams, "evaluate", counted)
+    max_weight = 2
+    t = JackTable(r, 2)
+    idx = enumerate_up_to(r, max_weight)
+    nodes = enumerate_up_to(r, 2 * max_weight)
+    shell = list(partitions_of(max(ts), r))
+    for fp in (FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)), FamilyParams("charlier", a=F(2))):
+        calls.clear()
+        orthogonality(fp, max_weight, ts, t)
+        assert len(calls) == len(idx) * (len(nodes) + len(shell))
+        assert {x for x in calls if sum(x) > 2 * max_weight} == set(shell)
 
 
 def test_difference_equation_r1_matches_classical_three_term():
