@@ -98,8 +98,10 @@ def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
     """Disk-backed table: load when the cached degree suffices; extend a
     shallow cached table, or build one when there is none, and rewrite the
     file.  A file that does not parse, or holds another (r, d) than its
-    name, is rebuilt.  Cache hits are bit-identical to a fresh build
-    because entries never change once computed."""
+    name, is rebuilt.  The file written holds exactly ``degree``, also
+    when the process-wide table was built deeper, so its bytes are those
+    of ``JackTable(r, d).extend(degree)``; cache hits are bit-identical to
+    a fresh build because entries never change once computed."""
     path = cache_dir() / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
     table = None
     if path.exists():
@@ -117,7 +119,7 @@ def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
     # a killed or concurrent writer must never leave a truncated cache file
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(json.dumps(table.to_json_dict(), indent=None, sort_keys=False))
+        tmp.write_text(json.dumps(table.to_json_dict(degree), indent=None, sort_keys=False))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

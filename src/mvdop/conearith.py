@@ -7,19 +7,23 @@ generalized binomial coefficients with their falling-factorial eigenvalue
 form, and the closed-form raise/lower shift coefficients used by the
 difference and recurrence equations.
 
-One closed form, the Pieri coefficient ``raise_coefficient``, gives the
-dimensions, the rows and the shift equations, so none of them needs the
-basis table.  The ratio rho(m) = d_m / (n/r)_m follows from the Pieri
-recursion (d_m is derived from it on each call).  The full
-falling-factorial row G_x of x (all k contained in x) follows top down
-from G_x[x] = 1 / rho(x) by Lassalle's recursion, a row capped below |x|
-from the rows of the partitions x - e_j at the same cap by its dual, with
-the one-box binomial in closed form, and binom(x, k) is G_x[k] rho(k).
+None of the dimensions, rows or shift equations needs the basis table.
+The ratio rho(m) = d_m / (n/r)_m is the closed product of d_m over
+(n/r)_m (Faraut-Koranyi, ch. XI), and the shifted factorial (s)_x of
+``weight_factor`` a product of ordinary ones, both run in ints.  The
+full falling-factorial row G_x of x (all k contained in x) follows top
+down from G_x[x] = 1 / rho(x) by Lassalle's recursion, with the Pieri
+coefficient ``raise_coefficient``.  A row capped below |x| takes its
+entries of weight <= 2 in closed form and the heavier ones from the rows
+of the partitions x - e_j at the same cap, by the dual recursion with the
+one-box binomial in closed form; binom(x, k) is G_x[k] rho(k).
 
-Rho, the rows and the shifted factorials (s)_x of ``weight_factor`` are
-memoized per partition (and per s) in the owning table's ``cache`` dict,
-each entry published whole once computed.  A miss fills the missing
-entries below it in increasing weight, so no computation recurses.
+Rho, the rows and (s)_x are memoized per partition (and per s, or cap)
+in the owning table's ``cache`` dict, each entry published whole once
+computed.  Rho, (s)_x and the rows capped at weight <= 2 read no other
+entry, so they cost the same at every |x|.  A row capped at weight >= 3
+fills the missing rows below it in increasing weight, so no computation
+recurses.
 """
 
 from __future__ import annotations
@@ -90,69 +94,56 @@ def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# memo fills
-
-
-def _lowered(x) -> list:
-    """(j, x - e_j) for every row j (1-based) where x - e_j is a partition."""
-    pairs = enumerate(zip(x, x[1:] + (0,)))
-    return [(j + 1, x[:j] + (a - 1,) + x[j + 1 :]) for j, (a, b) in pairs if a > b]
-
-
-def _fill(jack: JackTable, x, key, lower, compute):
-    """The memo entry ``key(x)``.  A miss first collects, without
-    recursion, every missing entry below it (``lower(y)`` lists the
-    (j, y - e_j) whose entries ``compute(y, lower(y))`` reads), then
-    computes them in increasing weight, so no call nests."""
-    got = jack.cache.get(key(x))
-    if got is not None:
-        return got
-    todo, stack = {}, [x]
-    while stack:
-        y = stack.pop()
-        if y not in todo and key(y) not in jack.cache:
-            todo[y] = lower(y)
-            stack += [down for _, down in todo[y]]
-    for y in sorted(todo, key=weight):
-        jack.cache[key(y)] = compute(y, todo[y])
-    return jack.cache[key(x)]
+# dimensions and shifted factorials
 
 
 def _pochhammer(jack: JackTable, s: Fraction, x) -> Fraction:
-    """(s)_x memoized per (s, x), one factor per box: (s)_x is
-    (s)_{x - e_l} (s + x_l - 1 - (d/2)(l - 1)), l the last nonzero row."""
-    half = jack.d / 2
-
-    def compute(y, low):
-        if not low:
-            return Fraction(1)
-        ((l, down),) = low
-        return jack.cache[("poch", s, down)] * (s + down[l - 1] - half * (l - 1))
-
-    return _fill(jack, x, lambda y: ("poch", s, y), lambda y: _lowered(y)[-1:], compute)
-
-
-# ---------------------------------------------------------------------------
-# dimensions
+    """(s)_x = prod_j (s - (d/2)(j - 1))_{x_j}, memoized per (s, x).  With
+    s = S/D and d/2 = p/q each factor is an integer over D q, so the
+    product runs in ints and makes one Fraction."""
+    key = ("poch", s, x)
+    got = jack.cache.get(key)
+    if got is None:
+        p, q = jack.d.numerator, 2 * jack.d.denominator
+        step = s.denominator * q
+        num = 1
+        for j, xj in enumerate(x):
+            base = s.numerator * q - p * j * s.denominator
+            for t in range(xj):
+                num *= base + step * t
+        got = jack.cache.setdefault(key, Fraction(num, step ** weight(x)))
+    return got
 
 
 def _dim_ratio(jack: JackTable, m) -> Fraction:
-    """rho(m) = d_m / (n/r)_m for a padded m, by the Pieri recursion
+    """rho(m) = d_m / (n/r)_m for a padded m, memoized per m, from the
+    closed products (Faraut-Koranyi, ch. XI), a = d/2:
 
-        |m| rho(m) = sum_j raise_j(m - e_j) rho(m - e_j),   rho(0) = 1,
+        d_m = prod_{i<j} (m_i - m_j + a(j-i)) / (a(j-i))
+                         (a(j-i+1))_{m_i-m_j} / (1 + a(j-i-1))_{m_i-m_j},
+        (n/r)_m = prod_j (1 + a(r-j))_{m_j}.
 
-    over the rows j where m - e_j is a partition."""
-    params = cone_params(jack)
-
-    def compute(y, low):
-        if not low:
-            return Fraction(1)
-        total = Fraction(0)
-        for j, down in low:
-            total += raise_coefficient(j, down, params) * jack.cache[("dimratio", down)]
-        return total / weight(y)
-
-    return _fill(jack, m, lambda y: ("dimratio", y), _lowered, compute)
+    With a = p/q every factor is an integer over q, so the product runs
+    in ints and makes one Fraction."""
+    key = ("dimratio", m)
+    got = jack.cache.get(key)
+    if got is None:
+        p, q = jack.d.numerator, 2 * jack.d.denominator
+        r = jack.r
+        num, den = q ** weight(m), 1
+        for i, mi in enumerate(m):
+            base = q + p * (r - 1 - i)
+            for t in range(mi):
+                den *= base + q * t
+            for j in range(i + 1, r):
+                h, gap = j - i, mi - m[j]
+                num *= q * gap + p * h
+                den *= p * h
+                for t in range(gap):
+                    num *= p * (h + 1) + q * t
+                    den *= q + p * (h - 1) + q * t
+        got = jack.cache.setdefault(key, Fraction(num, den))
+    return got
 
 
 def dim_partition(m, jack: JackTable) -> Fraction:
@@ -190,24 +181,76 @@ def _one_box_binomial(x, j: int, params: ConeParams) -> Fraction:
     return Fraction(num, den)
 
 
+def _lowered(x) -> list:
+    """(j, x - e_j) for every row j (1-based) where x - e_j is a partition."""
+    pairs = enumerate(zip(x, x[1:] + (0,)))
+    return [(j + 1, x[:j] + (a - 1,) + x[j + 1 :]) for j, (a, b) in pairs if a > b]
+
+
+def _fill(jack: JackTable, x, key, lower, compute):
+    """The memo entry ``key(x)``.  A miss first collects, without
+    recursion, every missing entry below it (``lower(y)`` lists the
+    (j, y - e_j) whose entries ``compute(y, lower(y))`` reads), then
+    computes them in increasing weight, so no call nests."""
+    got = jack.cache.get(key(x))
+    if got is not None:
+        return got
+    todo, stack = {}, [x]
+    while stack:
+        y = stack.pop()
+        if y not in todo and key(y) not in jack.cache:
+            todo[y] = lower(y)
+            stack += [down for _, down in todo[y]]
+    for y in sorted(todo, key=weight):
+        jack.cache[key(y)] = compute(y, todo[y])
+    return jack.cache[key(x)]
+
+
+def _capped_head(jack: JackTable, x, cap: int) -> dict:
+    """G_x[k] for the k in x of weight <= min(cap, 2), in (weight,
+    descending lex) order, in closed form: with w = |x|, a = d/2 and
+    e = sum_i x_i (x_i - 1 - d(i - 1)),
+
+        G_x[0] = 1,   G_x[e_1] = w / r,
+        G_x[(2)] = (a w(w - 1) + e) / (r (1 + a r)),
+        G_x[(1, 1)] = (w(w - 1) - e) / (r (r - 1)),
+
+    each evaluated in ints with d = p/q."""
+    r = jack.r
+    w = weight(x)
+    head = {(0,) * r: Fraction(1)}
+    if cap >= 1:
+        head[(1,) + (0,) * (r - 1)] = Fraction(w, r)
+    if cap >= 2:
+        p, q = jack.d.numerator, jack.d.denominator
+        pairs = w * (w - 1)
+        e0 = sum(a * (a - 1) for a in x)
+        e1 = sum(i * a for i, a in enumerate(x))
+        if x[0] >= 2:
+            head[(2,) + (0,) * (r - 1)] = Fraction(
+                p * pairs + 2 * q * e0 - 2 * p * e1, r * (2 * q + p * r)
+            )
+        if r > 1 and x[1]:
+            head[(1, 1) + (0,) * (r - 2)] = Fraction(q * (pairs - e0) + p * e1, q * r * (r - 1))
+    return head
+
+
 def _falling_row(jack: JackTable, x, cap: int) -> dict:
     """G_x[k] for |k| <= cap, memoized with the rows it reads.  A full row
-    (cap = |x|) comes from Lassalle's recursion.  A capped row has G_x[0] =
-    1, G_x[e_1] = |x| / r, and above weight one the dual recursion
+    (cap = |x|) comes from Lassalle's recursion.  A capped row takes its
+    entries of weight <= 2 from ``_capped_head``, and above weight two the
+    dual recursion
 
         (|x| - |k|) G_x[k] = sum_j binom(x, x - e_j) G_{x - e_j}[k]
 
     over the rows at the same cap, down to the full rows at weight cap."""
     params = cone_params(jack)
-    unit = (1,) + (0,) * (jack.r - 1)
 
     def compute(y, low):
         top = weight(y)
         if top == cap:
             return _full_falling_row(jack, y)
-        row = {(0,) * jack.r: Fraction(1)}
-        if cap:
-            row[unit] = Fraction(top, jack.r)
+        row = _capped_head(jack, y, cap)
         acc: dict = {}
         for j, down in low:
             b = _one_box_binomial(y, j, params)
@@ -219,7 +262,7 @@ def _falling_row(jack: JackTable, x, cap: int) -> dict:
         return row
 
     def lower(y):
-        return _lowered(y) if 1 < cap < weight(y) else []
+        return _lowered(y) if 2 < cap < weight(y) else []
 
     return _fill(jack, x, lambda y: ("frow", y, cap), lower, compute)
 

@@ -22,13 +22,15 @@ before one store publishes it, so a concurrent reader finds an entry
 whole or not at all, and concurrent readers may repeat work.  Nothing
 is ever evicted.  Dimension ratios and falling-factorial rows come from
 closed forms, so they are cached for any partition queried, also past
-the built degree, together with the entries below it that a miss fills.
-``weight_factor`` keeps the shifted factorial (s)_x per distinct s and
-partition.  The verifier keeps one shift-equation plan per distinct
-family-parameter set and index, and one row of orthogonality moment
-weights per family-parameter set, degree and truncation weight (none for
-the exact sums); a truncated sum also keeps, per family-parameter set and
-truncation weight, its partial shell moments, one per node weight |k|.
+the built degree.  A dimension ratio, a shifted factorial (s)_x (kept
+per distinct s) and a row capped at weight <= 2 are one entry each; a
+row capped at weight >= 3 also fills the rows at its cap below it.  The
+verifier keeps one shift-equation plan per distinct family-parameter
+set and index, and one row of orthogonality moment weights per
+family-parameter set, degree and truncation weight (none for the exact
+sums); a truncated sum also keeps, per family-parameter set and node
+weight |k|, the running partial shell moments up to the deepest
+truncation weight asked for.
 The family kernel keeps two integer rows: the terms of each first index
 per parameter set, and the falling-factorial row of each second index
 per cap.  So the cache grows with the number of parameter draws times
@@ -42,7 +44,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ParameterError, TableDegreeError
 from .partitions import format_partition, pad, parse_partition, partitions_of
@@ -261,23 +263,26 @@ class JackTable:
 
     # -- serialization --------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, degree: Optional[int] = None) -> dict:
+        """The weights up to ``degree`` (default: the built degree), so the
+        result is that of a table built to exactly ``degree``."""
+        if degree is None:
+            degree = self.built_degree
+        self.check_degree(degree)
+        keys = sorted(
+            (m for m in self._polys if sum(m) <= degree), key=lambda k: (sum(k), tuple(-a for a in k))
+        )
         polys = {}
-        for m in sorted(self._polys, key=lambda k: (sum(k), tuple(-a for a in k))):
+        for m in keys:
             items = sorted(self._polys[m].items(), key=lambda kv: kv[0], reverse=True)
             polys[format_partition(m)] = [
                 [format_partition(mu), str(c)] for mu, c in items
             ]
-        principal = {
-            format_partition(m): str(v)
-            for m, v in sorted(
-                self._principal.items(), key=lambda kv: (sum(kv[0]), tuple(-a for a in kv[0]))
-            )
-        }
+        principal = {format_partition(m): str(self._principal[m]) for m in keys}
         return {
             "r": self.r,
             "d": str(self.d),
-            "built_degree": self.built_degree,
+            "built_degree": degree,
             "polys": polys,
             "principal": principal,
         }

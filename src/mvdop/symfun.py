@@ -185,10 +185,6 @@ class SymPoly:
         """The series cut at ``max_degree`` (or at the existing cap, if lower)."""
         return self._with(self.coeffs, _min_cap(self.max_degree, int(max_degree)))
 
-    def as_sympoly(self) -> "SymPoly":
-        """The same coefficients as an exact polynomial, without a cap."""
-        return SymPoly(self.r, self.coeffs)
-
     def __repr__(self):
         terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         cap = "" if self.max_degree is None else f"D={self.max_degree}, "

@@ -403,19 +403,26 @@ def _shell_moment(fp: FamilyParams, K: int, cut: int, jack: JackTable) -> Fracti
 
     with q and w from ``_weight``, coef_j = (rs + K)_j / j! (r^j / j! when s
     is None, Charlier), so the moment is sum of q^t coef_(t - K) over
-    K <= t <= cut, and 0 for K > cut.  The series over K is memoized per
-    (family parameters, cut) in ``jack.cache``."""
-    series = jack.cache.setdefault(("shells", fp._key, cut), {})
-    got = series.get(K)
-    if got is None:
+    K <= t <= cut, and 0 for K > cut.  The running sums of each K are
+    memoized per family parameters in ``jack.cache`` as (sums, next term),
+    sums[t - K] the moment cut at t, and a deeper cut continues the series
+    where the last one stopped, so the cuts of one check share one pass."""
+    if cut < K:
+        return Fraction(0)
+    key = ("shells", fp._key, K)
+    got = jack.cache.get(key)
+    if got is None or cut - K >= len(got[0]):
         s = fp.point[0]
         q = _weight(fp, jack)[1]
-        got, term = Fraction(0), q**K
-        for j in range(cut - K + 1):
-            got += term
+        sums, term = got or ((), q**K)
+        sums = list(sums)
+        total = sums[-1] if sums else Fraction(0)
+        for j in range(len(sums), cut - K + 1):
+            total += term
+            sums.append(total)
             term *= q * (jack.r if s is None else jack.r * s + K + j) / (j + 1)
-        got = series.setdefault(K, got)
-    return got
+        got = jack.cache[key] = tuple(sums), term
+    return got[0][cut - K]
 
 
 def _moment_sum(

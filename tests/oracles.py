@@ -18,9 +18,10 @@ Lassalle's recursion on full rows and its dual, over the rows of the
 one-box-smaller partitions, on capped ones.  The family sum is added up
 term by term in Fractions, where the package takes one integer dot
 product of two memoized rows.  The dimension ratio d_m / (n/r)_m is read
-off p1^|m| in the basis, where the package runs the Pieri recursion;
-dimensions are also cross-checked in floating point against the
-classical Gamma-product expression.  The classical r = 1 Meixner,
+off p1^|m| in the basis, and run up from rho(0) = 1 by the Pieri
+recursion over every partition contained in m, where the package takes
+the closed product; dimensions are also cross-checked in floating point
+against the classical Gamma-product expression.  The classical r = 1 Meixner,
 Charlier and Krawtchouk values are the terminating hypergeometric series
 of the Askey scheme with their parameters written out by hand, where the
 package reads each family's declared point (s, z).  A diagonal composition with a
@@ -56,6 +57,7 @@ from mvdop.partitions import (
     format_partition,
     pad,
     partitions_of,
+    sub_partitions,
     weight,
 )
 from mvdop.symfun import SymPoly, _orbit, u_binomial, u_exp
@@ -468,6 +470,26 @@ def dim_ratio_p1(jack, m) -> Fraction:
             power = power * SymPoly.monomial(jack.r, (1,))
         _P1_ROWS[key] = jack.to_phi_basis(power)
     return _P1_ROWS[key].get(m, Fraction(0)) / factorial(w)
+
+
+def dim_ratio_pieri(jack, m) -> Fraction:
+    """rho(m) = d_m / (n/r)_m by the Pieri recursion
+
+        |m| rho(m) = sum_j raise_j(m - e_j) rho(m - e_j),   rho(0) = 1,
+
+    over the rows j where m - e_j is a partition, run up over every
+    partition contained in m in increasing weight."""
+    params = cone_params(jack)
+    m = pad(m, jack.r)
+    rho = {}
+    for y in sub_partitions(m):
+        total = Fraction(0) if weight(y) else Fraction(1)
+        for j in range(1, jack.r + 1):
+            down = box_move(y, j, -1)
+            if down is not None:
+                total += raise_coefficient(j, down, params) * rho[down]
+        rho[y] = total / max(weight(y), 1)
+    return rho[m]
 
 
 def binomial_row_expansion(jack, x, cap: int) -> dict:

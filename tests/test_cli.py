@@ -344,6 +344,22 @@ def test_cache_round_trip_bit_identical(tmp_path, capsys):
     assert cache_file.read_text() == first
 
 
+def test_written_cache_holds_the_requested_degree(tmp_path, monkeypatch, capsys):
+    # the process-wide table of (2, 2) is built deeper than the call needs;
+    # the file must not depend on what the process ran before
+    monkeypatch.setattr(jack, "_TABLES", {})
+    jack.jack_table(2, 2, 6)
+    code, _, _ = run(
+        ["verify", "difference", "--family", "meixner", "--d", "2", "--r", "2",
+         "--alpha", "7/2", "--c", "1/3", "--max-weight", "1"],
+        capsys,
+    )
+    assert code == 0
+    (cache_file,) = (tmp_path / "cache").iterdir()
+    fresh = JackTable(2, 2).extend(2)  # difference loads --max-weight + 1
+    assert cache_file.read_text() == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
+
+
 def _write_shallow_cache(tmp_path, r, d, degree):
     path = tmp_path / "cache" / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
     path.parent.mkdir(parents=True)

@@ -31,6 +31,7 @@ from .oracles import (
     binomial_row_expansion,
     dim_partition_gamma_check,
     dim_ratio_p1,
+    dim_ratio_pieri,
     falling_row_expansion,
     pieri_coefficients,
 )
@@ -67,8 +68,23 @@ def test_dim_examples():
 
 
 def test_dim_far_past_recursion_limit_on_empty_memo():
-    # the Pieri recursion fills its memo bottom up, one box per step
+    # the closed product needs no entry below the partition
     assert dim_partition((1200,), JackTable(1, 2)) == 1
+
+
+def test_per_point_cost_does_not_grow_with_weight():
+    # rho(x), (s)_x and the weight <= 2 entries of a capped row are closed
+    # forms: one query on a fresh table publishes a fixed number of memo
+    # entries, whatever |x|, and fills nothing below x
+    def added(x, query):
+        t = JackTable(3, F(5, 2))
+        before = len(t.cache)
+        query(t, x)
+        return len(t.cache) - before
+
+    for query in (lambda t, x: weight_factor(x, t, F(7, 2)), lambda t, x: falling_row(t, x, 2)):
+        counts = {weight(x): added(x, query) for x in ((12, 5, 3), (190, 7, 3))}
+        assert counts[20] == counts[200] <= 3, counts
 
 
 @st.composite
@@ -83,7 +99,8 @@ def _pochhammer_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(_pochhammer_cases())
 def test_weight_factor_shifted_factorial_property(case):
-    # (s)_x one box at a time from a fresh memo, against the direct product
+    # (s)_x as one integer product on a fresh memo, against the direct
+    # product in Fractions
     r, d, s, x = case
     t = JackTable(r, d)
     assert weight_factor(x, t, s) == weight_factor(x, t) * gen_pochhammer(s, x, cone_params(t))
@@ -268,13 +285,27 @@ def _full_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(_full_cases())
 def test_dims_and_full_rows_match_p1_and_expansion_oracles_property(case):
-    # a fresh table each time, and x first, so the Pieri recursion starts
-    # from an empty memo
+    # a fresh table each time, and x first: the closed product against the
+    # Pieri recursion and against p1^|k| in the basis
     r, d, x = case
     t = JackTable(r, d)
+    params = cone_params(t)
     for k in reversed(sub_partitions(x)):
-        assert dim_partition(k, t) == _dim_p1(t, k)
+        want = gen_pochhammer(params.rank_ratio, k, params) * dim_ratio_pieri(t, k)
+        assert dim_partition(k, t) == want == _dim_p1(t, k)
     _assert_rows_match(t, x, weight(x))
+
+
+def test_capped_row_head_matches_full_row():
+    # the closed-form entries of weight <= 2 of a capped row against the
+    # same entries of the full row from Lassalle's recursion
+    for r, d, top in ((1, F(7, 3), 12), (2, F(5, 2), 12), (3, F(1, 2), 10), (4, F(7, 3), 8)):
+        t = JackTable(r, d)
+        for x in enumerate_up_to(r, top):
+            full = [(k, g) for k, g in falling_row(t, x).items() if weight(k) <= 2]
+            for cap in range(2, min(5, weight(x))):
+                head = [(k, g) for k, g in falling_row(t, x, cap).items() if weight(k) <= 2]
+                assert head == full, (r, d, x, cap)
 
 
 def test_capped_rows_thread_safe():

@@ -44,22 +44,52 @@ def _names_used(tree, skip=None) -> set:
     return out
 
 
+def _definitions(tree):
+    """(name, node) for the module-level functions and classes of a module,
+    and ("Class.method", node) for the methods of its classes but the
+    special (dunder) ones."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, defs) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", member
+
+
+# the methods of exported classes that are public without a caller in the
+# package: the constructors and accessors of the polynomial value type,
+# which the package builds and reads through its coefficient dicts.  What
+# __all__ is to module-level names, this set is to methods
+PUBLIC_METHODS = {
+    "SymPoly.one",
+    "SymPoly.monomial",
+    "SymPoly.coefficient",
+    "SymPoly.truncated",
+    "TruncatedSeries.one",
+}
+
+
 def test_no_unreferenced_module_level_definition():
-    # a module-level function or class that is not public (in __all__) and
-    # that nothing in the package refers to is dead code, even when a test
-    # calls it: delete it, or move it to tests/ if it serves as an oracle
+    # a module-level function or class, or a method, that is not public (in
+    # __all__ or PUBLIC_METHODS) and that nothing in the package refers to
+    # is dead code, even when a test calls it: delete it, or move it to
+    # tests/ if it serves as an oracle
     paths = sorted(SRC.rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
     used = {path: _names_used(tree) for path, tree in trees.items()}
-    found = []
+    found, seen = [], set()
     for path in paths:
         elsewhere = set(mvdop.__all__).union(*(names for p, names in used.items() if p != path))
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        for qualname, node in _definitions(trees[path]):
+            seen.add(qualname)
+            if qualname in PUBLIC_METHODS:
                 continue
             if node.name not in elsewhere and node.name not in _names_used(trees[path], node):
-                found.append(f"{path.name}:{node.lineno}: {node.name}")
+                found.append(f"{path.name}:{node.lineno}: {qualname}")
     assert not found, found
+    assert PUBLIC_METHODS <= seen, PUBLIC_METHODS - seen
 
 
 EXACT_LAYERS = ("partitions", "symfun", "jack", "conearith", "dpolys")
@@ -114,8 +144,9 @@ TABLE_METHODS = {"phi", "to_phi_basis", "extend", "check_degree"}
 
 def test_structure_constants_need_no_basis_table():
     # dimensions, binomial and falling-factorial rows and family values all
-    # come from the closed-form Pieri coefficient; only the checks that
-    # expand in the basis build or read the table
+    # come from closed forms (the dimension product, the Pieri and one-box
+    # coefficients); only the checks that expand in the basis build or
+    # read the table
     conearith = ast.parse((SRC / "conearith.py").read_text())
     dpolys = ast.parse((SRC / "dpolys.py").read_text())
     kernel = next(n for n in dpolys.body if isinstance(n, ast.FunctionDef) and n.name == "_kernel")

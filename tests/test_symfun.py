@@ -84,7 +84,8 @@ def test_series_multiplication_agrees_with_exact_product():
 
 def test_sympoly_series_round_trip():
     p = SymPoly(3, {(2, 1, 0): F(3), (1, 1, 1): F(-1, 5), (0, 0, 0): 2})
-    assert p.truncated(3).as_sympoly() == p
+    # a series cut at or above the degree drops its cap through the constructor
+    assert SymPoly(3, p.truncated(3).coeffs) == p
 
 
 def test_univariate_kernels():

@@ -296,6 +296,18 @@ def test_shell_moments_match_shell_oracle(r, d, fp):
     assert {pair: last for pair, last, _, _ in rows} == snapshots[cuts[-1]]
 
 
+@pytest.mark.parametrize("r, d, fp", list(_shell_cases()))
+def test_shell_moment_series_resumes_in_any_cut_order(r, d, fp):
+    # a deeper cut continues the memoized series of its node weight, a
+    # shallower one reads it; either way each moment equals the one a
+    # fresh table computes in a single pass
+    t = JackTable(r, d)
+    for cut in (7, 3, 12, 0, 9, 12, 5):
+        for K in range(0, 10):
+            want = verify._shell_moment(fp, K, cut, JackTable(r, d))
+            assert verify._shell_moment(fp, K, cut, t) == want, (cut, K)
+
+
 @pytest.mark.parametrize("r, ts", [(1, (6, 9)), (1, (30, 40)), (2, (6, 9)), (2, (30, 40))])
 def test_truncated_sums_evaluate_only_nodes_and_the_deepest_shell(monkeypatch, r, ts):
     # the partial sums read the family at the nodes |x| <= 2 max_weight,
