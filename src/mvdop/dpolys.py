@@ -214,13 +214,6 @@ def laguerre(m, diag_u: Sequence[Rat], alpha: Rat, jack: JackTable) -> Fraction:
 # classical single-variable versions
 
 
-def _poch1(s: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= s + i
-    return out
-
-
 def _univariate_kernel(m: int, x: Rat, s: Optional[Fraction], z: Fraction) -> Fraction:
     """The r = 1 family sum: C(m, k) x(x - 1)...(x - k + 1) z^k / (s)_k
     over k <= m, the (s)_k factor left out when ``s`` is None.  A
@@ -228,15 +221,16 @@ def _univariate_kernel(m: int, x: Rat, s: Optional[Fraction], z: Fraction) -> Fr
     falling factorial vanishes past k = x, and a pole of (s)_k raises only
     on a term the sum contains."""
     total = Fraction(0)
-    falling = Fraction(1)
+    falling = poch = Fraction(1)
     for k in range(m + 1):
         if not falling:
             break
-        poch = Fraction(1) if s is None else _poch1(s, k)
         if poch == 0:
             raise PoleError(f"({s})_{k} = 0")
         total += comb(m, k) * falling * z**k / poch
         falling *= x - k
+        if s is not None:
+            poch *= s + k
     return total
 
 
@@ -246,12 +240,14 @@ def univariate_laguerre(m: int, u: Rat, alpha: Rat) -> Fraction:
     alpha = Fraction(alpha)
     u = Fraction(u)
     total = Fraction(0)
+    poch = Fraction(1)
     for k in range(m + 1):
-        poch = _poch1(alpha, k)
+        if k:
+            poch *= alpha + k - 1
         if poch == 0:
             raise PoleError(f"(alpha)_{k} = 0 for alpha={alpha}")
         total += Fraction((-1) ** k) * comb(m, k) * u**k / poch
-    return _poch1(alpha, m) / Fraction(factorial(m)) * total
+    return poch / Fraction(factorial(m)) * total
 
 
 def univariate(family: str, m: int, x, **params) -> Fraction:
@@ -320,10 +316,12 @@ def determinant_formula(
     if s is not None:
         s -= r - 1
     pref = z ** -(r * (r - 1) // 2)
+    poch = 1
     for j in range(r):
         pref /= factorial(j)
         if s is not None:
-            pref *= _poch1(s, j)
+            pref *= poch
+            poch *= s + j
     mat = [
         [_univariate_kernel(m[mu] + r - 1 - mu, x[nu] + r - 1 - nu, s, z) for nu in range(r)]
         for mu in range(r)

@@ -26,9 +26,10 @@ the built degree.  A dimension ratio, a shifted factorial (s)_x (kept
 per distinct s) and a row capped at weight <= 2 are one entry each; a
 row capped at weight >= 3 also fills the rows at its cap below it.  The
 verifier keeps one shift-equation plan per distinct family-parameter
-set and index, and one row of orthogonality moment weights per
-family-parameter set, degree and truncation weight (none for the exact
-sums); a truncated sum also keeps, per family-parameter set and node
+set and index, and one node-weight rule per family-parameter set,
+degree and truncation weight (none for the sums over the mass), or, for
+a weight of finite support, one box rule per family-parameter set and
+truncation weight; a truncated sum also keeps, per family-parameter set and node
 weight |k|, the running partial shell moments up to the deepest
 truncation weight asked for.
 The family kernel keeps two integer rows: the terms of each first index

@@ -5,26 +5,28 @@ Every identity but the degenerate limits, whose check measures rates
 (orthogonality, difference and recurrence equations, generating-function
 coefficients up to a stated degree, the orthogonality-generator kernel),
 is checked in exact rational arithmetic and must produce the literal zero
-residual.  The infinite orthogonality sums are exact through the binomial
+residual.  Every orthogonality sum is one pairing of family values with
+one rule of rational node weights (``_node_weights``), from the binomial
 moments of the weight: a shifted-symmetric f of degree D is sum of a_k
 binom(x, k) over |k| <= D, and sum over x of w(x) binom(x, k) is mass
-weight_factor(k, s) (-1/z)^|k|, so the sum over the mass is rational
-(``_moment_sum``).  Only a check asked for explicit truncation weights
-cuts its sums: exact partial sums, compared against the closed-form norm
-(60-digit decimal where the mass is irrational), with the residual
-sequence required to decrease.  Those partial sums come from the same
-nodes: each weight shell of a binomial moment has a closed form too
-(``_shell_moment``), so no shell is summed point by point.  Only the
-deepest shell is evaluated, for the report's ``tail_estimate``, its
-largest |term|: an indication of the tail, not a bound on it.
+weight_factor(k, s) (-1/z)^|k|, so the sum over the mass is rational.
+Only a check asked for explicit truncation weights cuts its sums: exact
+partial sums, compared against the closed-form norm (60-digit decimal
+where the mass is irrational), with the residual sequence required to
+decrease.  Those partial sums come from the same nodes: each weight
+shell of a binomial moment has a closed form too (``_shell_moment``), so
+no shell is summed point by point.  Only the deepest shell is evaluated,
+for the report's ``tail_estimate``, its largest |term|: an indication of
+the tail, not a bound on it.
 
 Orthogonality has one weight for all three families, derived from the
 point (s, z) of the family sum: w(x) = d_x (s)_x / (n/r)_x c^|x| with
 c = 1/(1 - z), of mass (1 - c)^(-r s), and for Charlier (no s)
 d_x / (n/r)_x a^|x| with a = -1/z, of mass e^(r a).  At s = -N it vanishes
-outside the box, so the finite Krawtchouk sum runs through the driver of
-the truncated sums, to the single weight rN; only the domain checks are
-per family.
+outside the box, and a weight of finite support is its own rule: its box
+points, whatever the degree.  The finite Krawtchouk check is the exact
+sum at every index of weight <= rN; only the domain checks are per
+family.
 
 The generating functions come from the point too: one series, (1 - t w)^(-s)
 composed with (1 + (z - 1) t w)/(1 - t w) (e^(tr w) with 1 + z w for
@@ -257,85 +259,6 @@ def _truncation_weights(truncation_weights: Sequence[int]) -> list:
     return ts
 
 
-def _truncated_sums(fp: FamilyParams, max_index_weight: int, ts: list, jack: JackTable):
-    """The orthogonality sums of ``fp`` cut at weights: the infinite ones,
-    checked at two or more truncation weights, and the finite Krawtchouk
-    one, run to the single weight past which its weight vanishes.
-
-    For every pair m <= n of indices in the family's domain up to
-    ``max_index_weight``, the sum of w(x) f(m, x) f(n, x) over every x of
-    weight <= T is exact at each truncation weight T: from the shell
-    moments (``_moment_sum`` with ``cut=T``) for Meixner and Charlier,
-    and term by term over the (N, ..., N) box for Krawtchouk, whose full
-    sum to rN would need nodes up to 2rN.  Each partial sum s is compared
-    with norm(m) on the diagonal and zero off it: the residual
-    |s - target|, relative to |target| on the diagonal, is exact when the
-    mass is rational and 60-digit decimal otherwise.
-
-    Returns (rows, tail, mass): a (pair, last partial sum, target,
-    residuals) row per pair, the largest |term| of the deepest shell
-    |x| = max(ts), and the mass."""
-    w, mass, norm = _orthogonality_weight(fp, jack)
-    idx, pairs = _index_pairs(fp, max_index_weight, jack)
-
-    def family_values(points):
-        return {x: {m: fp.evaluate(m, x, jack) for m in idx} for x in points}
-
-    if fp.family == "krawtchouk":
-        # w vanishes outside the box, so the sums are finite: term by term
-        # over its points
-        wts = {x: wx for x in enumerate_up_to(jack.r, ts[-1]) if (wx := w(x))}
-        vals = family_values(wts)
-        snapshots = {
-            t: {(m, n): sum(wx * vals[x][m] * vals[x][n]
-                            for x, wx in wts.items() if weight(x) <= t)
-                for m, n in pairs}
-            for t in ts
-        }
-        shell = {x: v for x, v in vals.items() if weight(x) == ts[-1]}
-    else:
-        vals = family_values(enumerate_up_to(jack.r, 2 * max_index_weight))
-        snapshots = {
-            t: {(m, n): _moment_sum(fp, lambda x: vals[x][m] * vals[x][n],
-                                    weight(m) + weight(n), jack, cut=t)
-                for m, n in pairs}
-            for t in ts
-        }
-        shell = family_values(partitions_of(ts[-1], jack.r))
-    # the tail estimate: the largest |term| of the deepest shell
-    tail = max((abs(w(x)) * max(abs(v[m] * v[n]) for m, n in pairs) for x, v in shell.items()),
-               default=Fraction(0))
-
-    decimal = isinstance(mass, Decimal)
-    zero = Decimal(0) if decimal else Fraction(0)
-    rows = []
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_PREC
-        for m, n in pairs:
-            goal = norm(m) if m == n else zero
-            values = [snapshots[t][m, n] for t in ts]
-            residuals = []
-            for v in values:
-                res = abs((_dec(v) if decimal else v) - goal)
-                residuals.append(res / abs(goal) if m == n else res)
-            rows.append(((m, n), values[-1], goal, residuals))
-    return rows, tail, mass
-
-
-def _truncated_case(m, n, lhs, rhs, residuals: list, tol: Rat) -> dict:
-    """A truncated case passes when its last residual is within ``tol`` and
-    no larger than the one before it."""
-    return {
-        "m": format_partition(m),
-        "n": format_partition(n),
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "residual": float(residuals[-1]),
-        "residuals": [float(res) for res in residuals],
-        "pass": residuals[-1] <= residuals[-2] and float(residuals[-1]) <= float(tol),
-    }
-
-
 def _orthogonality_domain(fp: FamilyParams, jack: JackTable) -> None:
     """The hypotheses on a family's parameters under which its weight is
     positive and of finite mass."""
@@ -387,13 +310,6 @@ def _orthogonality_weight(fp: FamilyParams, jack: JackTable) -> tuple:
     return w, mass, norm
 
 
-def _index_pairs(fp: FamilyParams, max_index_weight: int, jack: JackTable) -> tuple:
-    """(idx, pairs): the indices in the family's domain up to
-    ``max_index_weight``, and every pair m <= n of them."""
-    idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
-    return idx, [(m, n) for i, m in enumerate(idx) for n in idx[i:]]
-
-
 def _shell_moment(fp: FamilyParams, K: int, cut: int, jack: JackTable) -> Fraction:
     """The partial binomial moment of |k| = K cut at weight ``cut``, over
     weight_factor(k, s): by the generalized binomial formula each weight
@@ -425,44 +341,127 @@ def _shell_moment(fp: FamilyParams, K: int, cut: int, jack: JackTable) -> Fracti
     return got[0][cut - K]
 
 
-def _moment_sum(
-    fp: FamilyParams, f, degree: int, jack: JackTable, cut: Optional[int] = None
-) -> Fraction:
-    """The weighted sum of f over every x, divided by the mass, exactly, for
-    f shifted-symmetric of degree <= ``degree`` (as a product of family
-    values is), so f = sum of a_k binom(x, k) over |k| <= degree.  With
-    the closed-form binomial moments
+def _node_weights(fp: FamilyParams, degree: int, cut: Optional[int], jack: JackTable) -> dict:
+    """The one rule behind every weighted sum: {node: l} such that sum of
+    l f(node) is the sum of w(x) f(x) over every x of weight <= ``cut``,
+    or over every x divided by the mass when ``cut`` is None, for any f
+    shifted-symmetric of degree <= ``degree`` (as a product of family
+    values is).  Every l is rational, whatever the mass.
+
+    A weight of finite support (``fp.N`` set: s = -N) is its own rule,
+    whatever ``degree``: its points x of weight <= ``cut`` with w(x) != 0,
+    each with l = w(x), or w(x) / mass over the whole box.  Any other
+    weight gets the nodes |mu| <= ``degree``: f = sum of a_k binom(x, k)
+    over |k| <= degree, and with the closed-form binomial moments
 
         sum over x of w(x) binom(x, k) = mass weight_factor(k, s) rho^|k| = mass M_k,
 
     rho = -1/z from the point (s, z) (c/(1 - c) for Meixner, a for
-    Charlier, -p for Krawtchouk), and f(mu) = sum of binom(mu, k) a_k over
-    k in mu, the sum is sum of l_mu f(mu) over the nodes |mu| <= degree,
-    l_k = M_k - sum over mu strictly containing k of binom(mu, k) l_mu:
-    solved once per family-parameter set, degree and cut, memoized in
-    ``jack.cache``.  No basis table is read.
-
-    With ``cut`` = T the sum runs over |x| <= T only and is not divided by
-    the mass: M_k is the partial moment weight_factor(k, s) times
-    ``_shell_moment``, so the sum stays rational where the mass is not."""
-    key = ("moments", fp._key, degree, cut)
+    Charlier), and f(mu) = sum of binom(mu, k) a_k over k in mu, the sum
+    is sum of l_mu f(mu), l_k = M_k - sum over mu strictly containing k of
+    binom(mu, k) l_mu.  With ``cut`` = T, M_k is the partial moment
+    weight_factor(k, s) times ``_shell_moment``, not divided by the mass.
+    No basis table is read.  Memoized in ``jack.cache``: the nodes per
+    (family parameters, degree, cut), the box per (family parameters,
+    cut)."""
+    finite = fp.N is not None
+    key = ("box", fp._key, cut) if finite else ("nodes", fp._key, degree, cut)
     ell = jack.cache.get(key)
-    if ell is None:
-        s, z = fp.point
-        nodes = enumerate_up_to(jack.r, degree)
-        if cut is None:
-            rho = -1 / z
-            ell = {k: weight_factor(k, jack, s) * rho ** weight(k) for k in nodes}
-        else:
-            ell = {k: weight_factor(k, jack, s) * _shell_moment(fp, weight(k), cut, jack)
-                   for k in nodes}
-        # every mu strictly containing k is heavier, so l_mu is final first
-        for mu in reversed(nodes):
-            for k, b in binomial_row(jack, mu).items():
-                if k != mu:
-                    ell[k] -= b * ell[mu]
-        jack.cache[key] = ell
-    return sum(l * f(mu) for mu, l in ell.items())
+    if ell is not None:
+        return ell
+    if finite:
+        w, mass, _ = _orthogonality_weight(fp, jack)
+        top = jack.r * fp.N if cut is None else min(cut, jack.r * fp.N)
+        ell = {x: wx if cut is not None else wx / mass
+               for x in enumerate_up_to(jack.r, top) if (wx := w(x))}
+        return jack.cache.setdefault(key, ell)
+    s, z = fp.point
+    nodes = enumerate_up_to(jack.r, degree)
+    if cut is None:
+        rho = -1 / z
+        ell = {k: weight_factor(k, jack, s) * rho ** weight(k) for k in nodes}
+    else:
+        ell = {k: weight_factor(k, jack, s) * _shell_moment(fp, weight(k), cut, jack)
+               for k in nodes}
+    # every mu strictly containing k is heavier, so l_mu is final first
+    for mu in reversed(nodes):
+        for k, b in binomial_row(jack, mu).items():
+            if k != mu:
+                ell[k] -= b * ell[mu]
+    return jack.cache.setdefault(key, ell)
+
+
+def _tail_estimate(w, values, t: int, jack: JackTable) -> Fraction:
+    """The largest |w(x) f(m, x) f(n, x)| over the points x of nonzero
+    weight on the shell |x| = t, with ``values(x)`` the family values at
+    x: max |f(m, x)| squared, as the pairs include m = n.  An indication
+    of the tail past t, not a bound on it."""
+    return max((abs(wx) * max(map(abs, values(x).values())) ** 2
+                for x in partitions_of(t, jack.r) if (wx := w(x))), default=Fraction(0))
+
+
+def _orthogonality(
+    fp: FamilyParams, max_index_weight: int, ts: Optional[list], jack: JackTable,
+    tol_diag: Optional[Rat], tol_off: Optional[Rat],
+) -> VerificationReport:
+    """The orthogonality report of ``fp`` over every pair m <= n of indices
+    in its domain up to ``max_index_weight``, for both public checks: each
+    sum of w(x) f(m, x) f(n, x) is one pairing of family values with
+    ``_node_weights``, over the mass when ``ts`` is None, else at every
+    truncation weight in ``ts``."""
+    _orthogonality_domain(fp, jack)
+    w, _ = _weight(fp, jack)
+    idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
+    vals = {}
+
+    def values(x):
+        if x not in vals:
+            vals[x] = {m: fp.evaluate(m, x, jack) for m in idx}
+        return vals[x]
+
+    sums = {
+        (m, n): [sum(l * values(x)[m] * values(x)[n]
+                     for x, l in _node_weights(fp, weight(m) + weight(n), cut, jack).items())
+                 for cut in ([None] if ts is None else ts)]
+        for i, m in enumerate(idx) for n in idx[i:]
+    }
+    rep = VerificationReport(
+        identity=f"orthogonality-{fp.family}", params={**fp.label(), "d": str(jack.d), "r": jack.r}
+    )
+    if ts is None:
+        rep.truncation = {"exact": True}
+        for (m, n), (lhs,) in sums.items():
+            rep.cases.append(_exact_case({"m": m, "n": n}, lhs, 1 / w(m) if m == n else Fraction(0)))
+        return rep.finalize()
+    rep.truncation = {
+        "weights": ts,
+        "tail_estimate": float(_tail_estimate(w, values, ts[-1], jack)),
+        "tolerance_diagonal": float(tol_diag),
+        "tolerance_offdiagonal": float(tol_off),
+    }
+    _, mass, norm = _orthogonality_weight(fp, jack)
+    decimal = isinstance(mass, Decimal)
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_PREC
+        for (m, n), partial in sums.items():
+            # a residual on the diagonal is relative to the norm
+            goal = norm(m) if m == n else (Decimal(0) if decimal else Fraction(0))
+            residuals = []
+            for v in partial:
+                res = abs((_dec(v) if decimal else v) - goal)
+                residuals.append(res / abs(goal) if m == n else res)
+            tol = tol_diag if m == n else tol_off
+            rep.cases.append({
+                "m": format_partition(m),
+                "n": format_partition(n),
+                "lhs": _fmt(partial[-1]),
+                "rhs": _fmt(goal),
+                "residual": float(residuals[-1]),
+                "residuals": [float(res) for res in residuals],
+                # within the tolerance, and no larger than the residual before
+                "pass": residuals[-1] <= residuals[-2] and float(residuals[-1]) <= float(tol),
+            })
+    return rep.finalize()
 
 
 def orthogonality(
@@ -475,65 +474,28 @@ def orthogonality(
 ) -> VerificationReport:
     """Orthogonality of a two-index family over every index pair of weight
     <= ``max_index_weight``.  Without truncation weights each sum is exact
-    (``_moment_sum``): reported over the mass, against norm(m) / mass =
+    (``_node_weights``): reported over the mass, against norm(m) / mass =
     1 / w(m) on the diagonal, every pair must give the literal zero
     residual.  With them, exact partial sums over weight shells are
     compared against the closed-form norm (decimal where it is
     irrational: always for Charlier, and for Meixner when r*alpha is not
     an integer), within the tolerances and with decreasing residuals."""
-    r = jack.r
     ts = None if truncation_weights is None else _truncation_weights(truncation_weights)
-    _orthogonality_domain(fp, jack)
-    params = {**fp.label(), "d": str(jack.d), "r": r}
-    if ts is None:
-        w, _ = _weight(fp, jack)
-        idx, pairs = _index_pairs(fp, max_index_weight, jack)
-        vals = {x: {m: fp.evaluate(m, x, jack) for m in idx}
-                for x in enumerate_up_to(r, 2 * max_index_weight)}
-        rep = VerificationReport(
-            identity=f"orthogonality-{fp.family}", params=params, truncation={"exact": True}
-        )
-        for m, n in pairs:
-            lhs = _moment_sum(fp, lambda x: vals[x][m] * vals[x][n], weight(m) + weight(n), jack)
-            rhs = 1 / w(m) if m == n else Fraction(0)
-            rep.cases.append(_exact_case({"m": m, "n": n}, lhs, rhs))
-        return rep.finalize()
-    rows, tail, _ = _truncated_sums(fp, max_index_weight, ts, jack)
-    rep = VerificationReport(
-        identity=f"orthogonality-{fp.family}",
-        params=params,
-        truncation={
-            "weights": ts,
-            "tail_estimate": float(tail),
-            "tolerance_diagonal": float(tol_diag),
-            "tolerance_offdiagonal": float(tol_off),
-        },
-    )
-    for (m, n), s, rhs, residuals in rows:
-        tol = tol_diag if m == n else tol_off
-        rep.cases.append(_truncated_case(m, n, s, rhs, residuals, tol))
-    return rep.finalize()
+    return _orthogonality(fp, max_index_weight, ts, jack, tol_diag, tol_off)
 
 
 def orthogonality_krawtchouk(p: Rat, N: int, jack: JackTable) -> VerificationReport:
-    """Finite Krawtchouk orthogonality over the (N, ..., N) box: the shared
-    orthogonality sum, run to the single weight rN, past which the weight
-    vanishes.  Both sides are reported over the rational mass, that is,
+    """Finite Krawtchouk orthogonality over the (N, ..., N) box: the exact
+    orthogonality sum at every index of weight <= rN, which is every index
+    of the box.  Both sides are reported over the rational mass, that is,
     against the binomial weight of total mass one; every pair must give
     the literal zero residual."""
     fp = FamilyParams("krawtchouk", p=p, N=N)
-    _orthogonality_domain(fp, jack)
-    r = jack.r
-    rows, _, mass = _truncated_sums(fp, r * fp.N, [r * fp.N], jack)
-    rep = VerificationReport(
-        identity="orthogonality-krawtchouk",
-        # d and r ahead of p and N: the report's key order
-        params={"family": "krawtchouk", "d": str(jack.d), "r": r, **fp.label()},
-        truncation={"finite": True},
-    )
-    for (m, n), s, rhs, _ in rows:
-        rep.cases.append(_exact_case({"m": m, "n": n}, s / mass, rhs / mass))
-    return rep.finalize()
+    rep = _orthogonality(fp, jack.r * fp.N, None, jack, None, None)
+    # d and r ahead of p and N: the report's key order
+    rep.params = {"family": "krawtchouk", "d": str(jack.d), "r": jack.r, **fp.label()}
+    rep.truncation = {"finite": True}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +668,8 @@ def orthogonality_generator_check(
     coefficient up to ``max_degree`` in both outer variables.  The kernel
     coefficient K_n(x) at Phi_n is a combination of binom(x, k), |k| <=
     |n| (binomial formula), so each infinite sum over x of w(x) F_m(x)
-    K_n(x) is exact from ``_moment_sum``, which reads K_n at the nodes of
-    weight <= |m| + |n|: the basis is needed to degree 2 ``max_degree``."""
+    K_n(x) is exact from ``_node_weights``, which reads K_n at the nodes
+    of weight <= |m| + |n|: the basis is needed to degree 2 ``max_degree``."""
     c = Fraction(c)
     if not 0 < c < 1:
         raise DomainError(f"need 0 < c < 1, got {c}")
@@ -729,9 +691,8 @@ def orthogonality_generator_check(
     for m in idx:
         pref = weight_factor(m, jack, fp.alpha)
         for n in idx:
-            got = _moment_sum(
-                fp, lambda x: vals[x][m] * kern[x].get(n, 0), weight(m) + weight(n), jack
-            )
+            ell = _node_weights(fp, weight(m) + weight(n), None, jack)
+            got = sum(l * vals[x][m] * kern[x].get(n, 0) for x, l in ell.items())
             rep.cases.append(
                 _exact_case({"m": m, "n": n}, pref * got, pref if m == n else Fraction(0))
             )

@@ -250,19 +250,66 @@ def _verify_functions() -> dict:
     return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
-def test_truncated_sums_serve_explicit_weights_only():
-    # the exact routes sum from binomial moments; only a check at explicit
-    # truncation weights and the finite Krawtchouk box sum cut a sum
+def test_node_weights_serve_the_orthogonality_sums_only():
+    # every weighted sum, exact or cut, box or nodes, is one pairing with
+    # _node_weights: the shared private _orthogonality and the generator
+    # kernel read the rule, and no other check sums a weight its own way
     callers = set()
     for name, func in _verify_functions().items():
         for node in ast.walk(func):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id == "_truncated_sums"
+                and node.func.id == "_node_weights"
             ):
                 callers.add(name)
-    assert callers == {"orthogonality", "orthogonality_krawtchouk"}
+    assert callers == {"_orthogonality", "orthogonality_generator_check"}
+
+
+def test_public_orthogonality_checks_call_one_private_sum():
+    # the bench tracer counts one verdict per public verify call, so a
+    # public check calling another would count twice
+    funcs = _verify_functions()
+    public = {name for name in funcs if not name.startswith("_")}
+    found = []
+    for name in ("orthogonality", "orthogonality_krawtchouk"):
+        called = {node.func.id for node in ast.walk(funcs[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_orthogonality" in called, name
+        found += [f"{name} calls {other}" for other in sorted(called & public)]
+    assert not found, found
+
+
+FAMILY_BRANCHES = {"_orthogonality_domain", "_genfunc_series", "genfunc", "master_genfunc"}
+
+
+def test_family_names_branch_only_where_the_point_cannot():
+    # a family's weight, its sums and its box all come from its point and
+    # its parameters (a finite support is read off fp.N); only the domain
+    # hypotheses and the generating-function conventions may compare a
+    # family to a family name
+    names = set(dpolys.FAMILY_PARAMS)
+
+    def is_family(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "family") or (
+            isinstance(node, ast.Name) and node.id == "family"
+        )
+
+    def is_name(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_name(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and node.value in names
+
+    found = []
+    for name, func in _verify_functions().items():
+        if name in FAMILY_BRANCHES:
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(is_family, sides)) and any(map(is_name, sides)):
+                    found.append(f"verify.py:{node.lineno}: {name} branches on a family name")
+    assert not found, found
 
 
 INEXACT = {"Decimal", "float", "log"}
@@ -275,7 +322,7 @@ def test_moment_sum_stays_rational():
     # enter either
     funcs = _verify_functions()
     found = []
-    for fn in ("_moment_sum", "_shell_moment"):
+    for fn in ("_node_weights", "_shell_moment"):
         assert fn in funcs
         for node in ast.walk(funcs[fn]):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)

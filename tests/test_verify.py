@@ -11,7 +11,7 @@ from mvdop.dpolys import FamilyParams
 from mvdop.errors import DomainError, MvdopError, ParameterError
 from mvdop import dpolys, verify
 from mvdop.jack import JackTable, jack_table
-from mvdop.partitions import contains, enumerate_up_to, pad, partitions_of
+from mvdop.partitions import contains, enumerate_up_to, format_partition, pad, partitions_of
 from mvdop.verify import (
     VerificationReport,
     conjecture_suite,
@@ -284,16 +284,22 @@ def test_shell_moments_match_shell_oracle(r, d, fp):
     cuts = list(range(0, 8 if r < 3 else 6))
     snapshots, tail = truncated_sums_by_shells(fp, max_index_weight, cuts, t)
     idx = enumerate_up_to(r, max_index_weight)
-    vals = {x: {m: fp.evaluate(m, x, t) for m in idx}
-            for x in enumerate_up_to(r, 2 * max_index_weight)}
+
+    def values(x):
+        return {m: fp.evaluate(m, x, t) for m in idx}
+
+    vals = {x: values(x) for x in enumerate_up_to(r, 2 * max_index_weight)}
     for cut in cuts:
         for (m, n), want in snapshots[cut].items():
-            got = verify._moment_sum(fp, lambda x: vals[x][m] * vals[x][n],
-                                     sum(m) + sum(n), t, cut=cut)
+            ell = verify._node_weights(fp, sum(m) + sum(n), cut, t)
+            got = sum(l * vals[x][m] * vals[x][n] for x, l in ell.items())
             assert got == want, (cut, m, n)
-    rows, got_tail, _ = verify._truncated_sums(fp, max_index_weight, cuts[-2:], t)
-    assert got_tail == tail
-    assert {pair: last for pair, last, _, _ in rows} == snapshots[cuts[-1]]
+    assert verify._tail_estimate(verify._weight(fp, t)[0], values, cuts[-1], t) == tail
+    # the report's last partial sums are the exact fractions too
+    rep = orthogonality(fp, max_index_weight, cuts[-2:], t)
+    last = {(format_partition(m), format_partition(n)): v
+            for (m, n), v in snapshots[cuts[-1]].items()}
+    assert {(c["m"], c["n"]): F(c["lhs"]) for c in rep.cases} == last
 
 
 @pytest.mark.parametrize("r, d, fp", list(_shell_cases()))
@@ -330,6 +336,51 @@ def test_truncated_sums_evaluate_only_nodes_and_the_deepest_shell(monkeypatch, r
         orthogonality(fp, max_weight, ts, t)
         assert len(calls) == len(idx) * (len(nodes) + len(shell))
         assert {x for x in calls if sum(x) > 2 * max_weight} == set(shell)
+
+
+@pytest.mark.parametrize("r, d, N", [(1, F(2), 3), (2, F(3), 2), (2, F(5, 2), 1), (3, F(7, 3), 1)])
+def test_krawtchouk_orthogonality_reads_only_box_points(monkeypatch, r, d, N):
+    # the exact Krawtchouk sum through orthogonality is the finite box sum
+    # of orthogonality_krawtchouk: the same cases, from the family at the
+    # box points only, not at binomial-moment nodes up to twice the index
+    # weight
+    p = F(2, 7)
+    finite = orthogonality_krawtchouk(p, N, JackTable(r, d))
+    calls = []
+    true_value = FamilyParams.evaluate
+
+    def counted(fp, m, x, jack):
+        calls.append(x)
+        return true_value(fp, m, x, jack)
+
+    monkeypatch.setattr(FamilyParams, "evaluate", counted)
+    fp = FamilyParams("krawtchouk", p=p, N=N)
+    max_weight = r * N
+    rep = orthogonality(fp, max_weight, None, JackTable(r, d))
+    keys = ("m", "n", "lhs", "rhs", "residual")
+    assert rep.passed
+    assert [[c[k] for k in keys] for c in rep.cases] == [[c[k] for k in keys] for c in finite.cases]
+    # the box points are the points of nonzero weight
+    idx = [m for m in enumerate_up_to(r, max_weight) if fp.fits(m)]
+    box = [x for x in enumerate_up_to(r, max_weight) if fp.fits(x)]
+    assert len(calls) == len(idx) * len(box)
+    assert set(calls) == set(box)
+
+
+@pytest.mark.parametrize("r, d, N", [(1, F(2), 3), (2, F(3), 2), (3, F(7, 3), 1)])
+def test_krawtchouk_cut_sums_match_shell_oracle(r, d, N):
+    # cut at T, the box rule sums the box points of weight <= T only:
+    # every partial sum, below rN and past it, equals the sum added up
+    # shell by shell
+    fp = FamilyParams("krawtchouk", p=F(2, 7), N=N)
+    t = JackTable(r, d)
+    cuts = list(range(r * N + 2))
+    snapshots, _ = truncated_sums_by_shells(fp, 2, cuts, t)
+    for cut in cuts[1:]:
+        rep = orthogonality(fp, 2, (cut - 1, cut), t)
+        last = {(format_partition(m), format_partition(n)): v
+                for (m, n), v in snapshots[cut].items()}
+        assert {(c["m"], c["n"]): F(c["lhs"]) for c in rep.cases} == last, cut
 
 
 def test_difference_equation_r1_matches_classical_three_term():
