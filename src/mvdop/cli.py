@@ -265,8 +265,6 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     d = _rat(args.d)
     r = args.r
-    if d <= 0:
-        raise ParameterError(f"need d > 0, got {d}")
     table = load_or_build_table(r, d, args.max_degree)
     rep = verify.conjecture_suite(d, r, args.max_degree, jack=table, seed=args.seed)
     _write_report(rep, args.out)

@@ -8,9 +8,11 @@ form, and the closed-form raise/lower shift coefficients used by the
 difference and recurrence equations.
 
 None of the dimensions, rows or shift equations needs the basis table.
-The ratio rho(m) = d_m / (n/r)_m is the closed product of d_m over
-(n/r)_m (Faraut-Koranyi, ch. XI), and the shifted factorial (s)_x of
-``weight_factor`` a product of ordinary ones, both run in ints.  The
+Each constant has one implementation.  The generalized shifted factorial
+(s)_x is ``gen_pochhammer``, a product of ordinary ones, and the ratio
+rho(m) = d_m / (n/r)_m the closed product of d_m over (n/r)_m
+(Faraut-Koranyi, ch. XI), both run in ints; d_m itself is
+``weight_factor`` at s = n/r, the two memoized factors.  The
 full falling-factorial row G_x of x (all k contained in x) follows top
 down from G_x[x] = 1 / rho(x) by Lassalle's recursion, with the Pieri
 coefficient ``raise_coefficient``.  A row capped below |x| takes its
@@ -79,39 +81,32 @@ def cone_params(jack: JackTable) -> ConeParams:
     return got
 
 
-def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
-    """Generalized shifted factorial: prod_j (s - (d/2)(j-1))_{m_j}, the
-    scalar s broadcast to every slot.  Zero values are legal outputs."""
-    s = Fraction(s)
-    total = Fraction(1)
-    for j, mj in enumerate(m):
-        base = s - params.d / 2 * j
-        for i in range(mj):
-            total *= base + i
-            if not total:
-                return total
-    return total
-
-
 # ---------------------------------------------------------------------------
 # dimensions and shifted factorials
 
 
+def gen_pochhammer(s: Rat, m, params: ConeParams) -> Fraction:
+    """Generalized shifted factorial (s)_m = prod_j (s - (d/2)(j-1))_{m_j},
+    the scalar s broadcast to every slot.  With s = S/D and d/2 = p/q
+    each factor is an integer over D q, so the product runs in ints and
+    makes one Fraction.  Zero values are legal outputs."""
+    s = Fraction(s)
+    p, q = params.d.numerator, 2 * params.d.denominator
+    step = s.denominator * q
+    num = 1
+    for j, mj in enumerate(m):
+        base = s.numerator * q - p * j * s.denominator
+        for t in range(mj):
+            num *= base + step * t
+    return Fraction(num, step ** weight(m))
+
+
 def _pochhammer(jack: JackTable, s: Fraction, x) -> Fraction:
-    """(s)_x = prod_j (s - (d/2)(j - 1))_{x_j}, memoized per (s, x).  With
-    s = S/D and d/2 = p/q each factor is an integer over D q, so the
-    product runs in ints and makes one Fraction."""
+    """(s)_x memoized per (s, x); a miss calls ``gen_pochhammer``."""
     key = ("poch", s, x)
     got = jack.cache.get(key)
     if got is None:
-        p, q = jack.d.numerator, 2 * jack.d.denominator
-        step = s.denominator * q
-        num = 1
-        for j, xj in enumerate(x):
-            base = s.numerator * q - p * j * s.denominator
-            for t in range(xj):
-                num *= base + step * t
-        got = jack.cache.setdefault(key, Fraction(num, step ** weight(x)))
+        got = jack.cache.setdefault(key, gen_pochhammer(s, x, cone_params(jack)))
     return got
 
 
@@ -148,10 +143,8 @@ def _dim_ratio(jack: JackTable, m) -> Fraction:
 
 def dim_partition(m, jack: JackTable) -> Fraction:
     """Exact dimension weight d_m, strictly positive for every rational
-    d > 0: (n/r)_m times the memoized ratio d_m / (n/r)_m."""
-    m = pad(m, jack.r)
-    params = cone_params(jack)
-    return gen_pochhammer(params.rank_ratio, m, params) * _dim_ratio(jack, m)
+    d > 0: ``weight_factor`` at s = n/r, both factors memoized."""
+    return weight_factor(m, jack, cone_params(jack).rank_ratio)
 
 
 def weight_factor(x, jack: JackTable, s: Optional[Rat] = None) -> Fraction:
@@ -185,25 +178,6 @@ def _lowered(x) -> list:
     """(j, x - e_j) for every row j (1-based) where x - e_j is a partition."""
     pairs = enumerate(zip(x, x[1:] + (0,)))
     return [(j + 1, x[:j] + (a - 1,) + x[j + 1 :]) for j, (a, b) in pairs if a > b]
-
-
-def _fill(jack: JackTable, x, key, lower, compute):
-    """The memo entry ``key(x)``.  A miss first collects, without
-    recursion, every missing entry below it (``lower(y)`` lists the
-    (j, y - e_j) whose entries ``compute(y, lower(y))`` reads), then
-    computes them in increasing weight, so no call nests."""
-    got = jack.cache.get(key(x))
-    if got is not None:
-        return got
-    todo, stack = {}, [x]
-    while stack:
-        y = stack.pop()
-        if y not in todo and key(y) not in jack.cache:
-            todo[y] = lower(y)
-            stack += [down for _, down in todo[y]]
-    for y in sorted(todo, key=weight):
-        jack.cache[key(y)] = compute(y, todo[y])
-    return jack.cache[key(x)]
 
 
 def _capped_head(jack: JackTable, x, cap: int) -> dict:
@@ -243,28 +217,32 @@ def _falling_row(jack: JackTable, x, cap: int) -> dict:
 
         (|x| - |k|) G_x[k] = sum_j binom(x, x - e_j) G_{x - e_j}[k]
 
-    over the rows at the same cap, down to the full rows at weight cap."""
+    over the rows at the same cap, down to the full rows at weight cap.
+    A miss first collects, without recursion, every missing row below x,
+    then computes them in increasing weight, so no call nests."""
     params = cone_params(jack)
-
-    def compute(y, low):
+    todo, stack = {}, [x]
+    while stack:
+        y = stack.pop()
+        if y not in todo and ("frow", y, cap) not in jack.cache:
+            todo[y] = _lowered(y) if 2 < cap < weight(y) else []
+            stack += [down for _, down in todo[y]]
+    for y in sorted(todo, key=weight):
         top = weight(y)
         if top == cap:
-            return _full_falling_row(jack, y)
+            jack.cache[("frow", y, cap)] = _full_falling_row(jack, y)
+            continue
         row = _capped_head(jack, y, cap)
         acc: dict = {}
-        for j, down in low:
+        for j, down in todo[y]:
             b = _one_box_binomial(y, j, params)
             for k, g in jack.cache[("frow", down, cap)].items():
                 if k not in row:
                     acc[k] = acc.get(k, 0) + b * g
         for k in sorted(acc, key=lambda k: (weight(k), [-a for a in k])):
             row[k] = acc[k] / (top - weight(k))
-        return row
-
-    def lower(y):
-        return _lowered(y) if 2 < cap < weight(y) else []
-
-    return _fill(jack, x, lambda y: ("frow", y, cap), lower, compute)
+        jack.cache[("frow", y, cap)] = row
+    return jack.cache[("frow", x, cap)]
 
 
 def _full_falling_row(jack: JackTable, x) -> dict:

@@ -235,29 +235,6 @@ def u_mul(a: list, b: list, max_degree: int) -> list:
     return out
 
 
-def u_inv(a: list, max_degree: int) -> list:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    inv = [Fraction(0)] * (max_degree + 1)
-    inv[0] = 1 / Fraction(a[0])
-    for n in range(1, max_degree + 1):
-        s = Fraction(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            if a[i]:
-                s += Fraction(a[i]) * inv[n - i]
-        inv[n] = -inv[0] * s
-    return inv
-
-
-def u_ratio(num: list, den: list, max_degree: int) -> list:
-    return u_mul(
-        [Fraction(x) for x in num] + [Fraction(0)] * max_degree,
-        u_inv([Fraction(x) for x in den], max_degree),
-        max_degree,
-    )
-
-
 def u_binomial(exponent: Rat, scale: Rat, max_degree: int) -> list:
     """Coefficients of (1 - scale*z)**exponent for rational exponent."""
     exponent = Fraction(exponent)

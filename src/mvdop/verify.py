@@ -70,7 +70,7 @@ from .partitions import (
     partitions_of,
     weight,
 )
-from .symfun import series_compose_diagonal, u_binomial, u_exp, u_ratio
+from .symfun import series_compose_diagonal, u_binomial, u_exp
 
 Rat = Union[int, Fraction]
 
@@ -176,7 +176,8 @@ def _genfunc_series(fp: FamilyParams, poly, D: int, scale: Rat = 1):
     if s is None:
         return series_compose_diagonal(poly, [1, z * scale], u_exp(scale, D), D)
     t = -scale if fp.family == "krawtchouk" else scale
-    entry = u_ratio([1, t * (z - 1)], [1, -t], D)
+    # (1 + (z - 1) t w) / (1 - t w) = 1 + sum over k >= 1 of z t^k w^k
+    entry = [1] + [z * t**k for k in range(1, D + 1)]
     return series_compose_diagonal(poly, entry, u_binomial(-s, t, D), D)
 
 
@@ -391,11 +392,15 @@ def _node_weights(fp: FamilyParams, degree: int, cut: Optional[int], jack: JackT
     return jack.cache.setdefault(key, ell)
 
 
-def _tail_estimate(w, values, t: int, jack: JackTable) -> Fraction:
+def _tail_estimate(fp: FamilyParams, values, t: int, jack: JackTable) -> Fraction:
     """The largest |w(x) f(m, x) f(n, x)| over the points x of nonzero
     weight on the shell |x| = t, with ``values(x)`` the family values at
     x: max |f(m, x)| squared, as the pairs include m = n.  An indication
-    of the tail past t, not a bound on it."""
+    of the tail past t, not a bound on it.  A shell past a finite support
+    (``fp.N`` set, t > rN) has no such point and is not walked."""
+    if fp.N is not None and t > jack.r * fp.N:
+        return Fraction(0)
+    w, _ = _weight(fp, jack)
     return max((abs(wx) * max(map(abs, values(x).values())) ** 2
                 for x in partitions_of(t, jack.r) if (wx := w(x))), default=Fraction(0))
 
@@ -435,7 +440,7 @@ def _orthogonality(
         return rep.finalize()
     rep.truncation = {
         "weights": ts,
-        "tail_estimate": float(_tail_estimate(w, values, ts[-1], jack)),
+        "tail_estimate": float(_tail_estimate(fp, values, ts[-1], jack)),
         "tolerance_diagonal": float(tol_diag),
         "tolerance_offdiagonal": float(tol_off),
     }

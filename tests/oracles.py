@@ -27,7 +27,11 @@ of the Askey scheme with their parameters written out by hand, where the
 package reads each family's declared point (s, z).  A diagonal composition with a
 per-variable factor f is rebuilt as the SymPoly product of the series
 prod_i f(z_i) and the composition without it, where the package folds f
-into the per-variable powers in one pass.  The truncated orthogonality
+into the per-variable powers in one pass, and a ratio of univariate
+series is expanded by series inversion, where the package writes its one
+ratio in closed form.  The generalized shifted factorial is multiplied
+out one Fraction factor at a time, where the package takes one integer
+product.  The truncated orthogonality
 sums are added up term by term over every x, one weight shell at a time,
 where the package takes them from the closed-form shell moments at the
 nodes.
@@ -44,7 +48,6 @@ from mvdop.conearith import (
     cone_params,
     dim_partition,
     falling_row,
-    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
     weight_factor,
@@ -60,7 +63,7 @@ from mvdop.partitions import (
     sub_partitions,
     weight,
 )
-from mvdop.symfun import SymPoly, _orbit, u_binomial, u_exp
+from mvdop.symfun import SymPoly, _orbit, u_binomial, u_exp, u_mul
 
 
 def dominates(a, b) -> bool:
@@ -311,7 +314,7 @@ def kernel_direct(jack, m, x, s, z) -> Fraction:
             continue
         ck = weight_factor(k, jack) * z ** weight(k)
         if s is not None:
-            poch = gen_pochhammer(s, k, params)
+            poch = gen_pochhammer_direct(s, k, params)
             if poch == 0:
                 raise PoleError(
                     f"shifted factorial ({s})_k vanishes at k={format_partition(k)}"
@@ -412,6 +415,21 @@ def shift_equation_direct(fp, fixed, moving, jack, moving_first: bool) -> Fracti
     return lhs - rhs
 
 
+def gen_pochhammer_direct(s, m, params) -> Fraction:
+    """Generalized shifted factorial prod_j (s - (d/2)(j-1))_{m_j} one
+    Fraction factor at a time, where the package takes one integer
+    product over a common denominator."""
+    s = Fraction(s)
+    total = Fraction(1)
+    for j, mj in enumerate(m):
+        base = s - params.d / 2 * j
+        for i in range(mj):
+            total *= base + i
+            if not total:
+                return total
+    return total
+
+
 def dim_partition_gamma_check(m, params) -> float:
     """Floating-point evaluation of the classical Gamma-product expression
     for d_m, a cross-check for the exact ``dim_partition``."""
@@ -508,6 +526,33 @@ def falling_row_expansion(jack, x, cap: int) -> dict:
     return {
         k: b / dim_ratio_p1(jack, k) for k, b in binomial_row_expansion(jack, x, cap).items()
     }
+
+
+def u_inv(a: list, max_degree: int) -> list:
+    """Multiplicative inverse of a univariate series with nonzero constant
+    term, by the coefficient recursion."""
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series has no inverse: zero constant term")
+    inv = [Fraction(0)] * (max_degree + 1)
+    inv[0] = 1 / Fraction(a[0])
+    for n in range(1, max_degree + 1):
+        s = Fraction(0)
+        for i in range(1, min(n, len(a) - 1) + 1):
+            if a[i]:
+                s += Fraction(a[i]) * inv[n - i]
+        inv[n] = -inv[0] * s
+    return inv
+
+
+def u_ratio(num: list, den: list, max_degree: int) -> list:
+    """The univariate series num / den to degree ``max_degree``, where the
+    package writes its one ratio, (1 + (z - 1) t w) / (1 - t w), in closed
+    form."""
+    return u_mul(
+        [Fraction(x) for x in num] + [Fraction(0)] * max_degree,
+        u_inv([Fraction(x) for x in den], max_degree),
+        max_degree,
+    )
 
 
 def series_per_variable(u: list, r: int, max_degree: int) -> SymPoly:

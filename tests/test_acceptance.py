@@ -32,7 +32,7 @@ from mvdop.dpolys import (
 )
 from mvdop.jack import jack_table
 from mvdop.partitions import contains, enumerate_up_to, weight
-from mvdop.symfun import TruncatedSeries, series_compose_diagonal, u_ratio
+from mvdop.symfun import TruncatedSeries, series_compose_diagonal
 from mvdop.verify import (
     conjecture_suite,
     difference_residual,
@@ -49,6 +49,7 @@ from .oracles import (
     pieri_coefficients,
     series_exp_trace,
     series_prod_binomial,
+    u_ratio,
     univariate_charlier,
     univariate_krawtchouk,
     univariate_meixner,

@@ -93,9 +93,23 @@ def test_pole_exits_3(capsys):
     assert "vanishes" in err
 
 
-def test_bad_d_exits_2(capsys):
-    code, _, _ = run(["conjecture", "--d", "0", "--r", "2"], capsys)
-    assert code == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--family", "meixner", "--alpha", "2", "--c", "1/2", "--m", "1", "--x", "1"],
+        ["table", "--family", "charlier", "--a", "1", "--max-degree", "1"],
+        ["verify", "difference", "--family", "meixner", "--alpha", "2", "--c", "1/2",
+         "--max-weight", "1"],
+        ["conjecture"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_bad_d_exits_2(args, capsys, tmp_path):
+    # the table refuses d <= 0 before any cache file is written
+    code, out, err = run(args + ["--d", "0", "--r", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "error: need d > 0, got 0" in err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_verify_krawtchouk_orthogonality_report(tmp_path, capsys):

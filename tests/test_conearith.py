@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb, isclose, perm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mvdop import conearith
 from mvdop.conearith import (
     ConeParams,
     _lowered,
@@ -33,6 +34,7 @@ from .oracles import (
     dim_ratio_p1,
     dim_ratio_pieri,
     falling_row_expansion,
+    gen_pochhammer_direct,
     pieri_coefficients,
 )
 
@@ -103,7 +105,35 @@ def test_weight_factor_shifted_factorial_property(case):
     # product in Fractions
     r, d, s, x = case
     t = JackTable(r, d)
-    assert weight_factor(x, t, s) == weight_factor(x, t) * gen_pochhammer(s, x, cone_params(t))
+    want = weight_factor(x, t) * gen_pochhammer_direct(s, x, cone_params(t))
+    assert weight_factor(x, t, s) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pochhammer_cases())
+@example((4, F(7, 3), F(5, 2), (3, 2, 2, 1)))
+@example((2, F(2), F(-3), (4, 0)))
+@example((3, F(1, 2), F(-2), (3, 3, 1)))
+def test_gen_pochhammer_matches_direct_product_property(case):
+    # the one integer product against the Fraction loop, the vanishing
+    # values at a negative integer s included
+    r, d, s, x = case
+    params = ConeParams(r, d)
+    assert gen_pochhammer(s, x, params) == gen_pochhammer_direct(s, x, params)
+
+
+def test_repeated_dim_partition_reads_the_memo(monkeypatch):
+    # d_m is weight_factor at s = n/r, so a repeated query is a memo hit
+    # and multiplies out no shifted factorial
+    calls = []
+    real = conearith.gen_pochhammer
+    monkeypatch.setattr(conearith, "gen_pochhammer", lambda *a: calls.append(a) or real(*a))
+    t = JackTable(2, 2)
+    for m in ((30, 16), (3, 1)):
+        first = dim_partition(m, t)
+        calls.clear()
+        assert dim_partition(m, t) == first
+        assert calls == [], m
 
 
 def test_weight_factor_shifted_factorial_vanishing_and_deep():
@@ -111,13 +141,13 @@ def test_weight_factor_shifted_factorial_vanishing_and_deep():
     params = cone_params(t)
     for x in reversed(enumerate_up_to(2, 7)):
         # (-3)_x vanishes once x_1 > 3 (row two starts at -3 - d/2)
-        want = weight_factor(x, t) * gen_pochhammer(-3, x, params)
+        want = weight_factor(x, t) * gen_pochhammer_direct(-3, x, params)
         assert weight_factor(x, t, -3) == want
         assert (want == 0) == (x[0] > 3)
     t1 = JackTable(1, F(7, 2))
     params = cone_params(t1)
     for s in (F(5, 3), -1499, -1500):
-        want = weight_factor((1500,), t1) * gen_pochhammer(s, (1500,), params)
+        want = weight_factor((1500,), t1) * gen_pochhammer_direct(s, (1500,), params)
         assert weight_factor((1500,), t1, s) == want
     # at r = 1 the factor is (s)_x / x!
     assert weight_factor((1500,), t1, -1499) == 0
@@ -150,7 +180,7 @@ def test_d2_dimension_is_squared_principal():
 
 def _dim_p1(jack, m):
     params = cone_params(jack)
-    return gen_pochhammer(params.rank_ratio, m, params) * dim_ratio_p1(jack, m)
+    return gen_pochhammer_direct(params.rank_ratio, m, params) * dim_ratio_p1(jack, m)
 
 
 def test_rows_and_dims_past_built_degree_need_no_table():
@@ -291,7 +321,7 @@ def test_dims_and_full_rows_match_p1_and_expansion_oracles_property(case):
     t = JackTable(r, d)
     params = cone_params(t)
     for k in reversed(sub_partitions(x)):
-        want = gen_pochhammer(params.rank_ratio, k, params) * dim_ratio_pieri(t, k)
+        want = gen_pochhammer_direct(params.rank_ratio, k, params) * dim_ratio_pieri(t, k)
         assert dim_partition(k, t) == want == _dim_p1(t, k)
     _assert_rows_match(t, x, weight(x))
 
@@ -382,8 +412,8 @@ def test_lower_coefficient_finite_on_partitions():
 def test_expansion_identities_degree_five():
     """Both shifted-expansion identities, checked coefficientwise to
     degree 5: the binomial-weighted sum reproduces the shifted series."""
-    from mvdop.symfun import series_compose_diagonal, u_ratio
-    from .oracles import series_exp_trace, series_prod_binomial
+    from mvdop.symfun import series_compose_diagonal
+    from .oracles import series_exp_trace, series_prod_binomial, u_ratio
     from mvdop.symfun import TruncatedSeries
 
     D = 5
@@ -399,11 +429,12 @@ def test_expansion_identities_degree_five():
                 g = generalized_falling(k, x, t)
                 if not g:
                     continue
-                coeff = dim_partition(x, t) * g / gen_pochhammer(params.rank_ratio, x, params)
+                coeff = dim_partition(x, t) * g
+                coeff /= gen_pochhammer_direct(params.rank_ratio, x, params)
                 rhs = rhs + t.phi(x).scale(coeff).truncated(D)
             assert lhs.coeffs == rhs.coeffs, ("exp", r, d, k)
             # binomial-power form
-            poch_k = gen_pochhammer(alpha, k, params)
+            poch_k = gen_pochhammer_direct(alpha, k, params)
             entry = u_ratio([0, 1], [1, -1], D)
             lhs2 = series_prod_binomial(-alpha, 1, r, D) * series_compose_diagonal(
                 t.phi(k), entry, [1], D
@@ -416,8 +447,8 @@ def test_expansion_identities_degree_five():
                     continue
                 coeff = (
                     dim_partition(x, t)
-                    * gen_pochhammer(alpha, x, params)
-                    / gen_pochhammer(params.rank_ratio, x, params)
+                    * gen_pochhammer_direct(alpha, x, params)
+                    / gen_pochhammer_direct(params.rank_ratio, x, params)
                     * g
                 )
                 rhs2 = rhs2 + t.phi(x).scale(coeff).truncated(D)

@@ -9,12 +9,10 @@ from mvdop.symfun import (
     TruncatedSeries,
     series_compose_diagonal,
     u_binomial,
-    u_inv,
     u_mul,
-    u_ratio,
 )
 
-from .oracles import series_exp_trace, series_per_variable, series_prod_binomial
+from .oracles import series_exp_trace, series_per_variable, series_prod_binomial, u_inv, u_ratio
 
 F = Fraction
 

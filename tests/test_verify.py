@@ -294,7 +294,7 @@ def test_shell_moments_match_shell_oracle(r, d, fp):
             ell = verify._node_weights(fp, sum(m) + sum(n), cut, t)
             got = sum(l * vals[x][m] * vals[x][n] for x, l in ell.items())
             assert got == want, (cut, m, n)
-    assert verify._tail_estimate(verify._weight(fp, t)[0], values, cuts[-1], t) == tail
+    assert verify._tail_estimate(fp, values, cuts[-1], t) == tail
     # the report's last partial sums are the exact fractions too
     rep = orthogonality(fp, max_index_weight, cuts[-2:], t)
     last = {(format_partition(m), format_partition(n)): v
@@ -381,6 +381,28 @@ def test_krawtchouk_cut_sums_match_shell_oracle(r, d, N):
         last = {(format_partition(m), format_partition(n)): v
                 for (m, n), v in snapshots[cut].items()}
         assert {(c["m"], c["n"]): F(c["lhs"]) for c in rep.cases} == last, cut
+
+
+def test_krawtchouk_tail_past_the_box_evaluates_no_weight(monkeypatch):
+    # every Krawtchouk weight past rN is 0, so a cut past the box has a
+    # zero tail estimate without a walk over its shell
+    r, N = 3, 1
+    past = []
+    true_weight = verify.weight_factor
+
+    def counted(x, jack, s=None):
+        if sum(x) > r * N:
+            past.append(x)
+        return true_weight(x, jack, s)
+
+    monkeypatch.setattr(verify, "weight_factor", counted)
+    fp = FamilyParams("krawtchouk", p=F(1, 3), N=N)
+    rep = orthogonality(fp, 1, (0, 40), JackTable(r, 2))
+    assert rep.passed and rep.truncation["tail_estimate"] == 0.0
+    assert past == []
+    # the last shell of the box still has points of nonzero weight
+    rep = orthogonality(fp, 1, (0, r * N), JackTable(r, 2))
+    assert rep.truncation["tail_estimate"] > 0
 
 
 def test_difference_equation_r1_matches_classical_three_term():
