@@ -13,7 +13,10 @@ file that cannot be written, 3 pole or singular-argument error.
 Rationals cross the boundary as strings ("7/2"); floats appear only
 inside reports where a closed form is irrational.  Basis tables are
 cached on disk per (r, d); override the location with the MVDOP_CACHE_DIR
-environment variable.
+environment variable.  A process parses and validates each version of a
+cache file once: the table read becomes, or fills in, the process-wide
+table of its (r, d), so later calls in the process reuse that one table
+and its row memos.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional
 from . import verify
 from .dpolys import FAMILY_PARAMS, PARAM_NAMES, FamilyParams, laguerre
 from .errors import MvdopError, ParameterError, PoleError, SingularArgumentError
-from .jack import JackTable, jack_table
+from .jack import JackTable, _adopt, jack_table
 from .partitions import enumerate_up_to, format_partition, parse_partition
 
 EXIT_OK = 0
@@ -94,24 +97,52 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "mvdop"
 
 
+# cache path -> (stat signature, built degree) of the file this process last
+# parsed and validated there; a file it wrote is not recorded, so it is
+# parsed once on its next read
+_READS: dict = {}
+
+
+def _signature(st: os.stat_result) -> tuple:
+    return st.st_mtime_ns, st.st_size, st.st_ino
+
+
 def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
-    """Disk-backed table: load when the cached degree suffices; extend a
-    shallow cached table, or build one when there is none, and rewrite the
-    file.  A file that does not parse, or holds another (r, d) than its
-    name, is rebuilt.  The file written holds exactly ``degree``, also
-    when the process-wide table was built deeper, so its bytes are those
-    of ``JackTable(r, d).extend(degree)``; cache hits are bit-identical to
-    a fresh build because entries never change once computed."""
+    """The process-wide table of (r, d), at least to ``degree``, backed by
+    the disk cache.  Each version of a cache file (its stat signature) is
+    parsed and validated once per process: a valid file becomes the process
+    table, or fills in the weights the process table lacks, and while the
+    signature is unchanged later calls read no file.  A file deep enough is
+    left as it is; a shallow one is extended through the process table, and
+    a missing one, one that fails validation or one that holds another
+    (r, d) than its name is built, and the file is rewritten.  The file
+    written holds exactly ``degree``, also when the process-wide table was
+    built deeper, so its bytes are those of ``JackTable(r, d).extend(degree)``;
+    cache hits are bit-identical to a fresh build because entries never
+    change once computed."""
     path = cache_dir() / f"jack-r{r}-d{d.numerator}_{d.denominator}.json"
     table = None
-    if path.exists():
+    read = _READS.get(path)
+    try:
+        unchanged = read is not None and _signature(os.stat(path)) == read[0]
+    except FileNotFoundError:
+        unchanged = False
+    if unchanged:
+        cached = read[1]
+        table = jack_table(r, d, cached)
+    else:
         try:
-            table = JackTable.from_json_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            pass
-    if table is None or (table.r, table.d) != (r, d):
+            with path.open("rb") as f:
+                signature = _signature(os.fstat(f.fileno()))
+                parsed = JackTable.from_json_dict(json.loads(f.read()))
+        except (FileNotFoundError, ValueError):
+            parsed = None
+        if parsed is not None and (parsed.r, parsed.d) == (r, d):
+            table, cached = _adopt(parsed), parsed.built_degree
+            _READS[path] = signature, cached
+    if table is None:
         table = jack_table(r, d, degree)
-    elif table.built_degree >= degree:
+    elif cached >= degree:
         return table
     else:
         table.extend(degree)

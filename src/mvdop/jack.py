@@ -37,14 +37,16 @@ per parameter set, and the falling-factorial row of each second index
 per cap.  So the cache grows with the number of parameter draws times
 the first indices evaluated, and with the partitions queried on the
 table in one process.  The per-(r, d) memo ``_TABLES`` behind
-``jack_table`` is process-wide and never evicted either.
+``jack_table`` is process-wide and never evicted either; a validated
+table read from the CLI's disk cache joins it through ``_adopt``, so one
+(r, d) has one table, and one ``cache``, per process.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Optional, Union
 
 from .errors import ParameterError, TableDegreeError
@@ -141,6 +143,53 @@ def _solve_weight(keys: list, rows: dict) -> dict:
     return out
 
 
+def _orbit_size(mu) -> int:
+    """Number of distinct permutations of the partition ``mu``, r!/prod
+    mult!, in ints: equal parts are adjacent in a partition."""
+    size = factorial(len(mu))
+    run = 1
+    for prev, a in zip(mu, mu[1:]):
+        run = run + 1 if a == prev else 1
+        size //= run
+    return size
+
+
+def _value_at_ones(poly: dict, sizes: dict) -> tuple:
+    """sum c * |orbit(mu)| over ``poly`` = {mu: c}, given the orbit sizes
+    {mu: |orbit(mu)|}: the value of a symmetric polynomial at (1, ..., 1),
+    summed in ints over one common denominator and returned unreduced, as
+    (numerator, denominator)."""
+    total = 0
+    lcd = 1
+    for mu, c in poly.items():
+        den = c.denominator
+        if lcd % den:
+            grow = den // gcd(lcd, den)
+            total *= grow
+            lcd *= grow
+        total += c.numerator * (lcd // den) * sizes[mu]
+    return total, lcd
+
+
+def _rational(text) -> Fraction:
+    if type(text) is not str:
+        raise ValueError(f"expected a rational as a string, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _partition(text, r: int) -> tuple:
+    if type(text) is not str:
+        raise ValueError(f"expected a partition as a string, got {text!r}")
+    return parse_partition(text, r)
+
+
+# the fields to_json_dict writes, and from_json_dict requires
+_JSON_FIELDS = ("r", "d", "built_degree", "polys", "principal")
+
+
 class _ParseOnce(dict):
     """text -> parse(text), each distinct text parsed on first lookup."""
 
@@ -189,14 +238,10 @@ class JackTable:
             self._principal[keys[0]] = Fraction(1)
             return
         rows = _operator_rows(self.r, self.d, keys)
+        sizes = {mu: _orbit_size(mu) for mu in keys}
         for lam, (nums, dens) in _solve_weight(keys, rows).items():
-            self._polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
-            lcd = 1
-            for den in dens.values():
-                if lcd % den:
-                    lcd *= den // gcd(lcd, den)
-            total = sum(n * (lcd // dens[mu]) * len(_orbit(mu)) for mu, n in nums.items())
-            self._principal[lam] = Fraction(total, lcd)
+            poly = self._polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
+            self._principal[lam] = Fraction(*_value_at_ones(poly, sizes))
 
     def check_degree(self, w: int):
         if w > self.built_degree:
@@ -289,18 +334,64 @@ class JackTable:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "JackTable":
-        table = cls(int(data["r"]), Fraction(data["d"]))
-        r = table.r
+    def from_json_dict(cls, data) -> "JackTable":
+        """The table ``to_json_dict`` serialized, validated.  Raises
+        ``ValueError`` unless ``data`` has that shape, its keys are exactly
+        the partitions up to ``built_degree``, each expansion is over
+        partitions of its own weight, lexicographically at most its key,
+        with leading coefficient 1, and each principal value is
+        sum c * |orbit| over its expansion."""
+        if not isinstance(data, dict) or set(data) != set(_JSON_FIELDS):
+            raise ValueError(f"not a basis table: expected the fields {_JSON_FIELDS}")
+        r, d, degree, polys, principal = (data[f] for f in _JSON_FIELDS)
+        if type(r) is not int or type(degree) is not int or degree < 0:
+            raise ValueError("r and built_degree must be integers, built_degree >= 0")
+        if not isinstance(polys, dict) or not isinstance(principal, dict):
+            raise ValueError("polys and principal must be objects")
+        try:
+            table = cls(r, _rational(d))
+        except ParameterError as exc:
+            raise ValueError(str(exc)) from None
         # each distinct key and coefficient string is parsed (and so
         # validated) once per load; the parsed values are immutable
-        key = _ParseOnce(lambda text: parse_partition(text, r))
-        rat = _ParseOnce(Fraction)
-        for mtxt, items in data["polys"].items():
-            table._polys[key[mtxt]] = {key[mutxt]: rat[ctxt] for mutxt, ctxt in items}
-        for mtxt, vtxt in data["principal"].items():
-            table._principal[key[mtxt]] = rat[vtxt]
-        table.built_degree = int(data["built_degree"])
+        key = _ParseOnce(lambda text: _partition(text, r))
+        rat = _ParseOnce(_rational)
+        table._polys = {}
+        try:
+            for mtxt, items in polys.items():
+                if type(items) is not list or not set(map(type, items)) <= {list}:
+                    raise ValueError(f"expansion of {mtxt!r} is not a list of [key, value] pairs")
+                poly = table._polys[key[mtxt]] = {key[mutxt]: rat[ctxt] for mutxt, ctxt in items}
+                if len(poly) != len(items):
+                    raise ValueError(f"expansion of {mtxt!r} repeats a monomial")
+            table._principal = {key[mtxt]: rat[vtxt] for mtxt, vtxt in principal.items()}
+        except TypeError:
+            # a list or an object where a key or a value string belongs
+            raise ValueError("a key or a value is not a string") from None
+        count = 0
+        for w in range(degree + 1):
+            parts = list(partitions_of(w, r))
+            count += len(parts)
+            sizes = {mu: _orbit_size(mu) for mu in parts}
+            below = set()
+            for m in reversed(parts):
+                below.add(m)
+                poly = table._polys.get(m)
+                value = table._principal.get(m)
+                if poly is None or value is None:
+                    raise ValueError(f"no entry for {format_partition(m)}")
+                if poly.get(m) != 1 or not poly.keys() <= below:
+                    raise ValueError(f"expansion of {format_partition(m)} is not unitriangular")
+                total, lcd = _value_at_ones(poly, sizes)
+                if total * value.denominator != value.numerator * lcd:
+                    raise ValueError(
+                        f"principal value of {format_partition(m)} is not sum c * |orbit|"
+                    )
+        # every partition up to the degree is there, so as many texts as
+        # partitions means no text of another key, and no two of one key
+        if len(polys) != count or len(principal) != count:
+            raise ValueError(f"keys are not the partitions up to weight {degree}")
+        table.built_degree = degree
         return table
 
 
@@ -314,4 +405,20 @@ def jack_table(r: int, d: Rat, degree: int) -> JackTable:
     if table is None:
         table = _TABLES.setdefault(key, JackTable(r, d))
     table.extend(degree)
+    return table
+
+
+def _adopt(parsed: JackTable) -> JackTable:
+    """The process table of ``parsed``'s (r, d), given the weights of a
+    validated table read from disk: ``parsed`` itself when the process has
+    none yet, else the process table with the weights it lacks copied from
+    ``parsed`` in weight order, each published before ``built_degree``
+    counts it, as ``extend`` does.  The process table keeps its identity
+    and its ``cache``."""
+    table = _TABLES.setdefault((parsed.r, parsed.d), parsed)
+    for w in range(table.built_degree + 1, parsed.built_degree + 1):
+        for m in partitions_of(w, table.r):
+            table._polys[m] = parsed._polys[m]
+            table._principal[m] = parsed._principal[m]
+        table.built_degree = w
     return table

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,11 @@ from mvdop.jack import JackTable
 
 @pytest.fixture(autouse=True)
 def cache_in_tmp(tmp_path, monkeypatch):
+    # each test runs as a fresh process would: an empty cache directory,
+    # no process-wide tables and no record of cache files read
     monkeypatch.setenv("MVDOP_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(jack, "_TABLES", {})
+    monkeypatch.setattr(cli, "_READS", {})
     yield tmp_path
 
 
@@ -504,6 +509,148 @@ def test_cache_file_of_another_table_is_rebuilt(tmp_path, monkeypatch, capsys):
     assert (cached.r, cached.d) == (2, 2) and cached.built_degree >= 3
     fresh = JackTable(2, 2).extend(cached.built_degree)
     assert written == json.dumps(fresh.to_json_dict(), indent=None, sort_keys=False)
+
+
+_LAGUERRE_EVAL = ["eval", "--family", "laguerre", "--d", "2", "--r", "2", "--alpha", "7/2",
+                  "--m", "2,1", "--u", "1/2,1/3"]
+_MEIXNER_EVAL_21 = ["eval", "--family", "meixner", "--d", "2", "--r", "2", "--alpha", "7/2",
+                    "--c", "1/3", "--m", "2,1", "--x", "1,1"]
+
+
+def _fresh_text(r, d, degree):
+    return json.dumps(JackTable(r, d).extend(degree).to_json_dict(), indent=None, sort_keys=False)
+
+
+def test_poisoned_cache_is_refused_and_rewritten(tmp_path, monkeypatch, capsys):
+    # ROADMAP item 5: the one coefficient of Phi_(2,1) hand-edited to 5/7
+    # made this call print 1136/63 and exit 0
+    code, clean, _ = run(_LAGUERRE_EVAL, capsys)
+    assert code == 0 and json.loads(clean)["value"] == "973/54"
+    path = tmp_path / "cache" / "jack-r2-d2_1.json"
+    data = json.loads(path.read_text())
+    assert data["polys"]["2,1"] == [["2,1", "1"]]
+    data["polys"]["2,1"][0][1] = "5/7"
+    path.write_text(json.dumps(data, indent=None, sort_keys=False))
+    # a new process: nothing in memory stands in for the file
+    monkeypatch.setattr(jack, "_TABLES", {})
+    monkeypatch.setattr(cli, "_READS", {})
+    code, out, err = run(_LAGUERRE_EVAL, capsys)
+    assert code == 0, err
+    assert out == clean
+    assert path.read_text() == _fresh_text(2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[]", "null", '{"r": 2, "d": "2", "built_degree": 3, "polys": [], "principal": {}}'],
+)
+def test_cache_of_the_wrong_shape_is_rebuilt(content, tmp_path, capsys):
+    path = tmp_path / "cache" / "jack-r2-d2_1.json"
+    path.parent.mkdir()
+    path.write_text(content)
+    code, out, err = run(_LAGUERRE_EVAL, capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"] == "973/54"
+    assert path.read_text() == _fresh_text(2, 2, 3)
+
+
+def test_cache_missing_weights_below_its_degree_is_rebuilt(tmp_path, capsys):
+    path = tmp_path / "cache" / "jack-r2-d2_1.json"
+    path.parent.mkdir()
+    path.write_text('{"r": 2, "d": "2", "built_degree": 9, "polys": {}, "principal": {}}')
+    code, out, err = run(
+        ["verify", "genfunc", "--family", "meixner", "--d", "2", "--r", "2",
+         "--alpha", "7/2", "--c", "1/3"],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["summary"]["passed"] == json.loads(out)["summary"]["total"] > 0
+    assert path.read_text() == _fresh_text(2, 2, 3)  # --degree 3 >= --max-weight 2
+
+
+def test_each_cache_file_version_is_parsed_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cache" / "jack-r2-d2_1.json"
+    path.parent.mkdir()
+    path.write_text(_fresh_text(2, 2, 4))
+    parse = JackTable.from_json_dict.__func__
+    parsed = []
+
+    def spy(cls, data):
+        parsed.append(data["built_degree"])
+        return parse(cls, data)
+
+    monkeypatch.setattr(JackTable, "from_json_dict", classmethod(spy))
+
+    def call(argv=_MEIXNER_EVAL_21):
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        return out
+
+    assert call() == call()
+    assert parsed == [4]
+    # another writer's os.replace is a new file, with a new signature
+    other = path.with_name("other.tmp")
+    other.write_text(_fresh_text(2, 2, 5))
+    os.replace(other, path)
+    call()
+    call()
+    assert parsed == [4, 5]
+    # a shallow hit rewrites the file; a file this process wrote is read
+    # again once, on its next read
+    call(["verify", "difference", "--family", "meixner", "--d", "2", "--r", "2",
+          "--alpha", "7/2", "--c", "1/3", "--max-weight", "5"])
+    assert parsed == [4, 5]
+    assert path.read_text() == _fresh_text(2, 2, 6)
+    call()
+    call()
+    assert parsed == [4, 5, 6]
+
+
+def test_loaded_table_is_the_process_table(tmp_path):
+    d = Fraction(13, 4)
+    path, _ = _write_shallow_cache(tmp_path, 2, d, 3)
+    table = cli.load_or_build_table(2, d, 3)  # parsed, and adopted
+    assert table is jack.jack_table(2, d, 0)
+    assert cli.load_or_build_table(2, d, 2) is table  # the file is unchanged
+    path.unlink()
+    assert cli.load_or_build_table(2, d, 3) is table  # built into the process table
+    assert path.read_text() == _fresh_text(2, d, 3)
+    assert cli.load_or_build_table(2, 2, 2) is jack.jack_table(2, 2, 0)
+
+
+def test_valid_cache_file_fills_in_the_process_table(tmp_path, monkeypatch):
+    # the weights the process table lacks are copied from the file: the
+    # table keeps its identity and its memo, and nothing is built
+    d = Fraction(13, 4)
+    _write_shallow_cache(tmp_path, 2, d, 6)
+    want = JackTable(2, d).extend(6).to_json_dict()
+    table = jack.jack_table(2, d, 2)
+    table.cache["kept"] = True
+    build = JackTable._build_weight
+
+    def no_build(self, w):
+        if w:  # weight 0 comes with every new table, the parsed one too
+            pytest.fail(f"built weight {w}")
+        build(self, w)
+
+    monkeypatch.setattr(JackTable, "_build_weight", no_build)
+    assert cli.load_or_build_table(2, d, 4) is table
+    assert table.built_degree == 6 and table.cache["kept"]
+    assert table.to_json_dict() == want
+
+
+def test_repeated_eval_adds_no_cache_entries(monkeypatch, capsys):
+    tables = []
+    load = cli.load_or_build_table
+    monkeypatch.setattr(cli, "load_or_build_table", lambda *a: tables.append(load(*a)) or tables[-1])
+    run(_MEIXNER_EVAL_21, capsys)  # builds the table and writes the file
+    entries = len(tables[0].cache)
+    assert entries > 0
+    for _ in range(2):  # the written file is parsed, then not read at all
+        code, _, _ = run(_MEIXNER_EVAL_21, capsys)
+        assert code == 0
+        assert tables[-1] is tables[0]
+        assert len(tables[0].cache) == entries
 
 
 def test_verify_genfunc_failing_x_records_no_sign_convention(monkeypatch, capsys):

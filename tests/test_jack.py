@@ -230,3 +230,82 @@ def test_json_load_validates_every_distinct_key(where):
         data["principal"]["1,2"] = data["principal"].pop("2,1")
     with pytest.raises(ValueError, match="not a partition"):
         JackTable.from_json_dict(data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    p=st.integers(1, 12),
+    q=st.integers(1, 12),
+    data=st.data(),
+)
+def test_json_round_trip_validates_property(r, p, q, data):
+    # what to_json_dict writes, from_json_dict accepts, and it serializes
+    # back to the same bytes
+    degree = data.draw(st.integers(0, (12, 9, 6, 5)[r - 1]), label="degree")
+    dumped = json.dumps(JackTable(r, F(p, q)).extend(degree).to_json_dict(), indent=None,
+                        sort_keys=False)
+    back = JackTable.from_json_dict(json.loads(dumped))
+    assert back.built_degree == degree
+    assert json.dumps(back.to_json_dict(), indent=None, sort_keys=False) == dumped
+
+
+def _mutations(data):
+    """Copies of a serialized table, each with one value changed: every
+    coefficient and every principal value, in turn, plus one."""
+    for mtxt, items in data["polys"].items():
+        for i, (mutxt, ctxt) in enumerate(items):
+            bad = json.loads(json.dumps(data))
+            bad["polys"][mtxt][i][1] = str(F(ctxt) + 1)
+            yield f"coefficient {mutxt} of {mtxt}", bad
+    for mtxt, vtxt in data["principal"].items():
+        bad = json.loads(json.dumps(data))
+        bad["principal"][mtxt] = str(F(vtxt) + 1)
+        yield f"principal value of {mtxt}", bad
+
+
+@pytest.mark.parametrize("r, d, degree", [(2, F(2), 5), (3, F(7, 3), 4)])
+def test_json_load_refuses_one_changed_value(r, d, degree):
+    data = JackTable(r, d).extend(degree).to_json_dict()
+    for what, bad in _mutations(data):
+        with pytest.raises(ValueError):
+            JackTable.from_json_dict(bad)
+            pytest.fail(f"accepted a changed {what}")
+
+
+_MALFORMED = {
+    "a list": lambda t: [t],
+    "null": lambda t: None,
+    "polys a list": lambda t: {**t, "polys": []},
+    "d a number": lambda t: {**t, "d": 2},
+    "d with zero denominator": lambda t: {**t, "d": "1/0"},
+    "d negative": lambda t: {**t, "d": "-2"},
+    "r a string": lambda t: {**t, "r": "2"},
+    "built_degree a bool": lambda t: {**t, "built_degree": True},
+    "an extra field": lambda t: {**t, "version": 1},
+    "built_degree too high": lambda t: {**t, "built_degree": t["built_degree"] + 1},
+    "built_degree too low": lambda t: {**t, "built_degree": t["built_degree"] - 1},
+    "a number for a coefficient": lambda t: {**t, "polys": {**t["polys"], "2,1": [["2,1", 1]]}},
+    "a list for a key": lambda t: {**t, "polys": {**t["polys"], "2,1": [[["2,1"], "1"]]}},
+    "a repeated monomial": lambda t: {
+        **t, "polys": {**t["polys"], "2,1": [["2,1", "1"], ["2,1", "1"]]}},
+    "an object for an expansion": lambda t: {**t, "polys": {**t["polys"], "2,1": {"2,1": "1"}}},
+    "a flat expansion": lambda t: {**t, "polys": {**t["polys"], "2,1": ["2,1", "1"]}},
+    "a monomial above the key": lambda t: {
+        **t, "polys": {**t["polys"], "1,1": [["1,1", "1"], ["2,0", "0"]]}},
+    "two texts for one key": lambda t: {**t, "polys": {**t["polys"], "2,1,0": t["polys"]["2,1"]}},
+    "a list for a principal value": lambda t: {**t, "principal": {**t["principal"], "2,1": ["3"]}},
+    "a principal value over zero": lambda t: {
+        **t, "principal": {**t["principal"], "2,1": "1/0"}},
+    "leading coefficient 2, principal value to match": lambda t: {
+        **t, "polys": {**t["polys"], "1,1": [["1,1", "2"]]},
+        "principal": {**t["principal"], "1,1": "2"}},
+}
+
+
+@pytest.mark.parametrize("change", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_json_load_refuses_a_malformed_table(change):
+    # every defect is a ValueError, which the CLI takes as a cache miss
+    data = JackTable(2, 2).extend(3).to_json_dict()
+    with pytest.raises(ValueError):
+        JackTable.from_json_dict(change(data))

@@ -248,6 +248,50 @@ def test_only_verify_builds_reports():
     assert not found, found
 
 
+# the dict methods that change a dict in place
+DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _process_tables_writes(tree) -> list:
+    """Line numbers of the writes to ``_TABLES`` in a syntax tree: a store
+    or delete of the name, attribute or one of its items, a call of a dict
+    method that writes, or a setattr/delattr naming it."""
+
+    def is_tables(node):
+        return (isinstance(node, ast.Name) and node.id == "_TABLES") or (
+            isinstance(node, ast.Attribute) and node.attr == "_TABLES"
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        stored = not isinstance(getattr(node, "ctx", ast.Load()), ast.Load)
+        if (
+            (stored and is_tables(node))
+            or (stored and isinstance(node, ast.Subscript) and is_tables(node.value))
+            or (isinstance(node, ast.Attribute) and node.attr in DICT_WRITES
+                and is_tables(node.value))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "_TABLES" for a in node.args))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_jack_writes_the_process_tables():
+    # one table per (r, d) per process: jack_table and the adoption of a
+    # table read from disk are the only ways into the memo
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "jack.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}: writes _TABLES" for line in _process_tables_writes(tree)]
+    assert not found, found
+    # the check sees the writes that jack itself makes
+    assert _process_tables_writes(ast.parse((SRC / "jack.py").read_text()))
+
+
 def _verify_functions() -> dict:
     tree = ast.parse((SRC / "verify.py").read_text())
     return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
