@@ -4,9 +4,12 @@ Subcommands: ``eval`` (single polynomial value), ``table`` (value tables in
 CSV or JSON), ``verify IDENTITY`` (identity checks emitting JSON reports),
 and ``conjecture`` (the aggregated suite at one (r, d)).
 
-Each command, and each verify identity, parses exactly the flags it reads
-(``_VERIFY_READS`` declares them for the identities); any other flag, and
-any abbreviated one, is a usage error.
+Each command, and each verify identity, parses exactly the flags it reads;
+any other flag, and any abbreviated one, is a usage error.  argparse
+parses every flag value, so a malformed one is refused under its flag's
+name before any table is loaded.  ``_VERIFY_READS`` holds one row per
+verify identity: its flags, the degree of its table and its check, so
+``cmd_verify`` loads one table and makes one call.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error or a
 file that cannot be written, 3 pole or singular-argument error.
@@ -45,23 +48,9 @@ EXIT_POLE = 3
 # the families indexed by two partitions; table and verify take no other
 _TWO_INDEX = ("meixner", "charlier", "krawtchouk")
 
-# the flags each verify identity reads besides --d, --r and --out; "family"
-# is --family with the family parameters, which FamilyParams checks
-_VERIFY_READS = {
-    "orthogonality": ("family", "--max-weight", "--truncation-weights"),
-    "difference": ("family", "--max-weight"),
-    "recurrence": ("family", "--max-weight"),
-    "genfunc": ("family", "--degree", "--max-weight"),
-    "master-genfunc": ("family", "--degree"),
-    "orthogonality-generator": ("--alpha", "--c", "--degree"),
-    "limits": ("--a", "--max-weight", "--scales"),
-}
-
 
 def _count(text: str) -> int:
-    """The type of the weight and degree flags: an integer >= 0.  argparse
-    refuses any other value under the flag's name, before any table is
-    loaded or built."""
+    """The type of the weight and degree flags: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -71,23 +60,65 @@ def _count(text: str) -> int:
     return value
 
 
-# how each of those flags parses
-_VERIFY_FLAGS = {
-    "--alpha": {"required": True},
-    "--c": {"required": True},
-    "--a": {"required": True},
-    "--max-weight": {"type": _count, "default": 2},
-    "--degree": {"type": _count, "default": 3},
-    "--truncation-weights": {},
-    "--scales": {"default": "100,10000,1000000"},
-}
-
-
 def _rat(text: str) -> Fraction:
+    """The type of --d, the family parameters and every other rational."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad rational {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
+
+
+def _ints(text: str) -> list:
+    """The type of the integer-list flags: comma-separated integers, blank
+    entries skipped."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+# how each flag of a verify identity parses; argparse refuses a malformed
+# value under the flag's name, before any table is loaded or built
+_VERIFY_FLAGS = {
+    "--alpha": {"type": _rat, "required": True},
+    "--c": {"type": _rat, "required": True},
+    "--a": {"type": _rat, "required": True},
+    "--max-weight": {"type": _count, "default": 2},
+    "--degree": {"type": _count, "default": 3},
+    "--truncation-weights": {"type": _ints},
+    "--scales": {"type": _ints, "default": "100,10000,1000000"},
+}
+
+# one row per verify identity: the flags it reads besides --d, --r and
+# --out ("family" is --family with the family parameters, which
+# FamilyParams checks), the degree of its table from (args, fp), and its
+# check from (args, fp, table); fp is None without "family".  A check
+# looks verify.<check> up when it runs, so a rebound name is the one called
+_VERIFY_READS = {
+    # the Krawtchouk sum is exact over the (N, ..., N) box, to weight rN;
+    # the others, exact or cut at weights, read moments and family values,
+    # not the basis, so they load at --max-weight
+    "orthogonality": (
+        ("family", "--max-weight", "--truncation-weights"),
+        lambda a, fp: a.r * fp.N if fp.family == "krawtchouk" else a.max_weight,
+        lambda a, fp, t: verify.orthogonality_krawtchouk(fp.p, fp.N, t) if fp.family == "krawtchouk"
+        else verify.orthogonality(fp, a.max_weight, a.truncation_weights, t)),
+    "difference": (("family", "--max-weight"), lambda a, fp: a.max_weight + 1,
+                   lambda a, fp, t: verify.difference_equation(fp, a.max_weight, t)),
+    "recurrence": (("family", "--max-weight"), lambda a, fp: a.max_weight + 1,
+                   lambda a, fp, t: verify.recurrence(fp, a.max_weight, t)),
+    "genfunc": (("family", "--degree", "--max-weight"), lambda a, fp: max(a.degree, a.max_weight),
+                lambda a, fp, t: verify.genfunc(fp, a.max_weight, a.degree, t)),
+    "master-genfunc": (("family", "--degree"), lambda a, fp: a.degree,
+                       lambda a, fp, t: verify.master_genfunc(fp, a.degree, t)),
+    "orthogonality-generator": (
+        ("--alpha", "--c", "--degree"), lambda a, fp: 2 * a.degree,
+        lambda a, fp, t: verify.orthogonality_generator_check(a.alpha, a.c, a.degree, t)),
+    "limits": (("--a", "--max-weight", "--scales"), lambda a, fp: a.max_weight,
+               lambda a, fp, t: verify.limits_check(a.a, a.scales, a.max_weight, t)),
+}
 
 
 def cache_dir() -> Path:
@@ -158,12 +189,8 @@ def load_or_build_table(r: int, d: Fraction, degree: int) -> JackTable:
 
 
 def _family_params(args) -> FamilyParams:
-    kw = {}
-    for name in PARAM_NAMES:
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v if name == "N" else _rat(v)
-    return FamilyParams(args.family, **kw)
+    given = {name: getattr(args, name) for name in PARAM_NAMES}
+    return FamilyParams(args.family, **{k: v for k, v in given.items() if v is not None})
 
 
 def _write_report(rep: verify.VerificationReport, out: Optional[str]) -> None:
@@ -175,8 +202,7 @@ def _write_report(rep: verify.VerificationReport, out: Optional[str]) -> None:
 
 
 def cmd_eval(args) -> int:
-    d = _rat(args.d)
-    r = args.r
+    d, r = args.d, args.r
     fp = _family_params(args)
     m = parse_partition(args.m, r)
     # Laguerre is evaluated at a diagonal point --u, the others at --x
@@ -187,10 +213,9 @@ def cmd_eval(args) -> int:
         hint = " (diagonal point)" if point == "u" else ""
         raise ParameterError(f"{fp.family} needs --{point}{hint}")
     if point == "u":
-        u = tuple(_rat(t) for t in args.u.split(","))
         table = load_or_build_table(r, d, sum(m))
-        value = laguerre(m, u, fp.alpha, table)
-        shown = [str(v) for v in u]
+        value = laguerre(m, args.u, fp.alpha, table)
+        shown = [str(v) for v in args.u]
     else:
         x = parse_partition(args.x, r)
         table = load_or_build_table(r, d, max(sum(m), sum(x)))
@@ -203,8 +228,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    d = _rat(args.d)
-    r = args.r
+    d, r = args.d, args.r
     fp = _family_params(args)
     table = load_or_build_table(r, d, args.max_degree)
     grid = [m for m in enumerate_up_to(r, args.max_degree) if fp.fits(m)]
@@ -236,15 +260,8 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _parse_weights(text: str) -> list:
-    return verify._truncation_weights(int(t) for t in text.split(",") if t.strip())
-
-
 def cmd_verify(args) -> int:
-    d = _rat(args.d)
-    r = args.r
-    identity = args.identity
-    if identity == "orthogonality":
+    if args.identity == "orthogonality":
         # parsed without defaults: the Krawtchouk sum is exact over the
         # (N, ..., N) box, to the single weight rN, and takes neither flag
         for flag in ("--max-weight", "--truncation-weights"):
@@ -255,49 +272,19 @@ def cmd_verify(args) -> int:
                 raise ParameterError(
                     f"krawtchouk orthogonality is exact over the box; it takes no {flag}"
                 )
-        fp = _family_params(args)
-        if fp.family == "krawtchouk":
-            table = load_or_build_table(r, d, r * fp.N)
-            rep = verify.orthogonality_krawtchouk(fp.p, fp.N, table)
-        else:
-            # exact or cut at weights, the sums come from binomial moments
-            # and family values, which read falling rows, not the basis: the
-            # table is loaded at --max-weight, as for the limits
-            ts = args.truncation_weights
-            ts = None if ts is None else _parse_weights(ts)
-            table = load_or_build_table(r, d, args.max_weight)
-            rep = verify.orthogonality(fp, args.max_weight, ts, table)
-    elif identity in ("difference", "recurrence"):
-        fp = _family_params(args)
-        table = load_or_build_table(r, d, args.max_weight + 1)
-        fn = verify.difference_equation if identity == "difference" else verify.recurrence
-        rep = fn(fp, args.max_weight, table)
-    elif identity == "genfunc":
-        fp = _family_params(args)
-        table = load_or_build_table(r, d, max(args.degree, args.max_weight))
-        rep = verify.genfunc(fp, args.max_weight, args.degree, table)
-    elif identity == "master-genfunc":
-        fp = _family_params(args)
-        table = load_or_build_table(r, d, args.degree)
-        rep = verify.master_genfunc(fp, args.degree, table)
-    elif identity == "orthogonality-generator":
-        table = load_or_build_table(r, d, 2 * args.degree)
-        rep = verify.orthogonality_generator_check(
-            _rat(args.alpha), _rat(args.c), args.degree, table
-        )
-    else:  # limits
-        table = load_or_build_table(r, d, args.max_weight)
-        scales = [int(t) for t in args.scales.split(",")]
-        rep = verify.limits_check(_rat(args.a), scales, args.max_weight, table)
+        if args.truncation_weights is not None:  # refused before any table is loaded
+            verify._truncation_weights(args.truncation_weights)
+    reads, degree, check = _VERIFY_READS[args.identity]
+    fp = _family_params(args) if "family" in reads else None
+    table = load_or_build_table(args.r, args.d, degree(args, fp))
+    rep = check(args, fp, table)
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_conjecture(args) -> int:
-    d = _rat(args.d)
-    r = args.r
-    table = load_or_build_table(r, d, args.max_degree)
-    rep = verify.conjecture_suite(d, r, args.max_degree, jack=table, seed=args.seed)
+    table = load_or_build_table(args.r, args.d, args.max_degree)
+    rep = verify.conjecture_suite(args.d, args.r, args.max_degree, jack=table, seed=args.seed)
     _write_report(rep, args.out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
@@ -321,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         if families:
             p.add_argument("--family", choices=list(families), **family_kw)
             for pname in PARAM_NAMES:
-                p.add_argument(f"--{pname}", type=int if pname == "N" else None)
-        p.add_argument("--d", required=True)
+                p.add_argument(f"--{pname}", type=int if pname == "N" else _rat)
+        p.add_argument("--d", required=True, type=_rat)
         p.add_argument("--r", required=True, type=int)
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
@@ -332,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(sub, "eval", cmd_eval, "evaluate one polynomial value", FAMILY_PARAMS,
             {"--m": {"required": True}, "--x": {},
-             "--u": {"help": "diagonal point for laguerre, e.g. 1/2,1/3"}},
+             "--u": {"type": lambda text: tuple(map(_rat, text.split(","))),
+                     "help": "diagonal point for laguerre, e.g. 1/2,1/3"}},
             out=False, required=True)
     command(sub, "table", cmd_table, "tabulate values over the index grid", _TWO_INDEX,
             {"--max-degree": {"required": True, "type": _count},
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run one identity check, write a JSON report",
                         allow_abbrev=False)
     identities = pv.add_subparsers(dest="identity", required=True)
-    for identity, reads in _VERIFY_READS.items():
+    for identity, (reads, _, _) in _VERIFY_READS.items():
         flags = {flag: _VERIFY_FLAGS[flag] for flag in reads if flag != "family"}
         if identity == "orthogonality":
             flags = {flag: {**kw, "default": None} for flag, kw in flags.items()}

@@ -15,9 +15,13 @@ per stored coefficient and one per principal value.  Entries never
 change once computed, so tables are extended in place and may be cached
 or serialized.
 
-Tables are single-writer during ``extend``; a finished table may be read
-from any number of threads.  The ``cache`` dict is scratch space for
-downstream layers: its entries are filled lazily, each computed in full
+Any number of threads may extend and read one table.  Each weight is
+solved outside the table's lock and published under it (``_publish``,
+which a table read from disk also goes through), its entries stored
+before ``built_degree`` counts it; a weight another thread published
+first is dropped, so ``built_degree`` never goes down, though two
+threads may build the same weight.  The ``cache`` dict is scratch space
+for downstream layers: its entries are filled lazily, each computed in full
 before one store publishes it, so a concurrent reader finds an entry
 whole or not at all, and concurrent readers may repeat work.  Nothing
 is ever evicted.  Dimension ratios and falling-factorial rows come from
@@ -44,6 +48,8 @@ table read from the CLI's disk cache joins it through ``_adopt``, so one
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial, gcd
@@ -190,18 +196,6 @@ def _partition(text, r: int) -> tuple:
 _JSON_FIELDS = ("r", "d", "built_degree", "polys", "principal")
 
 
-class _ParseOnce(dict):
-    """text -> parse(text), each distinct text parsed on first lookup."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text):
-        got = self[text] = self.parse(text)
-        return got
-
-
 class JackTable:
     """Per-(r, d) table of basis expansions, built degree by degree."""
 
@@ -218,6 +212,7 @@ class JackTable:
         self.built_degree = -1
         self._polys: dict = {}
         self._principal: dict = {}
+        self._lock = threading.Lock()
         self.cache: dict = {}
         self.extend(0)
 
@@ -228,20 +223,27 @@ class JackTable:
         bit for bit."""
         for w in range(self.built_degree + 1, degree + 1):
             self._build_weight(w)
-            self.built_degree = w
         return self
 
     def _build_weight(self, w: int):
         keys = list(partitions_of(w, self.r))
-        if w == 0:
-            self._polys[keys[0]] = {keys[0]: Fraction(1)}
-            self._principal[keys[0]] = Fraction(1)
-            return
         rows = _operator_rows(self.r, self.d, keys)
         sizes = {mu: _orbit_size(mu) for mu in keys}
+        polys, principal = {}, {}
         for lam, (nums, dens) in _solve_weight(keys, rows).items():
-            poly = self._polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
-            self._principal[lam] = Fraction(*_value_at_ones(poly, sizes))
+            poly = polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
+            principal[lam] = Fraction(*_value_at_ones(poly, sizes))
+        self._publish(w, polys, principal)
+
+    def _publish(self, w: int, polys: dict, principal: dict):
+        """Store the entries of weight ``w``, then count it built, under the
+        table's lock.  A weight that another thread published first is
+        left as it is, so ``built_degree`` never goes down."""
+        with self._lock:
+            if w == self.built_degree + 1:
+                self._polys.update(polys)
+                self._principal.update(principal)
+                self.built_degree = w
 
     def check_degree(self, w: int):
         if w > self.built_degree:
@@ -354,17 +356,17 @@ class JackTable:
             raise ValueError(str(exc)) from None
         # each distinct key and coefficient string is parsed (and so
         # validated) once per load; the parsed values are immutable
-        key = _ParseOnce(lambda text: _partition(text, r))
-        rat = _ParseOnce(_rational)
+        key = functools.cache(lambda text: _partition(text, r))
+        rat = functools.cache(_rational)
         table._polys = {}
         try:
             for mtxt, items in polys.items():
                 if type(items) is not list or not set(map(type, items)) <= {list}:
                     raise ValueError(f"expansion of {mtxt!r} is not a list of [key, value] pairs")
-                poly = table._polys[key[mtxt]] = {key[mutxt]: rat[ctxt] for mutxt, ctxt in items}
+                poly = table._polys[key(mtxt)] = {key(mutxt): rat(ctxt) for mutxt, ctxt in items}
                 if len(poly) != len(items):
                     raise ValueError(f"expansion of {mtxt!r} repeats a monomial")
-            table._principal = {key[mtxt]: rat[vtxt] for mtxt, vtxt in principal.items()}
+            table._principal = {key(mtxt): rat(vtxt) for mtxt, vtxt in principal.items()}
         except TypeError:
             # a list or an object where a key or a value string belongs
             raise ValueError("a key or a value is not a string") from None
@@ -411,14 +413,12 @@ def jack_table(r: int, d: Rat, degree: int) -> JackTable:
 def _adopt(parsed: JackTable) -> JackTable:
     """The process table of ``parsed``'s (r, d), given the weights of a
     validated table read from disk: ``parsed`` itself when the process has
-    none yet, else the process table with the weights it lacks copied from
-    ``parsed`` in weight order, each published before ``built_degree``
-    counts it, as ``extend`` does.  The process table keeps its identity
-    and its ``cache``."""
+    none yet, else the process table with the weights it lacks published
+    from ``parsed`` in weight order, as ``extend`` publishes them.  The
+    process table keeps its identity and its ``cache``."""
     table = _TABLES.setdefault((parsed.r, parsed.d), parsed)
     for w in range(table.built_degree + 1, parsed.built_degree + 1):
-        for m in partitions_of(w, table.r):
-            table._polys[m] = parsed._polys[m]
-            table._principal[m] = parsed._principal[m]
-        table.built_degree = w
+        parts = list(partitions_of(w, table.r))
+        table._publish(w, {m: parsed._polys[m] for m in parts},
+                       {m: parsed._principal[m] for m in parts})
     return table

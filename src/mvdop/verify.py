@@ -48,7 +48,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm, log
+from math import log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
@@ -59,7 +59,14 @@ from .conearith import (
     raise_coefficient,
     weight_factor,
 )
-from .dpolys import FamilyParams, _first_row, _row_dot, _second_row, companion_poly
+from .dpolys import (
+    FamilyParams,
+    _first_row,
+    _over_common_denominator,
+    _row_dot,
+    _second_row,
+    companion_poly,
+)
 from .errors import DomainError, ParameterError
 from .jack import JackTable
 from .partitions import (
@@ -554,8 +561,9 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
         H = diag G_moving - sum of coef G_y
 
     over the full rows from ``dpolys._second_row``, returned as {k:
-    integer numerator} over den.  It is built with one Fraction per row
-    and integer multiply-adds over the lcm of their denominators.  It keeps
+    integer numerator} over den.  It is built with one Fraction per row,
+    the coefficients over their common denominator from
+    ``dpolys._over_common_denominator``, and integer multiply-adds.  It keeps
     every key of those rows, entries that cancel to 0 included, so a pole
     of the fixed index's row raises where evaluating the family at the
     neighbours would.  Computed once per (fp, moving) and memoized in
@@ -576,14 +584,12 @@ def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
                 y, base = move
                 if base * factor:
                     terms.append((y, -base * factor))
-    scaled = []
-    for y, coef in terms:
-        nums, den = _second_row(jack, y, weight(y))
-        scaled.append((nums, Fraction(coef, den)))
-    hden = lcm(*(q.denominator for _, q in scaled))
+    rows = [_second_row(jack, y, weight(y)) for y, _ in terms]
+    scales, hden = _over_common_denominator(
+        tuple(Fraction(coef, den) for (_, coef), (_, den) in zip(terms, rows))
+    )
     row = {}
-    for nums, q in scaled:
-        a = q.numerator * (hden // q.denominator)
+    for (nums, _), a in zip(rows, scales):
         for k, n in nums.items():
             row[k] = row.get(k, 0) + a * n
     return jack.cache.setdefault(key, (dim_y * (c - b), row, hden))

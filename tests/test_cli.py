@@ -761,3 +761,68 @@ def test_verify_parameter_without_default_is_required(args, missing, capsys):
     code, out, err = run(["verify", args[0], "--d", "2", "--r", "1", *args[1:]], capsys)
     assert code == 2 and out == ""
     assert f"required: {missing}" in err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["verify", "orthogonality-generator", "--alpha", "x", "--c", "1/3"], "--alpha"),
+        (["verify", "limits", "--a", "x"], "--a"),
+        (["verify", "limits", "--a", "1", "--scales", "100,x"], "--scales"),
+        (["verify", "orthogonality", *_MEIXNER, "--truncation-weights", "4,x"],
+         "--truncation-weights"),
+        (["verify", "difference", "--family", "meixner", "--alpha", "2", "--c", "1/0"], "--c"),
+        (["eval", "--family", "laguerre", "--alpha", "3", "--m", "1", "--u", "1/2,x"], "--u"),
+        (["table", "--family", "charlier", "--a", "1/0", "--max-degree", "1"], "--a"),
+        (["verify", "difference", "--family", "meixner", "--d", "x", "--alpha", "2",
+          "--c", "1/2"], "--d"),
+        (["conjecture", "--d", "2/0"], "--d"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v[:2] if v[0] == "verify" else v[:1]),
+)
+def test_malformed_flag_value_exits_2_before_any_table(args, flag, tmp_path, capsys):
+    # argparse parses every flag value: a malformed one is refused under
+    # its flag's name, before any table is loaded, built or written
+    d = [] if "--d" in args else ["--d", "2"]
+    code, out, err = run(args + [*d, "--r", "2"], capsys)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: " in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "args, degree",
+    [
+        (["orthogonality", *_MEIXNER, "--max-weight", "3"], 3),
+        (["orthogonality", *_MEIXNER, "--max-weight", "2", "--truncation-weights", "6,8"], 2),
+        (["orthogonality", "--family", "krawtchouk", "--p", "1/3", "--N", "2"], 4),
+        (["difference", *_MEIXNER, "--max-weight", "2"], 3),
+        (["recurrence", "--family", "charlier", "--a", "3/2", "--max-weight", "1"], 2),
+        (["genfunc", "--family", "krawtchouk", "--p", "1/3", "--N", "2", "--degree", "2",
+          "--max-weight", "3"], 3),
+        (["genfunc", "--family", "charlier", "--a", "2", "--degree", "3", "--max-weight", "1"], 3),
+        (["master-genfunc", "--family", "charlier", "--a", "2", "--degree", "2"], 2),
+        (["orthogonality-generator", "--alpha", "2", "--c", "1/6", "--degree", "2"], 4),
+        (["limits", "--a", "1", "--max-weight", "1"], 1),
+    ],
+    ids=lambda v: v if isinstance(v, int) else " ".join(v[:3]),
+)
+def test_each_identity_writes_its_declared_table_degree(args, degree, tmp_path, capsys):
+    # an empty cache and no process table, as in a fresh process: the one
+    # file written holds exactly the degree the identity's row declares
+    code, _, _ = run(["verify", *args, "--d", "2", "--r", "2"], capsys)
+    assert code in (0, 1)
+    (cache_file,) = (tmp_path / "cache").iterdir()
+    assert json.loads(cache_file.read_text())["built_degree"] == degree
+
+
+def test_verify_row_calls_its_check_through_the_module(monkeypatch, capsys):
+    # a check rebound on the verify module after import, as a tracer
+    # rebinds it, is the one the identity's row calls
+    calls = []
+    check = verify.orthogonality_krawtchouk
+    monkeypatch.setattr(verify, "orthogonality_krawtchouk",
+                        lambda *a: calls.append(a) or check(*a))
+    code, _, _ = run(["verify", "orthogonality", "--family", "krawtchouk", "--d", "2",
+                      "--r", "2", "--N", "2", "--p", "1/3"], capsys)
+    assert code == 0 and len(calls) == 1

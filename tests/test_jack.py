@@ -1,9 +1,12 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvdop import jack
 from mvdop.errors import TableDegreeError
 from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import enumerate_up_to, pad, weight
@@ -309,3 +312,80 @@ def test_json_load_refuses_a_malformed_table(change):
     data = JackTable(2, 2).extend(3).to_json_dict()
     with pytest.raises(ValueError):
         JackTable.from_json_dict(change(data))
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: {**t, "polys": {**t["polys"], "2,1": [[["2,1"], "1"]]}},
+    lambda t: {**t, "principal": {**t["principal"], "2,1": ["3"]}},
+], ids=["key", "value"])
+def test_json_load_names_an_unhashable_text(change):
+    # a list where a key or a value string belongs cannot even be looked
+    # up in the per-load parse memo; it is refused as not a string
+    data = JackTable(2, 2).extend(3).to_json_dict()
+    with pytest.raises(ValueError, match="a key or a value is not a string"):
+        JackTable.from_json_dict(change(data))
+
+
+def test_concurrent_extend_never_lowers_the_built_degree(monkeypatch):
+    # a slow thread extends to 6 and is held inside weight 5; meanwhile
+    # another extends the same table to 10.  When the slow thread goes on,
+    # its weights 5 and 6 are already there: the table must stay at 10.
+    # The hold is timed, so a build that waits for a lock cannot deadlock
+    monkeypatch.setattr(jack, "_TABLES", {})
+    held, release = threading.Event(), threading.Event()
+    build = JackTable._build_weight
+
+    def holding(self, w):
+        if w == 5 and threading.current_thread() is slow:
+            held.set()
+            release.wait(timeout=2)
+        return build(self, w)
+
+    monkeypatch.setattr(JackTable, "_build_weight", holding)
+    slow = threading.Thread(target=jack_table, args=(2, 2, 6))
+    fast = threading.Thread(target=jack_table, args=(2, 2, 10))
+    slow.start()
+    assert held.wait(timeout=10)
+    fast.start()
+    fast.join(timeout=10)
+    table = jack_table(2, 2, 8)
+    release.set()
+    slow.join(timeout=10)
+    fast.join(timeout=10)
+    assert not slow.is_alive() and not fast.is_alive()
+    assert table.built_degree >= 10
+    assert table.principal((8,)) == JackTable(2, 2).extend(8).principal((8,))
+    assert table.principal((10,)) == JackTable(2, 2).extend(10).principal((10,))
+
+
+def test_concurrent_extends_reach_the_deepest_degree(monkeypatch):
+    # more threads than cores extend one table to different degrees with a
+    # short switch interval, and each reads at its own degree once
+    # jack_table returns; a lowered built_degree fails such a read or
+    # leaves the table below the deepest degree, and a lost publish leaves
+    # its entries unlike a single-threaded build
+    degrees = [6, 10, 8, 6, 10, 8, 6, 10]
+    want = JackTable(2, 2).extend(max(degrees)).to_json_dict()
+    errors = []
+
+    def extend_and_read(w):
+        try:
+            jack_table(2, 2, w).principal((w,))
+        except TableDegreeError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(jack, "_TABLES", {})
+            threads = [threading.Thread(target=extend_and_read, args=(w,)) for w in degrees]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert jack_table(2, 2, 0).to_json_dict() == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors

@@ -380,3 +380,22 @@ def test_moment_sum_stays_rational():
             elif isinstance(node, ast.Constant) and isinstance(node.value, float):
                 found.append(f"verify.py:{node.lineno}: {fn} uses {node.value!r}")
     assert not found, found
+
+
+# the load_or_build_table call sites of each CLI command: eval loads a
+# Laguerre table at |m| and the others at max(|m|, |x|); verify takes its
+# degree from the identity's row in cli._VERIFY_READS
+TABLE_LOADS = {"cmd_eval": 2, "cmd_table": 1, "cmd_verify": 1, "cmd_conjecture": 1}
+
+
+def test_one_table_load_per_command():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = {n.name: n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")}
+    assert set(commands) == set(TABLE_LOADS)
+    found = {
+        name: sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "load_or_build_table" for node in ast.walk(func))
+        for name, func in commands.items()
+    }
+    assert found == TABLE_LOADS
