@@ -116,7 +116,10 @@ _VERIFY_READS = {
     "orthogonality-generator": (
         ("--alpha", "--c", "--degree"), lambda a, fp: 2 * a.degree,
         lambda a, fp, t: verify.orthogonality_generator_check(a.alpha, a.c, a.degree, t)),
-    "limits": (("--a", "--max-weight", "--scales"), lambda a, fp: a.max_weight,
+    # a bad scale, which depends on --a, is refused before the load: the
+    # scales check returns a list of two or more, so the degree follows it
+    "limits": (("--a", "--max-weight", "--scales"),
+               lambda a, fp: verify._limit_scales(a.a, a.scales) and a.max_weight,
                lambda a, fp, t: verify.limits_check(a.a, a.scales, a.max_weight, t)),
 }
 
@@ -342,9 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads only -<int> and -<decimal> as values, but no flag
+    # starts with -<digit>, so "--flag -1/2" is "--flag=-1/2"
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1 : i + 1]
+        if value[:1] == "-" and value[1:2].isdigit() and flag[:2] == "--" and "=" not in flag:
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

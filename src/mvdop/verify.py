@@ -1,14 +1,14 @@
 """Machine checks for the identities satisfied by the partition-indexed
 discrete orthogonal families.
 
-Every identity but the degenerate limits, whose check measures rates
-(orthogonality, difference and recurrence equations, generating-function
-coefficients up to a stated degree, the orthogonality-generator kernel),
-is checked in exact rational arithmetic and must produce the literal zero
-residual.  Every orthogonality sum is one pairing of family values with
-one rule of rational node weights (``_node_weights``), from the binomial
-moments of the weight: a shifted-symmetric f of degree D is sum of a_k
-binom(x, k) over |k| <= D, and sum over x of w(x) binom(x, k) is mass
+Every identity (orthogonality, difference and recurrence equations,
+generating-function coefficients up to a stated degree, the
+orthogonality-generator kernel, the degenerate limits) is checked in
+exact rational arithmetic and must produce the literal zero residual.
+Every orthogonality sum is one pairing of family values with one rule of
+rational node weights (``_node_weights``), from the binomial moments of
+the weight: a shifted-symmetric f of degree D is sum of a_k binom(x, k)
+over |k| <= D, and sum over x of w(x) binom(x, k) is mass
 weight_factor(k, s) (-1/z)^|k|, so the sum over the mass is rational.
 Only a check asked for explicit truncation weights cuts its sums: exact
 partial sums, compared against the closed-form norm (60-digit decimal
@@ -17,7 +17,8 @@ decrease.  Those partial sums come from the same nodes: each weight
 shell of a binomial moment has a closed form too (``_shell_moment``), so
 no shell is summed point by point.  Only the deepest shell is evaluated,
 for the report's ``tail_estimate``, its largest |term|: an indication of
-the tail, not a bound on it.
+the tail, not a bound on it.  A limit is the leading coefficient of a
+polynomial in the scale, read off exact finite differences.
 
 Orthogonality has one weight for all three families, derived from the
 point (s, z) of the family sum: w(x) = d_x (s)_x / (n/r)_x c^|x| with
@@ -48,13 +49,14 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import log
+from math import factorial, log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
     binomial_row,
     cone_params,
     dim_partition,
+    gen_pochhammer,
     lower_coefficient,
     raise_coefficient,
     weight_factor,
@@ -90,20 +92,6 @@ def _dec(q: Fraction) -> Decimal:
         return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def _dec_pow(base: Fraction, expo: Fraction) -> Decimal:
-    if base <= 0:
-        raise ParameterError(f"decimal power needs positive base, got {base}")
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_PREC
-        return _dec(base) ** _dec(expo)
-
-
-def _dec_exp(q: Fraction) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_PREC
-        return _dec(q).exp()
-
-
 def _fmt(v):
     if isinstance(v, Fraction):
         return str(v)
@@ -123,18 +111,13 @@ class VerificationReport:
     summary: dict = field(default_factory=dict)
 
     def finalize(self) -> "VerificationReport":
-        passed = sum(1 for c in self.cases if c["pass"])
-        max_res = 0.0
-        for c in self.cases:
-            r = c.get("residual")
-            if r is None:
-                continue
-            rf = abs(float(Fraction(r)) if isinstance(r, str) else float(r))
-            max_res = max(max_res, rf)
+        # every residual is a "p/q" string or a float (a cut sum, a suite's maximum)
+        residuals = [abs(float(Fraction(r) if isinstance(r, str) else r))
+                     for r in (c["residual"] for c in self.cases)]
         self.summary = {
             "total": len(self.cases),
-            "passed": passed,
-            "max_residual": max_res,
+            "passed": sum(1 for c in self.cases if c["pass"]),
+            "max_residual": max(residuals, default=0.0),
         }
         return self
 
@@ -305,11 +288,12 @@ def _orthogonality_weight(fp: FamilyParams, jack: JackTable) -> tuple:
     w / mass is the binomial weight box_binomial(N, x) p^|x| (1 - p)^(rN - |x|)."""
     w, q = _weight(fp, jack)
     s = fp.point[0]
-    if s is None:
-        mass = _dec_exp(jack.r * q)
-    else:
-        rs = jack.r * s
-        mass = (1 - q) ** -int(rs) if rs.denominator == 1 else _dec_pow(1 - q, -rs)
+    if s is not None and (jack.r * s).denominator == 1:
+        mass = (1 - q) ** -int(jack.r * s)
+    else:  # 1 - q > 0 under the domain hypotheses
+        with localcontext() as ctx:
+            ctx.prec = _DECIMAL_PREC
+            mass = _dec(jack.r * q).exp() if s is None else _dec(1 - q) ** _dec(-jack.r * s)
 
     def norm(m):
         part = 1 / w(m)
@@ -713,71 +697,66 @@ def orthogonality_generator_check(
 # ---------------------------------------------------------------------------
 # degenerate limits
 
-# the least convergence order a limit gap sequence must show
-_LIMIT_MIN_ORDER = 0.9
-
-
-def limits_check(
-    a: Rat,
-    scales: Sequence[int],
-    max_index_weight: int,
-    jack: JackTable,
-) -> VerificationReport:
-    """Checks that Meixner at alpha = t, c = a/(a + t) and Krawtchouk at
-    N = t, p = a/t approach the Charlier values at a at the expected
-    first-order rate along the given scales t (the Meixner -> Charlier and
-    Krawtchouk -> Charlier limits of the Askey scheme).  Each gap
-    |family value - Charlier value| is exact."""
-    a = Fraction(a)
-    r = jack.r
+def _limit_scales(a: Fraction, scales: Sequence[int]) -> list:
+    """The scales t of ``limits_check``'s gaps: two or more, increasing, each
+    > 0 with a + t != 0 (alpha = N = t, c = a/(a + t)), else ParameterError."""
     scales = [int(s) for s in scales]
-    if len(scales) < 2 or any(
-        scales[i] >= scales[i + 1] for i in range(len(scales) - 1)
-    ):
+    if len(scales) < 2 or any(s >= t for s, t in zip(scales, scales[1:])):
         raise ParameterError(f"need two or more strictly increasing scales, got {scales}")
     for t in scales:
-        # alpha = t and N = t must be positive, and c = a/(a + t) finite
         if t <= 0 or a + t == 0:
             raise ParameterError(f"need every scale > 0 and a + scale != 0, got scale {t}")
-    target = FamilyParams("charlier", a=a)
+    return scales
+
+
+def limits_check(a: Rat, scales: Sequence[int], max_index_weight: int,
+                 jack: JackTable) -> VerificationReport:
+    """Checks exactly that Meixner at alpha = t, c = a/(a + t) and
+    Krawtchouk at N = t, p = a/t tend to Charlier at a (the Meixner ->
+    Charlier and Krawtchouk -> Charlier limits of the Askey scheme).  Their
+    points are (sigma t, -sigma t/a), sigma = 1 and -1, so with
+    kappa = m ∩ x, P(t) = (sigma t)_kappa F_t(m, x) is a polynomial of
+    degree <= |kappa| in t with leading coefficient sigma^|kappa| times the
+    limit.  P is read at |kappa| + 3 consecutive integers t; a case passes
+    when its three |kappa|-th differences are equal (the degree) and
+    sigma^|kappa| Delta^|kappa| P / |kappa|! is the Charlier value, a
+    literal zero residual.  The exact gaps |F_t - Charlier| at the scales
+    and their log-rate ``order`` (None where a gap is 0) are only shown."""
+    a = Fraction(a)
+    scales = _limit_scales(a, scales)
+    params = cone_params(jack)
+    # one start for the grid: above every part (the Krawtchouk box), above
+    # n/r - 1 (no pole of (t)_k) and above |a| (c = a/(a + t) finite)
+    t0 = int(max(max_index_weight, params.rank_ratio - 1, abs(a))) + 1
     paths = (
-        ("meixner", [FamilyParams("meixner", alpha=t, c=a / (a + t)) for t in scales]),
-        ("krawtchouk", [FamilyParams("krawtchouk", p=a / t, N=t) for t in scales]),
+        ("meixner", 1, lambda t: FamilyParams("meixner", alpha=t, c=a / (a + t))),
+        ("krawtchouk", -1, lambda t: FamilyParams("krawtchouk", p=a / t, N=t)),
     )
-    grid = enumerate_up_to(r, max_index_weight)
-    targets = {(m, x): target.evaluate(m, x, jack) for m in grid for x in grid}
+    target = FamilyParams("charlier", a=a)
+    grid = enumerate_up_to(jack.r, max_index_weight)
     rep = VerificationReport(
         identity="limits-to-charlier",
-        params={"d": str(jack.d), "r": r, "a": str(a), "scales": scales},
-        truncation={"min_order": _LIMIT_MIN_ORDER},
+        params={"d": str(jack.d), "r": jack.r, "a": str(a), "scales": scales},
     )
-    for kind, path in paths:
+    for kind, sigma, at in paths:
+        samples = [at(t) for t in range(t0, t0 + max_index_weight + 3)]
+        shown = [at(t) for t in scales]
         for m in grid:
             for x in grid:
-                gaps = [abs(fp.evaluate(m, x, jack) - targets[m, x]) for fp in path]
-                if all(g == 0 for g in gaps):
-                    order = None
-                    ok = True
-                elif any(g == 0 for g in gaps):
-                    order = None
-                    ok = gaps[-1] == 0
-                else:
-                    order = (log(float(gaps[0])) - log(float(gaps[-1]))) / (
-                        log(scales[-1]) - log(scales[0])
-                    )
-                    ok = order >= _LIMIT_MIN_ORDER and all(
-                        gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1)
-                    )
+                kappa = tuple(map(min, m, x))
+                k = weight(kappa)
+                diffs = [gen_pochhammer(fp.point[0], kappa, params) * fp.evaluate(m, x, jack)
+                         for fp in samples[: k + 3]]
+                for _ in range(k):
+                    diffs = [q - p for p, q in zip(diffs, diffs[1:])]
+                rhs = target.evaluate(m, x, jack)
+                gaps = [abs(fp.evaluate(m, x, jack) - rhs) for fp in shown]
+                order = None if 0 in gaps else (log(float(gaps[0])) - log(float(gaps[-1]))) / (
+                    log(scales[-1]) - log(scales[0]))
+                case = _exact_case({"m": m, "x": x}, sigma**k * diffs[0] / factorial(k), rhs)
+                case["pass"] = case["pass"] and diffs[0] == diffs[1] == diffs[2]
                 rep.cases.append(
-                    {
-                        "kind": kind,
-                        "m": format_partition(m),
-                        "x": format_partition(x),
-                        "gaps": [float(g) for g in gaps],
-                        "order": order,
-                        "residual": float(gaps[-1]),
-                        "pass": ok,
-                    }
+                    {"kind": kind, **case, "gaps": [float(g) for g in gaps], "order": order}
                 )
     return rep.finalize()
 

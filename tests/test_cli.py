@@ -1,6 +1,8 @@
 import json
 import os
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,7 +256,7 @@ def test_verify_limits(capsys):
     ("1", "-2,5", "-2"),
 ])
 @pytest.mark.parametrize("max_weight", ["0", "1"])
-def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, capsys):
+def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, tmp_path, capsys):
     code, out, err = run(
         ["verify", "limits", "--d", "2", "--r", "2", "--a", a,
          "--max-weight", max_weight, f"--scales={scales}"],
@@ -262,6 +264,32 @@ def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"scale {bad}" in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("args, code, expected", [
+    (["eval", "--family", "meixner", "--d", "2", "--r", "1", "--alpha", "-1/2", "--c", "1/3",
+      "--m", "1", "--x", "1"], 0, '"value": "5"'),
+    (["eval", "--family", "krawtchouk", "--d", "2", "--r", "1", "--p", "-1/2", "--N", "2",
+      "--m", "1", "--x", "1"], 0, '"value": "2"'),
+    (["eval", "--family", "meixner", "--d", "2", "--r", "1", "--alpha", "2", "--c", "-3/2",
+      "--m", "1", "--x", "1"], 0, '"value": "11/6"'),
+    (["eval", "--family", "charlier", "--d", "2", "--r", "1", "--a", "-1/2",
+      "--m", "1", "--x", "1"], 0, '"value": "3"'),
+    (["eval", "--family", "charlier", "--d", "-1/2", "--r", "1", "--a", "1",
+      "--m", "1", "--x", "1"], 2, "error: need d > 0, got -1/2"),
+    (["eval", "--family", "laguerre", "--d", "2", "--r", "2", "--alpha", "3",
+      "--m", "1", "--u", "-1/2,1/3"], 0, '"value": "37/6"'),
+    (["verify", "limits", "--d", "2", "--r", "2", "--a", "1", "--scales", "-2,5"], 2,
+     "error: need every scale > 0 and a + scale != 0, got scale -2"),
+])
+def test_negative_value_reaches_its_own_check(args, code, expected, capsys):
+    # argparse takes only -<int> and -<decimal> tokens for values; a
+    # negative fraction or list after its flag is a value too, not an
+    # unknown flag ("expected one argument")
+    got, out, err = run(args, capsys)
+    assert got == code
+    assert expected in (out if code == 0 else err)
 
 
 @pytest.mark.parametrize("scales", ["100", "100,100", "10000,100"])
@@ -826,3 +854,17 @@ def test_verify_row_calls_its_check_through_the_module(monkeypatch, capsys):
     code, _, _ = run(["verify", "orthogonality", "--family", "krawtchouk", "--d", "2",
                       "--r", "2", "--N", "2", "--p", "1/3"], capsys)
     assert code == 0 and len(calls) == 1
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    # every mvdop line of the README's CLI block, "\" continuations joined,
+    # in an empty cache directory (the autouse fixture) and working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("mvdop ")]
+    assert ["verify", "limits"] in [c[1:3] for c in commands]
+    monkeypatch.chdir(tmp_path)
+    codes = {shlex.join(c): cli.main(c[1:]) for c in commands}
+    capsys.readouterr()
+    assert set(codes.values()) == {0}, codes

@@ -665,6 +665,64 @@ def test_limits_check_orders():
     assert orders and min(orders) >= 0.9
 
 
+_SCALES = (100, 10000, 1000000)
+
+
+@pytest.mark.parametrize("a", [F(1), F(-1, 2)])
+@pytest.mark.parametrize("r, d, w", [(1, F(2), 4), (2, F(2), 2), (2, F(5, 2), 3), (3, F(7, 3), 2)])
+def test_limits_check_ends_in_literal_zeros(r, d, w, a):
+    rep = limits_check(a, _SCALES, w, jack_table(r, d, w))
+    assert rep.passed and rep.summary["max_residual"] == 0.0
+    assert all(c["residual"] == "0" and c["lhs"] == c["rhs"] for c in rep.cases)
+
+
+def test_limits_check_fails_a_moved_target(monkeypatch):
+    # a Charlier value moved by 1e-15 still decays at the first-order rate
+    # along the scales (orders 0.999 and 1.001 at (2,0)/(2,0)); the exact
+    # limit misses it by exactly that much on both paths
+    evaluate = FamilyParams.evaluate
+
+    def moved(self, m, x, jack):
+        value = evaluate(self, m, x, jack)
+        return value + F(1, 10**15) if self.family == "charlier" else value
+
+    monkeypatch.setattr(FamilyParams, "evaluate", moved)
+    rep = limits_check(F(1), _SCALES, 2, jack_table(2, 2, 2))
+    cases = {(c["kind"], c["m"], c["x"]): c for c in rep.cases}
+    for kind in ("meixner", "krawtchouk"):
+        case = cases[kind, "2,0", "2,0"]
+        assert not case["pass"] and case["residual"] == "-1/1000000000000000", kind
+
+
+def test_limits_check_degree_check_fails_a_perturbed_sample(monkeypatch):
+    # the last Meixner sample below the scales enters only the third of the
+    # three |kappa|-th differences of (2,0)/(2,0), so moving it leaves the
+    # limit exact and only the degree check can see it
+    table = jack_table(2, 2, 2)
+    evaluate = FamilyParams.evaluate
+    sampled = set()
+
+    def record(self, m, x, jack):
+        if self.family == "meixner":
+            sampled.add(self.alpha)
+        return evaluate(self, m, x, jack)
+
+    monkeypatch.setattr(FamilyParams, "evaluate", record)
+    limits_check(F(1), _SCALES, 2, table)
+    last = max(sampled - set(_SCALES))
+
+    def perturbed(self, m, x, jack):
+        value = evaluate(self, m, x, jack)
+        hit = self.family == "meixner" and self.alpha == last and m == x == (2, 0)
+        return value + F(1, 10**15) if hit else value
+
+    monkeypatch.setattr(FamilyParams, "evaluate", perturbed)
+    rep = limits_check(F(1), _SCALES, 2, table)
+    failed = [c for c in rep.cases if not c["pass"]]
+    assert [(c["kind"], c["m"], c["x"]) for c in failed] == [("meixner", "2,0", "2,0")]
+    assert failed[0]["residual"] == "0"
+
+
 def test_is_classical_table():
     assert is_classical(1, F(7, 5))
     assert is_classical(3, 2) and is_classical(5, 4) and is_classical(4, 1)
