@@ -42,7 +42,7 @@ from .partitions import (
     sub_partitions,
     weight,
 )
-from .symfun import SymPoly, TruncatedSeries
+from .symfun import SymPoly
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "SingularArgumentError",
     "SymPoly",
     "TableDegreeError",
-    "TruncatedSeries",
     "binomial",
     "binomial_row",
     "box_binomial",

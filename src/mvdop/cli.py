@@ -8,8 +8,9 @@ Each command, and each verify identity, parses exactly the flags it reads;
 any other flag, and any abbreviated one, is a usage error.  argparse
 parses every flag value, so a malformed one is refused under its flag's
 name before any table is loaded.  ``_VERIFY_READS`` holds one row per
-verify identity: its flags, the degree of its table and its check, so
-``cmd_verify`` loads one table and makes one call.
+verify identity: its flags, its table-free preconditions, the degree of
+its table and its check, so ``cmd_verify`` refuses a bad call before it
+loads one table, and makes one call.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error or a
 file that cannot be written, 3 pole or singular-argument error.
@@ -93,33 +94,39 @@ _VERIFY_FLAGS = {
 
 # one row per verify identity: the flags it reads besides --d, --r and
 # --out ("family" is --family with the family parameters, which
-# FamilyParams checks), the degree of its table from (args, fp), and its
-# check from (args, fp, table); fp is None without "family".  A check
-# looks verify.<check> up when it runs, so a rebound name is the one called
+# FamilyParams checks), its table-free preconditions from (args, fp) or
+# None, the degree of its table from (args, fp), and its check from
+# (args, fp, table); fp is None without "family".  The preconditions are
+# the ones the check runs first, run again before the table is loaded, so
+# a refused call writes no cache file.  A check looks verify.<check> up
+# when it runs, so a rebound name is the one called
 _VERIFY_READS = {
     # the Krawtchouk sum is exact over the (N, ..., N) box, to weight rN;
     # the others, exact or cut at weights, read moments and family values,
     # not the basis, so they load at --max-weight
     "orthogonality": (
         ("family", "--max-weight", "--truncation-weights"),
+        lambda a, fp: verify._orthogonality_domain(fp, a.r, a.d),
         lambda a, fp: a.r * fp.N if fp.family == "krawtchouk" else a.max_weight,
         lambda a, fp, t: verify.orthogonality_krawtchouk(fp.p, fp.N, t) if fp.family == "krawtchouk"
         else verify.orthogonality(fp, a.max_weight, a.truncation_weights, t)),
-    "difference": (("family", "--max-weight"), lambda a, fp: a.max_weight + 1,
+    "difference": (("family", "--max-weight"), None, lambda a, fp: a.max_weight + 1,
                    lambda a, fp, t: verify.difference_equation(fp, a.max_weight, t)),
-    "recurrence": (("family", "--max-weight"), lambda a, fp: a.max_weight + 1,
+    "recurrence": (("family", "--max-weight"), None, lambda a, fp: a.max_weight + 1,
                    lambda a, fp, t: verify.recurrence(fp, a.max_weight, t)),
-    "genfunc": (("family", "--degree", "--max-weight"), lambda a, fp: max(a.degree, a.max_weight),
+    "genfunc": (("family", "--degree", "--max-weight"), None,
+                lambda a, fp: max(a.degree, a.max_weight),
                 lambda a, fp, t: verify.genfunc(fp, a.max_weight, a.degree, t)),
-    "master-genfunc": (("family", "--degree"), lambda a, fp: a.degree,
+    "master-genfunc": (("family", "--degree"), lambda a, fp: verify._master_domain(fp),
+                       lambda a, fp: a.degree,
                        lambda a, fp, t: verify.master_genfunc(fp, a.degree, t)),
     "orthogonality-generator": (
-        ("--alpha", "--c", "--degree"), lambda a, fp: 2 * a.degree,
+        ("--alpha", "--c", "--degree"), lambda a, fp: verify._generator_params(a.alpha, a.c),
+        lambda a, fp: 2 * a.degree,
         lambda a, fp, t: verify.orthogonality_generator_check(a.alpha, a.c, a.degree, t)),
-    # a bad scale, which depends on --a, is refused before the load: the
-    # scales check returns a list of two or more, so the degree follows it
     "limits": (("--a", "--max-weight", "--scales"),
-               lambda a, fp: verify._limit_scales(a.a, a.scales) and a.max_weight,
+               lambda a, fp: verify._limit_scales(a.a, a.scales, a.max_weight, a.r, a.d),
+               lambda a, fp: a.max_weight,
                lambda a, fp, t: verify.limits_check(a.a, a.scales, a.max_weight, t)),
 }
 
@@ -277,8 +284,10 @@ def cmd_verify(args) -> int:
                 )
         if args.truncation_weights is not None:  # refused before any table is loaded
             verify._truncation_weights(args.truncation_weights)
-    reads, degree, check = _VERIFY_READS[args.identity]
+    reads, refuse, degree, check = _VERIFY_READS[args.identity]
     fp = _family_params(args) if "family" in reads else None
+    if refuse is not None:
+        refuse(args, fp)
     table = load_or_build_table(args.r, args.d, degree(args, fp))
     rep = check(args, fp, table)
     _write_report(rep, args.out)
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run one identity check, write a JSON report",
                         allow_abbrev=False)
     identities = pv.add_subparsers(dest="identity", required=True)
-    for identity, (reads, _, _) in _VERIFY_READS.items():
+    for identity, (reads, *_) in _VERIFY_READS.items():
         flags = {flag: _VERIFY_FLAGS[flag] for flag in reads if flag != "family"}
         if identity == "orthogonality":
             flags = {flag: {**kw, "default": None} for flag, kw in flags.items()}

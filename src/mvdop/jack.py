@@ -279,8 +279,8 @@ class JackTable:
 
     def to_phi_basis(self, poly) -> dict:
         """Coefficients c_m with poly = sum c_m Phi_m, by unitriangular
-        back-substitution within each weight.  ``poly`` is a SymPoly, with
-        or without a degree cap; the result is exact."""
+        back-substitution within each weight.  ``poly`` is a SymPoly; the
+        result is exact."""
         if not isinstance(poly, SymPoly):
             raise TypeError(f"cannot convert {type(poly).__name__}")
         if poly.r != self.r:

@@ -53,6 +53,7 @@ from math import factorial, log
 from typing import Optional, Sequence, Union
 
 from .conearith import (
+    ConeParams,
     binomial_row,
     cone_params,
     dim_partition,
@@ -204,14 +205,21 @@ def genfunc(fp: FamilyParams, max_weight: int, degree: int, jack: JackTable) -> 
     return rep
 
 
+def _master_domain(fp: FamilyParams) -> None:
+    """The families with a two-level generating function."""
+    if fp.family not in ("meixner", "charlier"):
+        raise ParameterError(
+            f"master generating function covers meixner/charlier, got {fp.family!r}"
+        )
+
+
 def master_genfunc(fp: FamilyParams, degree: int, jack: JackTable) -> VerificationReport:
     """Bidegree check of the two-level generating function: for every first
     index m up to ``degree``, expand the exponential-weighted companion
     series and compare each second-index coefficient up to ``degree`` with
     the family value, exactly."""
+    _master_domain(fp)
     family = fp.family
-    if family not in ("meixner", "charlier"):
-        raise ParameterError(f"master generating function covers meixner/charlier, got {family!r}")
     r = jack.r
     D = int(degree)
     jack.extend(D)
@@ -250,13 +258,13 @@ def _truncation_weights(truncation_weights: Sequence[int]) -> list:
     return ts
 
 
-def _orthogonality_domain(fp: FamilyParams, jack: JackTable) -> None:
+def _orthogonality_domain(fp: FamilyParams, r: int, d: Rat) -> None:
     """The hypotheses on a family's parameters under which its weight is
-    positive and of finite mass."""
+    positive and of finite mass, at rank r and multiplicity d."""
     if fp.family == "meixner":
         if not 0 < fp.c < 1:
             raise DomainError(f"need 0 < c < 1, got {fp.c}")
-        rank_ratio = cone_params(jack).rank_ratio
+        rank_ratio = ConeParams(r, d).rank_ratio
         if not fp.alpha > rank_ratio - 1:
             raise DomainError(f"need alpha > n/r - 1 = {rank_ratio - 1}, got {fp.alpha}")
     elif fp.family == "charlier":
@@ -405,7 +413,7 @@ def _orthogonality(
     sum of w(x) f(m, x) f(n, x) is one pairing of family values with
     ``_node_weights``, over the mass when ``ts`` is None, else at every
     truncation weight in ``ts``."""
-    _orthogonality_domain(fp, jack)
+    _orthogonality_domain(fp, jack.r, jack.d)
     w, _ = _weight(fp, jack)
     idx = [m for m in enumerate_up_to(jack.r, max_index_weight) if fp.fits(m)]
     vals = {}
@@ -652,6 +660,14 @@ def recurrence(fp: FamilyParams, max_weight: int, jack: JackTable) -> Verificati
 # orthogonality-generator kernel
 
 
+def _generator_params(alpha: Rat, c: Rat) -> FamilyParams:
+    """The Meixner parameters of the generator kernel, with 0 < c < 1."""
+    c = Fraction(c)
+    if not 0 < c < 1:
+        raise DomainError(f"need 0 < c < 1, got {c}")
+    return FamilyParams("meixner", alpha=alpha, c=c)
+
+
 def orthogonality_generator_check(
     alpha: Rat,
     c: Rat,
@@ -665,10 +681,8 @@ def orthogonality_generator_check(
     |n| (binomial formula), so each infinite sum over x of w(x) F_m(x)
     K_n(x) is exact from ``_node_weights``, which reads K_n at the nodes
     of weight <= |m| + |n|: the basis is needed to degree 2 ``max_degree``."""
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise DomainError(f"need 0 < c < 1, got {c}")
-    fp = FamilyParams("meixner", alpha=alpha, c=c)
+    fp = _generator_params(alpha, c)
+    c = fp.c
     r = jack.r
     D = int(max_degree)
     jack.extend(2 * D)
@@ -697,15 +711,28 @@ def orthogonality_generator_check(
 # ---------------------------------------------------------------------------
 # degenerate limits
 
-def _limit_scales(a: Fraction, scales: Sequence[int]) -> list:
+def _limit_scales(a: Fraction, scales: Sequence[int], max_index_weight: int,
+                  r: int, d: Rat) -> list:
     """The scales t of ``limits_check``'s gaps: two or more, increasing, each
-    > 0 with a + t != 0 (alpha = N = t, c = a/(a + t)), else ParameterError."""
+    > 0 with a + t != 0 (alpha = N = t, c = a/(a + t)), a != 0, and both
+    paths defined on the grid: t >= its largest part (the Krawtchouk box
+    N = t) and (t)_k != 0 at each k of the grid (no Meixner pole)."""
     scales = [int(s) for s in scales]
     if len(scales) < 2 or any(s >= t for s, t in zip(scales, scales[1:])):
         raise ParameterError(f"need two or more strictly increasing scales, got {scales}")
     for t in scales:
         if t <= 0 or a + t == 0:
             raise ParameterError(f"need every scale > 0 and a + scale != 0, got scale {t}")
+    FamilyParams("charlier", a=a)  # the target refuses a = 0
+    params, grid = ConeParams(r, d), enumerate_up_to(r, max_index_weight)
+    for t in scales:
+        if t < max_index_weight:
+            raise ParameterError(
+                f"need every scale >= max weight {max_index_weight}, got scale {t}")
+        pole = next((k for k in grid if not gen_pochhammer(t, k, params)), None)
+        if pole is not None:
+            raise ParameterError(f"need (scale)_k != 0 on the grid, got scale {t}: "
+                                 f"meixner ({t})_k vanishes at k={format_partition(pole)}")
     return scales
 
 
@@ -723,7 +750,7 @@ def limits_check(a: Rat, scales: Sequence[int], max_index_weight: int,
     literal zero residual.  The exact gaps |F_t - Charlier| at the scales
     and their log-rate ``order`` (None where a gap is 0) are only shown."""
     a = Fraction(a)
-    scales = _limit_scales(a, scales)
+    scales = _limit_scales(a, scales, max_index_weight, jack.r, jack.d)
     params = cone_params(jack)
     # one start for the grid: above every part (the Krawtchouk box), above
     # n/r - 1 (no pole of (t)_k) and above |a| (c = a/(a + t) finite)

@@ -24,14 +24,17 @@ the closed product; dimensions are also cross-checked in floating point
 against the classical Gamma-product expression.  The classical r = 1 Meixner,
 Charlier and Krawtchouk values are the terminating hypergeometric series
 of the Askey scheme with their parameters written out by hand, where the
-package reads each family's declared point (s, z).  A diagonal composition with a
-per-variable factor f is rebuilt as the SymPoly product of the series
-prod_i f(z_i) and the composition without it, where the package folds f
-into the per-variable powers in one pass, and a ratio of univariate
-series is expanded by series inversion, where the package writes its one
-ratio in closed form.  The generalized shifted factorial is multiplied
-out one Fraction factor at a time, where the package takes one integer
-product.  The truncated orthogonality
+package reads each family's declared point (s, z).  The package never
+multiplies two SymPolys; ``product`` does, orbit by orbit, and it is the
+reference behind the power sums, p1^|m| and m_(1) * Phi_m here.  A
+diagonal composition with a per-variable factor f is rebuilt as the
+``product`` of the series prod_i f(z_i) and the composition without it,
+cut at the same degree, where the package folds f into the per-variable
+powers in one pass, and a ratio of univariate series is expanded by
+series inversion, where the package writes its one ratio in closed
+form.  The generalized shifted factorial is multiplied out one Fraction
+factor at a time, where the package takes one integer product.  The
+truncated orthogonality
 sums are added up term by term over every x, one weight shell at a time,
 where the package takes them from the closed-form shell moments at the
 nodes.
@@ -86,10 +89,39 @@ def partitions_all_lengths(w: int) -> list:
     return [tuple(a for a in p if a) for p in partitions_of(w, w)]
 
 
+def product(a: SymPoly, b: SymPoly, max_degree=None) -> SymPoly:
+    """The product of two monomial-basis polynomials, cut at total degree
+    ``max_degree`` when one is given: both orbits are expanded and only the
+    weakly decreasing exponent vectors (the orbit representatives) are
+    collected."""
+    if a.r != b.r:
+        raise ValueError(f"ambient length mismatch: {a.r} vs {b.r}")
+    r = a.r
+    out: dict = defaultdict(Fraction)
+    bitems = [(bk, sum(bk), bv) for bk, bv in b.coeffs.items()]
+    for ak, av in a.coeffs.items():
+        wa = sum(ak)
+        for bk, wb, bv in bitems:
+            if max_degree is not None and wa + wb > max_degree:
+                continue
+            coef = av * bv
+            for avec in _orbit(ak):
+                for bvec in _orbit(bk):
+                    e = tuple(x + y for x, y in zip(avec, bvec))
+                    if all(e[i] >= e[i + 1] for i in range(r - 1)):
+                        out[e] += coef
+    return SymPoly(r, out)
+
+
+def truncated(p: SymPoly, max_degree: int) -> SymPoly:
+    """The terms of ``p`` of total degree <= ``max_degree``."""
+    return SymPoly(p.r, {k: c for k, c in p.coeffs.items() if sum(k) <= max_degree})
+
+
 def power_sum_in_monomials(lam: tuple, nvars: int) -> SymPoly:
     out = SymPoly.one(nvars)
     for part in lam:
-        out = out * SymPoly.monomial(nvars, (part,))
+        out = product(out, SymPoly.monomial(nvars, (part,)))
     return out
 
 
@@ -485,7 +517,7 @@ def dim_ratio_p1(jack, m) -> Fraction:
         jack.extend(w)
         power = SymPoly.one(jack.r)
         for _ in range(w):
-            power = power * SymPoly.monomial(jack.r, (1,))
+            power = product(power, SymPoly.monomial(jack.r, (1,)))
         _P1_ROWS[key] = jack.to_phi_basis(power)
     return _P1_ROWS[key].get(m, Fraction(0)) / factorial(w)
 
@@ -566,7 +598,7 @@ def series_per_variable(u: list, r: int, max_degree: int) -> SymPoly:
                 break
         if v:
             coeffs[mu] = v
-    return SymPoly(r, coeffs, max_degree)
+    return SymPoly(r, coeffs)
 
 
 def series_prod_binomial(exponent, scale, r: int, max_degree: int) -> SymPoly:
@@ -659,7 +691,7 @@ def pieri_coefficients(table, m) -> dict:
     m = pad(m, table.r)
     table.check_degree(sum(m) + 1)
     p1 = SymPoly.monomial(table.r, (1,))
-    conv = table.to_phi_basis(p1 * table.phi(m))
+    conv = table.to_phi_basis(product(p1, table.phi(m)))
     out = {}
     for j in range(1, table.r + 1):
         up = box_move(m, j, +1)

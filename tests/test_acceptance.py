@@ -32,7 +32,7 @@ from mvdop.dpolys import (
 )
 from mvdop.jack import jack_table
 from mvdop.partitions import contains, enumerate_up_to, weight
-from mvdop.symfun import TruncatedSeries, series_compose_diagonal
+from mvdop.symfun import SymPoly, series_compose_diagonal
 from mvdop.verify import (
     conjecture_suite,
     difference_residual,
@@ -47,8 +47,10 @@ from mvdop.verify import (
 from .oracles import (
     dim_partition_gamma_check,
     pieri_coefficients,
+    product,
     series_exp_trace,
     series_prod_binomial,
+    truncated,
     u_ratio,
     univariate_charlier,
     univariate_krawtchouk,
@@ -310,13 +312,14 @@ def test_criterion_08_internal_consistency():
         table = jack_table(r, d, D)
         params = cone_params(table)
         for k in enumerate_up_to(r, 3):
-            lhs1 = series_exp_trace(1, r, D) * table.phi(k)
-            lhs2 = (
-                series_prod_binomial(-alpha, 1, r, D)
-                * series_compose_diagonal(table.phi(k), u_ratio([0, 1], [1, -1], D), [1], D)
+            lhs1 = product(series_exp_trace(1, r, D), table.phi(k), D)
+            lhs2 = product(
+                series_prod_binomial(-alpha, 1, r, D),
+                series_compose_diagonal(table.phi(k), u_ratio([0, 1], [1, -1], D), [1], D),
+                D,
             ).scale(gen_pochhammer(alpha, k, params))
-            rhs1 = TruncatedSeries(r, D)
-            rhs2 = TruncatedSeries(r, D)
+            rhs1 = SymPoly.zero(r)
+            rhs2 = SymPoly.zero(r)
             for x in enumerate_up_to(r, D):
                 g = generalized_falling(k, x, table)
                 if not g:
@@ -324,10 +327,10 @@ def test_criterion_08_internal_consistency():
                 base = dim_partition(x, table) / gen_pochhammer(
                     params.rank_ratio, x, params
                 )
-                rhs1 = rhs1 + table.phi(x).scale(base * g).truncated(D)
-                rhs2 = rhs2 + table.phi(x).scale(
-                    base * g * gen_pochhammer(alpha, x, params)
-                ).truncated(D)
+                rhs1 = rhs1 + truncated(table.phi(x).scale(base * g), D)
+                rhs2 = rhs2 + truncated(
+                    table.phi(x).scale(base * g * gen_pochhammer(alpha, x, params)), D
+                )
             assert lhs1.coeffs == rhs1.coeffs, ("exp", r, d, k)
             assert lhs2.coeffs == rhs2.coeffs, ("binom", r, d, k)
             exp_checked += 2

@@ -267,6 +267,34 @@ def test_verify_limits_bad_scale_exits_2(a, scales, bad, max_weight, tmp_path, c
     assert not (tmp_path / "cache").exists()
 
 
+_D2R2 = ["--d", "2", "--r", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["orthogonality-generator", *_D2R2, "--alpha", "7/2", "--c", "2"], "need 0 < c < 1, got 2"),
+    (["orthogonality", *_D2R2, "--family", "meixner", "--alpha", "1/2", "--c", "1/3"],
+     "need alpha > n/r - 1 = 1, got 1/2"),
+    (["orthogonality", *_D2R2, "--family", "meixner", "--alpha", "7/2", "--c", "3"],
+     "need 0 < c < 1, got 3"),
+    (["orthogonality", *_D2R2, "--family", "krawtchouk", "--p", "3", "--N", "2"],
+     "need 0 < p < 1, got 3"),
+    (["master-genfunc", *_D2R2, "--family", "krawtchouk", "--p", "1/3", "--N", "2"],
+     "master generating function covers meixner/charlier, got 'krawtchouk'"),
+    (["limits", "--d", "2", "--r", "1", "--a", "1", "--max-weight", "4", "--scales", "3,7"],
+     "need every scale >= max weight 4, got scale 3"),
+    (["limits", "--d", "4", "--r", "3", "--a", "1", "--max-weight", "2", "--scales", "2,5"],
+     "need (scale)_k != 0 on the grid, got scale 2: meixner (2)_k vanishes at k=1,1,0"),
+    (["limits", *_D2R2, "--a", "0"], "charlier: zero parameter not allowed"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v[:1] + v[-2:]))
+def test_refused_verify_call_writes_no_cache_file(args, message, tmp_path, capsys):
+    # each check's table-free preconditions run before its table is loaded
+    # or built, so a refused call leaves the cache directory empty
+    code, out, err = run(["verify", *args], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert list((tmp_path / "cache").glob("*")) == []
+
+
 @pytest.mark.parametrize("args, code, expected", [
     (["eval", "--family", "meixner", "--d", "2", "--r", "1", "--alpha", "-1/2", "--c", "1/3",
       "--m", "1", "--x", "1"], 0, '"value": "5"'),

@@ -412,9 +412,8 @@ def test_lower_coefficient_finite_on_partitions():
 def test_expansion_identities_degree_five():
     """Both shifted-expansion identities, checked coefficientwise to
     degree 5: the binomial-weighted sum reproduces the shifted series."""
-    from mvdop.symfun import series_compose_diagonal
-    from .oracles import series_exp_trace, series_prod_binomial, u_ratio
-    from mvdop.symfun import TruncatedSeries
+    from mvdop.symfun import SymPoly, series_compose_diagonal
+    from .oracles import product, series_exp_trace, series_prod_binomial, truncated, u_ratio
 
     D = 5
     for r, d in ((2, F(2)), (2, F(5, 2)), (3, F(3))):
@@ -423,24 +422,26 @@ def test_expansion_identities_degree_five():
         alpha = F(7, 3)
         for k in enumerate_up_to(r, 3):
             # exponential form: exp-trace times Phi_k
-            lhs = series_exp_trace(1, r, D) * t.phi(k)
-            rhs = TruncatedSeries(r, D)
+            lhs = product(series_exp_trace(1, r, D), t.phi(k), D)
+            rhs = SymPoly.zero(r)
             for x in enumerate_up_to(r, D):
                 g = generalized_falling(k, x, t)
                 if not g:
                     continue
                 coeff = dim_partition(x, t) * g
                 coeff /= gen_pochhammer_direct(params.rank_ratio, x, params)
-                rhs = rhs + t.phi(x).scale(coeff).truncated(D)
+                rhs = rhs + truncated(t.phi(x).scale(coeff), D)
             assert lhs.coeffs == rhs.coeffs, ("exp", r, d, k)
             # binomial-power form
             poch_k = gen_pochhammer_direct(alpha, k, params)
             entry = u_ratio([0, 1], [1, -1], D)
-            lhs2 = series_prod_binomial(-alpha, 1, r, D) * series_compose_diagonal(
-                t.phi(k), entry, [1], D
+            lhs2 = product(
+                series_prod_binomial(-alpha, 1, r, D),
+                series_compose_diagonal(t.phi(k), entry, [1], D),
+                D,
             )
             lhs2 = lhs2.scale(poch_k)
-            rhs2 = TruncatedSeries(r, D)
+            rhs2 = SymPoly.zero(r)
             for x in enumerate_up_to(r, D):
                 g = generalized_falling(k, x, t)
                 if not g:
@@ -451,5 +452,5 @@ def test_expansion_identities_degree_five():
                     / gen_pochhammer_direct(params.rank_ratio, x, params)
                     * g
                 )
-                rhs2 = rhs2 + t.phi(x).scale(coeff).truncated(D)
+                rhs2 = rhs2 + truncated(t.phi(x).scale(coeff), D)
             assert lhs2.coeffs == rhs2.coeffs, ("binom", r, d, k)

@@ -16,6 +16,7 @@ from .oracles import (
     basis_table_fraction,
     gram_schmidt_basis,
     pieri_coefficients,
+    product,
     restrict_to_r,
     schur_eval,
 )
@@ -141,7 +142,7 @@ def test_to_phi_basis_p1_squared_schur_oracle():
     # p1^2 = s_(2) + s_(1,1); divide by principal values 3 and 1
     t = jack_table(2, 2, 2)
     p1 = SymPoly.monomial(2, (1,))
-    conv = t.to_phi_basis(p1 * p1)
+    conv = t.to_phi_basis(product(p1, p1))
     assert conv == {(2, 0): F(3), (1, 1): F(1)}
 
 

@@ -66,8 +66,6 @@ PUBLIC_METHODS = {
     "SymPoly.one",
     "SymPoly.monomial",
     "SymPoly.coefficient",
-    "SymPoly.truncated",
-    "TruncatedSeries.one",
 }
 
 
@@ -327,7 +325,7 @@ def test_public_orthogonality_checks_call_one_private_sum():
     assert not found, found
 
 
-FAMILY_BRANCHES = {"_orthogonality_domain", "_genfunc_series", "genfunc", "master_genfunc"}
+FAMILY_BRANCHES = {"_orthogonality_domain", "_genfunc_series", "genfunc", "_master_domain"}
 
 
 def test_family_names_branch_only_where_the_point_cannot():
