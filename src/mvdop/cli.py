@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import verify
-from .dpolys import FAMILY_PARAMS, PARAM_NAMES, FamilyParams, laguerre
+from .dpolys import FAMILY_PARAMS, PARAM_NAMES, TWO_INDEX, FamilyParams, _check_box, laguerre
 from .errors import MvdopError, ParameterError, PoleError, SingularArgumentError
 from .jack import JackTable, _adopt, jack_table
 from .partitions import enumerate_up_to, format_partition, parse_partition
@@ -45,9 +45,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_POLE = 3
-
-# the families indexed by two partitions; table and verify take no other
-_TWO_INDEX = ("meixner", "charlier", "krawtchouk")
 
 
 def _count(text: str) -> int:
@@ -107,9 +104,9 @@ _VERIFY_READS = {
     "orthogonality": (
         ("family", "--max-weight", "--truncation-weights"),
         lambda a, fp: verify._orthogonality_domain(fp, a.r, a.d),
-        lambda a, fp: a.r * fp.N if fp.family == "krawtchouk" else a.max_weight,
-        lambda a, fp, t: verify.orthogonality_krawtchouk(fp.p, fp.N, t) if fp.family == "krawtchouk"
-        else verify.orthogonality(fp, a.max_weight, a.truncation_weights, t)),
+        lambda a, fp: a.max_weight if fp.N is None else a.r * fp.N,
+        lambda a, fp, t: verify.orthogonality(fp, a.max_weight, a.truncation_weights, t)
+        if fp.N is None else verify.orthogonality_krawtchouk(fp.p, fp.N, t)),
     "difference": (("family", "--max-weight"), None, lambda a, fp: a.max_weight + 1,
                    lambda a, fp, t: verify.difference_equation(fp, a.max_weight, t)),
     "recurrence": (("family", "--max-weight"), None, lambda a, fp: a.max_weight + 1,
@@ -215,19 +212,25 @@ def cmd_eval(args) -> int:
     d, r = args.d, args.r
     fp = _family_params(args)
     m = parse_partition(args.m, r)
-    # Laguerre is evaluated at a diagonal point --u, the others at --x
-    point, unread = ("u", "x") if fp.family == "laguerre" else ("x", "u")
+    # the two-index families are evaluated at --x, Laguerre at a diagonal
+    # point --u; a point of the wrong length and a first index outside the
+    # box need no table, so they are refused before one is loaded
+    point, unread = ("x", "u") if fp.family in TWO_INDEX else ("u", "x")
     if getattr(args, unread) is not None:
         raise ParameterError(f"{fp.family} takes no --{unread}")
     if getattr(args, point) is None:
         hint = " (diagonal point)" if point == "u" else ""
         raise ParameterError(f"{fp.family} needs --{point}{hint}")
     if point == "u":
+        if len(args.u) != r:
+            raise ParameterError(f"point length {len(args.u)} != r = {r}")
         table = load_or_build_table(r, d, sum(m))
         value = laguerre(m, args.u, fp.alpha, table)
         shown = [str(v) for v in args.u]
     else:
         x = parse_partition(args.x, r)
+        if fp.N is not None:
+            _check_box(m, fp.N)
         table = load_or_build_table(r, d, max(sum(m), sum(x)))
         value = fp.evaluate(m, x, table)
         shown = format_partition(x)
@@ -278,9 +281,9 @@ def cmd_verify(args) -> int:
             name = flag[2:].replace("-", "_")
             if getattr(args, name) is None:
                 setattr(args, name, _VERIFY_FLAGS[flag].get("default"))
-            elif args.family == "krawtchouk":
+            elif "N" in FAMILY_PARAMS[args.family]:
                 raise ParameterError(
-                    f"krawtchouk orthogonality is exact over the box; it takes no {flag}"
+                    f"{args.family} orthogonality is exact over the box; it takes no {flag}"
                 )
         if args.truncation_weights is not None:  # refused before any table is loaded
             verify._truncation_weights(args.truncation_weights)
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--u": {"type": lambda text: tuple(map(_rat, text.split(","))),
                      "help": "diagonal point for laguerre, e.g. 1/2,1/3"}},
             out=False, required=True)
-    command(sub, "table", cmd_table, "tabulate values over the index grid", _TWO_INDEX,
+    command(sub, "table", cmd_table, "tabulate values over the index grid", TWO_INDEX,
             {"--max-degree": {"required": True, "type": _count},
              "--format": {"choices": ["json", "csv"], "default": "json"}},
             required=True)
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         flags = {flag: _VERIFY_FLAGS[flag] for flag in reads if flag != "family"}
         if identity == "orthogonality":
             flags = {flag: {**kw, "default": None} for flag, kw in flags.items()}
-        families = _TWO_INDEX if "family" in reads else ()
+        families = TWO_INDEX if "family" in reads else ()
         command(identities, identity, cmd_verify, None, families, flags, default="meixner")
     command(sub, "conjecture", cmd_conjecture, "run the aggregated suite at one (r, d)", (),
             {"--max-degree": {"type": _count, "default": 3},

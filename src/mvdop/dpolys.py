@@ -15,8 +15,9 @@ What each family is, is declared once, as functions of its parameters:
 the point (s, z) of the shared sum, and the triple (b, c, e) of its
 difference equation.  Krawtchouk is Meixner at alpha = -N, c = p/(p - 1),
 and Charlier the limit of Meixner; the determinant route, the generating
-functions, the shift equations and the orthogonality weight read these
-constants instead of branching on the family.
+functions, the shift equations, the orthogonality weight and the CLI read
+these constants, and a finite support off N, instead of branching on the
+family; here only ``FamilyParams.evaluate`` tells the families apart.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import comb, factorial, lcm
-from operator import index
 from typing import Optional, Sequence, Union
 
 from .conearith import _dim_ratio, _pochhammer, binomial_row, falling_row, weight_factor
-from .errors import DomainError, ParameterError, PoleError
+from .errors import DomainError, ParameterError, PoleError, integer
 from .jack import JackTable
 from .partitions import contains, format_partition, pad, weight
 from .symfun import SymPoly
@@ -63,6 +63,7 @@ _SHIFT = {
     "charlier": lambda a: (1, 0, a),
     "krawtchouk": lambda p, N: (1 - p, -p, N * p),
 }
+TWO_INDEX = tuple(_POINT)  # the families indexed by two partitions
 
 
 def _over_common_denominator(values: tuple) -> tuple:
@@ -161,13 +162,16 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
 def _box_size(N) -> int:
     """The Krawtchouk box size as an int; a non-integral or negative N
     raises ParameterError instead of being truncated."""
-    try:
-        N = index(N)
-    except TypeError:
-        raise ParameterError(f"krawtchouk: N must be an integer, got {N!r}") from None
+    N = integer(N, "krawtchouk: N")
     if N < 0:
         raise ParameterError("krawtchouk: N must be >= 0")
     return N
+
+
+def _check_box(m, N: int) -> None:
+    """Refuse a padded Krawtchouk first index m outside the (N, ..., N) box."""
+    if not contains(m, (N,) * len(m)):
+        raise DomainError(f"krawtchouk: index {format_partition(m)} not contained in the box N={N}")
 
 
 def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
@@ -179,10 +183,7 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
     if p == 0:
         raise ParameterError("krawtchouk: p must be nonzero")
     m = pad(m, jack.r)
-    if not contains(m, (N,) * jack.r):
-        raise DomainError(
-            f"krawtchouk: index {format_partition(m)} not contained in the box N={N}"
-        )
+    _check_box(m, N)
     return _kernel(jack, m, pad(x, jack.r), *_POINT["krawtchouk"](p, N))
 
 
@@ -255,7 +256,7 @@ def univariate(family: str, m: int, x, **params) -> Fraction:
     for the two-index families, read off the declared point (s, z), with
     m >= 0 (and <= N for Krawtchouk); at the point u = x for Laguerre."""
     fp = FamilyParams(family, **params)
-    if family == "laguerre":
+    if family not in TWO_INDEX:
         return univariate_laguerre(m, x, fp.alpha)
     if m < 0 or not fp.fits((m,)):
         raise DomainError(f"{family}: index {m} outside its domain")
@@ -280,39 +281,25 @@ def _det(mat: list) -> Fraction:
     return total
 
 
-def determinant_formula(
-    family: str,
-    m,
-    x,
-    jack: JackTable,
-    alpha: Optional[Rat] = None,
-    c: Optional[Rat] = None,
-    a: Optional[Rat] = None,
-    p: Optional[Rat] = None,
-    N: Optional[int] = None,
-) -> Fraction:
+def determinant_formula(family: str, m, x, jack: JackTable, **params) -> Fraction:
     """Value of a family polynomial assembled from an r x r determinant of
     single-variable polynomials at staircase-shifted indices.  Only valid
     at d = 2, where the normalized basis elements degenerate to ratios of
     alternants.  With (s, z) the family's point, the prefactor is
     z^(-r(r-1)/2) prod_{j<r} (s - r + 1)_j / j! and the entries are the
-    r = 1 family sums at (s - r + 1, z)."""
+    r = 1 family sums at (s - r + 1, z); the route is refused where the
+    prefactor is singular (z = 0) or zero (s in 1, ..., r - 1)."""
     if jack.d != 2:
         raise DomainError(f"determinant route needs d = 2, got d = {jack.d}")
-    fp = FamilyParams(family, alpha=alpha, c=c, a=a, p=p, N=N)
+    fp = FamilyParams(family, **params)
     r = jack.r
     m = pad(m, r)
     x = pad(x, r)
-    if family == "meixner":
-        if fp.alpha.denominator == 1 and fp.alpha <= r - 1:
-            raise DomainError(
-                f"prefactor pole: alpha={fp.alpha} is an integer <= r-1 = {r - 1}"
-            )
-        if fp.c == 1 and r > 1:
-            raise DomainError("c = 1 makes the prefactor singular for r > 1")
     if not (fp.fits(m) and fp.fits(x)):
-        raise DomainError("krawtchouk determinant route needs m, x inside the box")
+        raise DomainError(f"{family} determinant route needs m, x inside the box")
     s, z = fp.point
+    if z == 0 and r > 1:
+        raise DomainError(f"{family}: z = 0 makes the prefactor singular for r > 1")
     if s is not None:
         s -= r - 1
     pref = z ** -(r * (r - 1) // 2)
@@ -322,6 +309,8 @@ def determinant_formula(
         if s is not None:
             pref *= poch
             poch *= s + j
+    if not pref:
+        raise DomainError(f"{family}: the prefactor vanishes at s = {s + r - 1} in 1..{r - 1}")
     mat = [
         [_univariate_kernel(m[mu] + r - 1 - mu, x[nu] + r - 1 - nu, s, z) for nu in range(r)]
         for mu in range(r)
@@ -392,7 +381,7 @@ class FamilyParams:
         """True when the index m lies in the family's domain: inside the
         (N, ..., N) box for a family that takes N (Krawtchouk), anywhere
         otherwise."""
-        return "N" not in FAMILY_PARAMS[self.family] or max(m, default=0) <= self.N
+        return self.N is None or max(m, default=0) <= self.N
 
     def evaluate(self, m, x, jack: JackTable) -> Fraction:
         if self.family == "meixner":

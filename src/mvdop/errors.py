@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that
+refuses a non-integral rank or box size.
 
 The CLI maps these onto its exit-code contract: usage, parameter and
 domain problems exit 2, vanishing-denominator problems exit 3.
 """
+
+from operator import index
 
 
 class MvdopError(Exception):
@@ -29,3 +32,12 @@ class SingularArgumentError(MvdopError):
 
 class TableDegreeError(MvdopError):
     """A basis table was queried beyond its built degree; extend it first."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int through ``operator.index``: a non-integral value
+    (2.7, 2.0, "2") raises ParameterError instead of being truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Optional, Union
 
-from .errors import ParameterError, TableDegreeError
+from .errors import ParameterError, TableDegreeError, integer
 from .partitions import format_partition, pad, parse_partition, partitions_of
 from .symfun import SymPoly, _orbit
 
@@ -200,7 +200,7 @@ class JackTable:
     """Per-(r, d) table of basis expansions, built degree by degree."""
 
     def __init__(self, r: int, d: Rat):
-        r = int(r)
+        r = integer(r, "r")
         d = Fraction(d)
         if r < 1:
             raise ParameterError(f"need r >= 1, got {r}")
@@ -402,7 +402,7 @@ _TABLES: dict = {}
 
 def jack_table(r: int, d: Rat, degree: int) -> JackTable:
     """Memoized table per (r, d), extended at least to ``degree``."""
-    key = (int(r), Fraction(d))
+    key = (integer(r, "r"), Fraction(d))
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES.setdefault(key, JackTable(r, d))

@@ -159,14 +159,14 @@ def _genfunc_series(fp: FamilyParams, poly, D: int, scale: Rat = 1):
         Charlier (s None):  exp(scale tr w) poly(1 + z scale w),
         otherwise:          prod_i (1 - t w_i)^(-s) poly((1 + (z - 1) t w) / (1 - t w)),
 
-    with t = scale, and t = -scale for Krawtchouk: it is Meixner at
-    s = -N, c = p/(p - 1), read at w -> -w so that its coefficients carry
-    the positive box binomials (the "plus" convention); no other
-    convention is tried."""
+    with t = scale, and t = -scale for a finite support (Krawtchouk): it
+    is Meixner at s = -N, c = p/(p - 1), read at w -> -w so that its
+    coefficients carry the positive box binomials (the "plus"
+    convention); no other convention is tried."""
     s, z = fp.point
     if s is None:
         return series_compose_diagonal(poly, [1, z * scale], u_exp(scale, D), D)
-    t = -scale if fp.family == "krawtchouk" else scale
+    t = scale if fp.N is None else -scale
     # (1 + (z - 1) t w) / (1 - t w) = 1 + sum over k >= 1 of z t^k w^k
     entry = [1] + [z * t**k for k in range(1, D + 1)]
     return series_compose_diagonal(poly, entry, u_binomial(-s, t, D), D)
@@ -186,7 +186,7 @@ def genfunc(fp: FamilyParams, max_weight: int, degree: int, jack: JackTable) -> 
         truncation={"degree": D},
     )
     s = fp.point[0]
-    sign = -1 if fp.family == "krawtchouk" else 1  # the "plus" convention
+    sign = 1 if fp.N is None else -1  # the "plus" convention
     grid = enumerate_up_to(r, D)
     for x in enumerate_up_to(r, max_weight):
         if not fp.fits(x):
@@ -836,11 +836,6 @@ def conjecture_suite(
     p_gf = Fraction(1, 3)
     n_box = max(2, (budget + 1) // 2)
     n_eq = max(3, budget)
-    fps = {
-        "meixner": FamilyParams("meixner", alpha=alpha, c=Fraction(3, 5)),
-        "charlier": FamilyParams("charlier", a=Fraction(5, 4)),
-        "krawtchouk": FamilyParams("krawtchouk", p=Fraction(2, 7), N=n_eq),
-    }
 
     sub: list[VerificationReport] = []
     gf = (
@@ -856,7 +851,9 @@ def conjecture_suite(
     for fp in (FamilyParams("meixner", alpha=alpha, c=Fraction(1, 8)),
                FamilyParams("charlier", a=1)):
         sub.append(orthogonality(fp, min(2, budget), None, jack))
-    for fam, fp in fps.items():
+    for fp in (FamilyParams("meixner", alpha=alpha, c=Fraction(3, 5)),
+               FamilyParams("charlier", a=Fraction(5, 4)),
+               FamilyParams("krawtchouk", p=Fraction(2, 7), N=n_eq)):
         sub.append(difference_equation(fp, budget, jack))
         sub.append(recurrence(fp, budget, jack))
 

@@ -285,11 +285,27 @@ _D2R2 = ["--d", "2", "--r", "2"]
     (["limits", "--d", "4", "--r", "3", "--a", "1", "--max-weight", "2", "--scales", "2,5"],
      "need (scale)_k != 0 on the grid, got scale 2: meixner (2)_k vanishes at k=1,1,0"),
     (["limits", *_D2R2, "--a", "0"], "charlier: zero parameter not allowed"),
+    (["orthogonality", *_D2R2, "--family", "charlier", "--a", "-1"], "need a > 0, got -1"),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:1] + v[-2:]))
 def test_refused_verify_call_writes_no_cache_file(args, message, tmp_path, capsys):
     # each check's table-free preconditions run before its table is loaded
     # or built, so a refused call leaves the cache directory empty
     code, out, err = run(["verify", *args], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert list((tmp_path / "cache").glob("*")) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--family", "krawtchouk", *_D2R2, "--p", "1/3", "--N", "2", "--m", "3,0", "--x", "0,0"],
+     "krawtchouk: index 3,0 not contained in the box N=2"),
+    (["--family", "laguerre", *_D2R2, "--alpha", "7/2", "--m", "1,0", "--u", "1/2"],
+     "point length 1 != r = 2"),
+], ids=["box", "point-length"])
+def test_refused_eval_call_writes_no_cache_file(args, message, tmp_path, capsys):
+    # the index box and the length of the diagonal point need no table, so
+    # they are checked before one is loaded or built
+    code, out, err = run(["eval", *args], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert list((tmp_path / "cache").glob("*")) == []

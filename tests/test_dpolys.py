@@ -39,6 +39,11 @@ def test_univariate_examples():
     assert univariate("charlier", 2, 1, a=1) == -1
     assert univariate("krawtchouk", 1, 1, p=F(1, 2), N=2) == 0
     assert univariate("charlier", 0, 3, a=2) == 1
+    # Laguerre, the one-index family, at the point u
+    for m in range(4):
+        for u in (F(1, 2), F(3)):
+            want = laguerre((m,), (u,), F(7, 2), jack_table(1, 2, m))
+            assert univariate("laguerre", m, u, alpha=F(7, 2)) == want
     # the package's declared points agree with the hand-written series
     alpha, c, p = F(7, 2), F(1, 3), F(1, 3)
     for m in range(4):
@@ -379,6 +384,36 @@ def test_determinant_agrees_with_direct_sum(r):
             assert determinant_formula("charlier", m, x, t, a=2) == charlier(m, x, 2, t)
             if contains(m, box) and contains(x, box):
                 assert determinant_formula("krawtchouk", m, x, t, p=F(1, 3), N=4) == krawtchouk(m, x, F(1, 3), 4, t)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("alpha", [0, -1, -2])
+def test_determinant_matches_meixner_at_integer_alpha_at_most_zero(r, alpha):
+    # the prefactor prod_{j<r} (alpha - r + 1)_j / j! vanishes only at alpha
+    # in 1..r-1; below, the route gives meixner's exact value, or raises
+    # PoleError exactly where meixner does
+    t = jack_table(r, 2, 4)
+    grid = enumerate_up_to(r, 4)
+    for m in grid:
+        for x in grid:
+            try:
+                want = meixner(m, x, alpha, F(1, 3), t)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    determinant_formula("meixner", m, x, t, alpha=alpha, c=F(1, 3))
+            else:
+                assert determinant_formula("meixner", m, x, t, alpha=alpha, c=F(1, 3)) == want
+
+
+@pytest.mark.parametrize("r, params, message", [
+    (2, dict(alpha=F(1), c=F(1, 3)), "meixner: the prefactor vanishes at s = 1 in 1..1"),
+    (3, dict(alpha=F(2), c=F(1, 3)), "meixner: the prefactor vanishes at s = 2 in 1..2"),
+    (2, dict(alpha=F(7, 2), c=F(1)), "meixner: z = 0 makes the prefactor singular for r > 1"),
+])
+def test_determinant_refuses_a_zero_or_singular_prefactor(r, params, message):
+    t = jack_table(r, 2, 2)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        determinant_formula("meixner", (1,) + (0,) * (r - 1), (1,) + (0,) * (r - 1), t, **params)
 
 
 def test_determinant_needs_d2():

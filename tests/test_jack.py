@@ -138,6 +138,25 @@ def test_to_phi_basis_round_trip():
     assert t.to_phi_basis(SymPoly.monomial(2, (1,))) == {(1, 0): F(2)}
 
 
+def _slice_off_partitions():
+    # a coefficient dict holding a composition that is not a partition: no
+    # SymPoly the package builds has one, so the back-substitution leaves it
+    poly = SymPoly(2)
+    poly.coeffs = {(0, 1): F(1)}
+    return poly
+
+
+@pytest.mark.parametrize("poly, error, message", [
+    ({(1, 0): F(1)}, TypeError, "cannot convert dict"),
+    (SymPoly.monomial(3, (1,)), ValueError, "ambient length mismatch: 3 vs 2"),
+    (_slice_off_partitions(), ValueError, "non-symmetric input slice at weight 1"),
+], ids=["not-a-sympoly", "other-r", "non-symmetric"])
+def test_to_phi_basis_refusals(poly, error, message):
+    t = jack_table(2, F(5, 2), 2)
+    with pytest.raises(error, match=message):
+        t.to_phi_basis(poly)
+
+
 def test_to_phi_basis_p1_squared_schur_oracle():
     # p1^2 = s_(2) + s_(1,1); divide by principal values 3 and 1
     t = jack_table(2, 2, 2)
@@ -178,6 +197,19 @@ def test_constructor_parameter_errors():
         JackTable(2, F(-1, 2))
     with pytest.raises(ParameterError):
         JackTable(0, 2)
+
+
+@pytest.mark.parametrize("r", [2.7, 2.0, "2"], ids=repr)
+def test_non_integral_rank_is_refused(r):
+    # the rank goes through operator.index, so it is refused rather than
+    # truncated, also when the process already holds the table of int(r)
+    from mvdop.errors import ParameterError
+
+    jack_table(2, 2, 1)
+    with pytest.raises(ParameterError, match=f"r must be an integer, got {r!r}"):
+        JackTable(r, 2)
+    with pytest.raises(ParameterError, match=f"r must be an integer, got {r!r}"):
+        jack_table(r, 2, 1)
 
 
 def test_degree_error():

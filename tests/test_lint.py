@@ -325,14 +325,36 @@ def test_public_orthogonality_checks_call_one_private_sum():
     assert not found, found
 
 
-FAMILY_BRANCHES = {"_orthogonality_domain", "_genfunc_series", "genfunc", "_master_domain"}
+# the only places that may compare a family to a family name: evaluate
+# calls the three evaluators by module-level name (the bench tracer counts
+# them only there), and the domain hypotheses are per family
+FAMILY_BRANCHES = {
+    "dpolys.FamilyParams.evaluate",
+    "verify._orthogonality_domain",
+    "verify._master_domain",
+}
 
 
-def test_family_names_branch_only_where_the_point_cannot():
-    # a family's weight, its sums and its box all come from its point and
-    # its parameters (a finite support is read off fp.N); only the domain
-    # hypotheses and the generating-function conventions may compare a
-    # family to a family name
+def _owners(tree):
+    """(owner, node) for each top-level statement of a module and each
+    member of its classes: a function, class or method by its qualified
+    name, any other statement (a table of lambdas, say) by the names it
+    assigns, so that no code of the module goes unvisited."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for member in members:
+            name = getattr(member, "name", None)
+            if name is None:
+                targets = getattr(member, "targets", None) or [getattr(member, "target", None)]
+                name = ",".join(t.id for t in targets if isinstance(t, ast.Name)) or "module"
+            yield prefix + name, member
+
+
+def _family_branches(src: Path) -> list:
+    """Each comparison of a family (``family`` or ``.family``) with a
+    family-name literal in the package at ``src``, outside FAMILY_BRANCHES,
+    as "module.owner:line"."""
     names = set(dpolys.FAMILY_PARAMS)
 
     def is_family(node):
@@ -345,17 +367,29 @@ def test_family_names_branch_only_where_the_point_cannot():
             return any(is_name(e) for e in node.elts)
         return isinstance(node, ast.Constant) and node.value in names
 
-    funcs = _verify_functions()
-    assert FAMILY_BRANCHES <= set(funcs)
-    found = []
-    for name, func in funcs.items():
-        if name in FAMILY_BRANCHES:
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.Compare):
-                sides = [node.left, *node.comparators]
-                if any(map(is_family, sides)) and any(map(is_name, sides)):
-                    found.append(f"verify.py:{node.lineno}: {name} branches on a family name")
+    found, seen = [], set()
+    for path in sorted(src.rglob("*.py")):
+        for owner, top in _owners(ast.parse(path.read_text(), str(path))):
+            qualname = f"{path.stem}.{owner}"
+            seen.add(qualname)
+            if qualname in FAMILY_BRANCHES:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(map(is_family, sides)) and any(map(is_name, sides)):
+                        found.append(f"{qualname}:{node.lineno}")
+    assert FAMILY_BRANCHES <= seen, FAMILY_BRANCHES - seen
+    return found
+
+
+def test_family_names_branch_only_where_the_point_cannot():
+    # a family's weight, its sums, its box, its generating-function
+    # convention and its CLI rows all come from the dpolys declaration: its
+    # point, its shift triple, its parameters (a finite support is read off
+    # fp.N) and TWO_INDEX.  Only FAMILY_BRANCHES may compare a family to a
+    # family name
+    found = _family_branches(SRC)
     assert not found, found
 
 
