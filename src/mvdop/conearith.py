@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import SingularArgumentError
+from .errors import ParameterError, SingularArgumentError, integer
 from .jack import JackTable
 from .partitions import pad, sub_partitions, weight
 
@@ -49,11 +49,12 @@ class ConeParams:
     d: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "r", integer(self.r, "r"))
         object.__setattr__(self, "d", Fraction(self.d))
         if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
+            raise ParameterError(f"need r >= 1, got {self.r}")
         if self.d <= 0:
-            raise ValueError(f"need d > 0, got {self.d}")
+            raise ParameterError(f"need d > 0, got {self.d}")
 
     @property
     def n(self) -> Fraction:

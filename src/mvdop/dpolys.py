@@ -9,7 +9,13 @@ in the two indices, so duality holds structurally rather than numerically.
 The sum runs in integers: the terms of the first index and the
 falling-factorial row of the second are each memoized as integer
 numerators over one denominator, so a value is one integer dot product
-and one Fraction.
+and one Fraction.  The point (s, z) of a parameter set is memoized as
+well, per parameter set under the parameters' integer pairs, so a warm
+value makes no Fraction but that one and its parameter coercions.  The
+shift equations in ``verify`` pair the same first-index rows, as integer
+sums (``_row_sum``), with integer residual rows: the family's shift
+triple times family-free vectors memoized per index, so a residual too
+ends in one Fraction.
 
 What each family is, is declared once, as functions of its parameters:
 the point (s, z) of the shared sum, and the triple (b, c, e) of its
@@ -115,17 +121,23 @@ def _second_row(jack: JackTable, x, cap: int) -> tuple:
     return jack.cache.setdefault(key, (dict(zip(row, nums)), den))
 
 
-def _row_dot(first: tuple, row: dict, den: int, s: Optional[Fraction]) -> Fraction:
-    """The pairing of a first-index row from ``_first_row`` with a row
-    {k: integer numerator} over ``den`` in the second index's space: one
-    integer dot product over the product of the two denominators, so it
-    makes one Fraction.  A pole of the first row raises PoleError only
-    where it is a key of ``row``, that is, on a term the sum contains."""
-    ks, nums, fden, poles = first
+def _row_sum(first: tuple, row: dict, s: Optional[Fraction]) -> int:
+    """The integer pairing of a first-index row from ``_first_row`` with a
+    row {k: integer numerator} in the second index's space: the numerator
+    of their pairing over the product of the two denominators.  A pole of
+    the first row raises PoleError only where it is a key of ``row``, that
+    is, on a term the sum contains."""
+    ks, nums, _, poles = first
     for k in poles:
         if k in row:
             raise PoleError(f"shifted factorial ({s})_k vanishes at k={format_partition(k)}")
-    return Fraction(sum([n * row.get(k, 0) for k, n in zip(ks, nums)]), fden * den)
+    return sum([n * row.get(k, 0) for k, n in zip(ks, nums)])
+
+
+def _row_dot(first: tuple, row: dict, den: int, s: Optional[Fraction]) -> Fraction:
+    """``_row_sum`` over the product of the first row's denominator and
+    ``den``, the row's: one Fraction."""
+    return Fraction(_row_sum(first, row, s), first[2] * den)
 
 
 def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fraction:
@@ -142,13 +154,25 @@ def _kernel(jack: JackTable, m, x, s: Optional[Fraction], z: Fraction) -> Fracti
     return _row_dot(first, gx, xden, s)
 
 
+def _point(jack: JackTable, family: str, *params) -> tuple:
+    """The declared point (s, z) of ``family`` at its checked parameters
+    in FAMILY_PARAMS order, memoized per parameter set in ``jack.cache``
+    under their integer pairs, so a warm evaluation makes no Fraction for
+    it."""
+    key = ("point", family, *[(v.numerator, v.denominator) for v in params])
+    got = jack.cache.get(key)
+    if got is None:
+        got = jack.cache.setdefault(key, _POINT[family](*params))
+    return got
+
+
 def meixner(m, x, alpha: Rat, c: Rat, jack: JackTable) -> Fraction:
     """Meixner value at index pair (m, x) with parameters (alpha, c != 0)."""
     alpha = Fraction(alpha)
     c = Fraction(c)
     if c == 0:
         raise ParameterError("meixner: c must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_POINT["meixner"](alpha, c))
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_point(jack, "meixner", alpha, c))
 
 
 def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
@@ -156,7 +180,7 @@ def charlier(m, x, a: Rat, jack: JackTable) -> Fraction:
     a = Fraction(a)
     if a == 0:
         raise ParameterError("charlier: a must be nonzero")
-    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_POINT["charlier"](a))
+    return _kernel(jack, pad(m, jack.r), pad(x, jack.r), *_point(jack, "charlier", a))
 
 
 def _box_size(N) -> int:
@@ -184,7 +208,7 @@ def krawtchouk(m, x, p: Rat, N: int, jack: JackTable) -> Fraction:
         raise ParameterError("krawtchouk: p must be nonzero")
     m = pad(m, jack.r)
     _check_box(m, N)
-    return _kernel(jack, m, pad(x, jack.r), *_POINT["krawtchouk"](p, N))
+    return _kernel(jack, m, pad(x, jack.r), *_point(jack, "krawtchouk", p, N))
 
 
 def companion_poly(m, alpha: Rat, jack: JackTable, scale: Rat = 1) -> SymPoly:

@@ -18,6 +18,7 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Optional, Union
 
+from .errors import ParameterError, integer
 from .partitions import enumerate_up_to, pad
 
 Rat = Union[int, Fraction]
@@ -40,7 +41,9 @@ class SymPoly:
     __slots__ = ("r", "coeffs")
 
     def __init__(self, r: int, coeffs: Optional[dict] = None):
-        self.r = int(r)
+        self.r = integer(r, "r")
+        if self.r < 1:
+            raise ParameterError(f"need r >= 1, got {self.r}")
         self.coeffs = {}
         for key, c in (coeffs or {}).items():
             c = Fraction(c)

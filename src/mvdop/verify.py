@@ -66,7 +66,7 @@ from .dpolys import (
     FamilyParams,
     _first_row,
     _over_common_denominator,
-    _row_dot,
+    _row_sum,
     _second_row,
     companion_poly,
 )
@@ -506,85 +506,90 @@ def orthogonality_krawtchouk(p: Rat, N: int, jack: JackTable) -> VerificationRep
 # difference and recurrence equations
 
 
-def _box_moves(jack: JackTable, y) -> tuple:
-    """The family-free part of the shift equations at the padded index y:
-    (d_y, rows), rows[j - 1] = (up, down) for row j.  ``up`` is (y + e_j,
-    d_up lower_j(up)) and ``down`` is (y - e_j, d_down raise_j(down)
-    (y_j + (d/2)(r - j))), each None when the move leaves the partitions.
-    Memoized in ``jack.cache`` per index."""
-    key = ("moves", y)
+def _plan_terms(jack: JackTable, y) -> tuple:
+    """The family-free part of the shift equations at the padded index y,
+    as (dim, terms, den).  ``dim`` is d_y as an integer pair.  ``terms``
+    has one entry per term of the residual row: the centre first, then
+    for each row j the move up, y + e_j, and the move down, y - e_j, where
+    it stays a partition.  Each entry is (row, vector), with ``row`` the
+    full falling-factorial row of its index, the numerators of
+    ``dpolys._second_row``, and ``vector`` the integers (beta, gamma, eps)
+    such that the term's coefficient divided by that row's denominator is
+    (beta b + gamma c + eps e) / den for any shift triple (b, c, e):
+
+        centre:    d_y ((b + c) |y| + e r),
+        up at j:   -d_up lower_j(up) (c (y_j - (d/2)(j - 1)) + e),
+        down at j: -d_down raise_j(down) (y_j + (d/2)(r - j)) b.
+
+    Memoized per index in ``jack.cache``, for every family."""
+    key = ("terms", y)
     got = jack.cache.get(key)
     if got is not None:
         return got
     params = cone_params(jack)
     r, half = params.r, params.d / 2
-    rows = []
+    dim_y = dim_partition(y, jack)
+    centre = dim_y * weight(y)
+    moves = [(y, (centre, centre, dim_y * r))]
     for j in range(1, r + 1):
         up = box_move(y, j, +1)
         if up is not None:
-            up = (up, dim_partition(up, jack) * lower_coefficient(j, up, params))
+            base = dim_partition(up, jack) * lower_coefficient(j, up, params)
+            moves.append((up, (0, -base * (y[j - 1] - half * (j - 1)), -base)))
         down = box_move(y, j, -1)
         if down is not None:
             base = dim_partition(down, jack) * raise_coefficient(j, down, params)
-            down = (down, base * (y[j - 1] + half * (r - j)))
-        rows.append((up, down))
-    got = (dim_partition(y, jack), tuple(rows))
-    jack.cache[key] = got
-    return got
+            moves.append((down, (-base * (y[j - 1] + half * (r - j)), 0, 0)))
+    rows = [_second_row(jack, move, weight(move)) for move, _ in moves]
+    flat, den = _over_common_denominator(tuple(
+        Fraction(v) / rden for (_, vector), (_, rden) in zip(moves, rows) for v in vector
+    ))
+    terms = tuple((nums, flat[3 * i:3 * i + 3]) for i, (nums, _) in enumerate(rows))
+    got = ((dim_y.numerator, dim_y.denominator), terms, den)
+    return jack.cache.setdefault(key, got)
 
 
 def _shift_plan(fp: FamilyParams, moving, jack: JackTable) -> tuple:
     """The residual row of the difference equation in the padded index
-    ``moving``, as (lam, row, den).  The equation reads
+    ``moving``, as (lam numerator, lam denominator, row, den).  The
+    equation reads
 
         (lam |fixed| + diag) f(moving) = sum of coef f(y) over neighbours,
 
     with (y, coef) for every up and down box move whose coefficient is
     nonzero.  The family enters only through its shift triple (b, c, e) =
-    ``fp.shift``: the move up at row j has coefficient base (c (y_j -
-    (d/2)(j - 1)) + e), the move down base b, and
+    ``fp.shift``: every coefficient, diag = d_y sum_j ((b + c) y_j + e)
+    included, is linear in it, and lam = d_y (c - b).  The family value
+    f(fixed, y) is linear in the falling-factorial row G_y of y, so all
+    but the lam term is one pairing with the row
 
-        diag = d_y sum_j ((b + c) y_j + e),   lam = d_y (c - b),
+        H = diag G_moving - sum of coef G_y,
 
-    with ``base`` from ``_box_moves``.  The family value f(fixed, y) is
-    linear in the falling-factorial row G_y of y, so all but the lam term
-    is one pairing with the row
-
-        H = diag G_moving - sum of coef G_y
-
-    over the full rows from ``dpolys._second_row``, returned as {k:
-    integer numerator} over den.  It is built with one Fraction per row,
-    the coefficients over their common denominator from
-    ``dpolys._over_common_denominator``, and integer multiply-adds.  It keeps
-    every key of those rows, entries that cancel to 0 included, so a pole
-    of the fixed index's row raises where evaluating the family at the
-    neighbours would.  Computed once per (fp, moving) and memoized in
-    ``jack.cache``, keyed by the integer pairs of ``fp._key``."""
+    returned as {k: integer numerator} over den.  It is built in integers:
+    (b, c, e) over one denominator, from
+    ``dpolys._over_common_denominator``, times the family-free vectors of
+    ``_plan_terms``, which scale each term's row.  The centre term is
+    always kept and a term whose coefficient is zero is skipped (a
+    Krawtchouk raise out of the box, which keeps the recurrence inside
+    it, or any lowering at p = 1); the row keeps every key of the kept
+    rows, entries that cancel to 0 included, so a pole of the fixed
+    index's row raises where evaluating the family at the neighbours
+    would.  Computed once per (fp, moving) and memoized in ``jack.cache``,
+    keyed by the integer pairs of ``fp._key``."""
     key = ("shift", fp._key, moving)
     got = jack.cache.get(key)
     if got is not None:
         return got
-    b, c, e = fp.shift
-    half = jack.d / 2
-    dim_y, rows = _box_moves(jack, moving)
-    terms = [(moving, dim_y * ((b + c) * weight(moving) + e * jack.r))]
-    for j, (yj, (up, down)) in enumerate(zip(moving, rows), 1):
-        # a zero coefficient is skipped: a Krawtchouk raise out of the box,
-        # which keeps the recurrence inside it, or any lowering at p = 1
-        for move, factor in ((up, c * (yj - half * (j - 1)) + e), (down, b)):
-            if move is not None:
-                y, base = move
-                if base * factor:
-                    terms.append((y, -base * factor))
-    rows = [_second_row(jack, y, weight(y)) for y, _ in terms]
-    scales, hden = _over_common_denominator(
-        tuple(Fraction(coef, den) for (_, coef), (_, den) in zip(terms, rows))
-    )
+    (b, c, e), bce_den = _over_common_denominator(fp.shift)
+    (dim_num, dim_den), terms, den = _plan_terms(jack, moving)
     row = {}
-    for (nums, _), a in zip(rows, scales):
-        for k, n in nums.items():
-            row[k] = row.get(k, 0) + a * n
-    return jack.cache.setdefault(key, (dim_y * (c - b), row, hden))
+    for i, (nums, (beta, gamma, eps)) in enumerate(terms):
+        scale = beta * b + gamma * c + eps * e
+        if scale or not i:  # terms[0] is the centre
+            for k, n in nums.items():
+                row[k] = row.get(k, 0) + scale * n
+    got = (dim_num * (c - b), dim_den * bce_den, row, den * bce_den)
+    return jack.cache.setdefault(key, got)
 
 
 def _shift_equation(
@@ -593,21 +598,29 @@ def _shift_equation(
     """Exact residual (lhs - rhs) of the difference equation in the index
     ``moving`` with ``fixed`` held.  Terms whose shifted index is not a
     partition are omitted, which reproduces the classical r = 1 equations.
-    The centre value is evaluated with ``moving`` as its first index when
+    The centre value f is evaluated with ``moving`` as its first index when
     ``moving_first``; by duality that turns the equation into the
     recurrence in the first index.  The rest is the first-index row of
     ``fixed`` paired with the residual row of ``moving``: the family sum
     is symmetric in its two indices, so the one row serves both
-    equations."""
+    equations.  The pairing is one integer sum S over q, the product of
+    the two rows' denominators, so with lam = ln/ld from the plan and
+    f = a/b the residual is one Fraction,
+
+        (ln |fixed| a q + S ld b) / (ld b q)."""
     fixed = pad(fixed, jack.r)
     moving = pad(moving, jack.r)
     if moving_first:
         fy = fp.evaluate(moving, fixed, jack)
     else:
         fy = fp.evaluate(fixed, moving, jack)
-    lam, row, den = _shift_plan(fp, moving, jack)
+    lam_num, lam_den, row, den = _shift_plan(fp, moving, jack)
     s, z = fp.point
-    return lam * weight(fixed) * fy + _row_dot(_first_row(jack, fixed, s, z), row, den, s)
+    first = _first_row(jack, fixed, s, z)
+    total = _row_sum(first, row, s)
+    q = first[2] * den
+    a, b = fy.numerator, fy.denominator
+    return Fraction(lam_num * weight(fixed) * a * q + total * lam_den * b, lam_den * b * q)
 
 
 def difference_residual(fp: FamilyParams, m, x, jack: JackTable) -> Fraction:

@@ -11,7 +11,10 @@ read off the basis expansion, where the package has a closed form.  The first-in
 recurrence is written out term by term in the first index, where the
 package derives it from the difference equation by duality.  The
 difference equation itself is also evaluated with every coefficient
-recomputed per call, where the package reads a memoized plan.  Binomial
+recomputed per call, where the package reads a memoized plan, and on
+the package's rows in Fractions, one Fraction coefficient per term and
+the family value added as a Fraction, where the package builds its plans
+in integers from family-free vectors and ends in one Fraction.  Binomial
 and falling-factorial rows are expanded directly in the basis table
 (Phi_x at the all-ones shift, cut at the cap), where the package runs
 Lassalle's recursion on full rows and its dual, over the rows of the
@@ -55,6 +58,7 @@ from mvdop.conearith import (
     raise_coefficient,
     weight_factor,
 )
+from mvdop.dpolys import _first_row, _over_common_denominator, _row_dot, _second_row
 from mvdop.errors import DomainError, ParameterError, PoleError
 from mvdop.partitions import (
     box_move,
@@ -445,6 +449,49 @@ def shift_equation_direct(fp, fixed, moving, jack, moving_first: bool) -> Fracti
                 rhs += coef * value(down)
     rhs -= dim_y * mid * fy
     return lhs - rhs
+
+
+def shift_equation_fraction_route(fp, fixed, moving, jack, moving_first: bool) -> Fraction:
+    """Exact residual of the difference equation in ``moving`` with
+    ``fixed`` held, on the package's rows but in Fractions: the residual
+    row is built from one Fraction coefficient per term, (b, c, e) read
+    into each term's coefficient in Fractions and scaled by Fraction(coef,
+    den) onto its neighbour's row, and the residual is lam |fixed| f plus
+    the Fraction pairing ``dpolys._row_dot``.  The key-set rules are
+    written out again: the centre term is always kept, a term whose
+    coefficient is zero is skipped.  The package reads integer plans from
+    family-free vectors and ends in one Fraction."""
+    params = cone_params(jack)
+    r, half = params.r, params.d / 2
+    fixed = pad(fixed, r)
+    moving = pad(moving, r)
+    fy = fp.evaluate(moving, fixed, jack) if moving_first else fp.evaluate(fixed, moving, jack)
+    b, c, e = fp.shift
+    dim_y = dim_partition(moving, jack)
+    terms = [(moving, dim_y * ((b + c) * weight(moving) + e * r))]
+    for j in range(1, r + 1):
+        yj = moving[j - 1]
+        up = box_move(moving, j, +1)
+        if up is not None:
+            coef = dim_partition(up, jack) * lower_coefficient(j, up, params) * (
+                c * (yj - half * (j - 1)) + e)
+            if coef:
+                terms.append((up, -coef))
+        down = box_move(moving, j, -1)
+        if down is not None:
+            coef = (dim_partition(down, jack) * raise_coefficient(j, down, params)
+                    * (yj + half * (r - j)) * b)
+            if coef:
+                terms.append((down, -coef))
+    rows = [_second_row(jack, y, weight(y)) for y, _ in terms]
+    scales, hden = _over_common_denominator(
+        tuple(Fraction(coef) / den for (_, coef), (_, den) in zip(terms, rows)))
+    row = {}
+    for (nums, _), a in zip(rows, scales):
+        for k, n in nums.items():
+            row[k] = row.get(k, 0) + a * n
+    s, z = fp.point
+    return dim_y * (c - b) * weight(fixed) * fy + _row_dot(_first_row(jack, fixed, s, z), row, hden, s)
 
 
 def gen_pochhammer_direct(s, m, params) -> Fraction:

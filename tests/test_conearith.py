@@ -24,9 +24,10 @@ from mvdop.conearith import (
     weight_factor,
 )
 from mvdop.dpolys import determinant_formula, meixner
-from mvdop.errors import SingularArgumentError
+from mvdop.errors import ParameterError, SingularArgumentError
 from mvdop.jack import JackTable, jack_table
 from mvdop.partitions import contains, enumerate_up_to, partitions_of, sub_partitions, weight
+from mvdop.symfun import SymPoly
 
 from .oracles import (
     binomial_row_expansion,
@@ -47,6 +48,28 @@ def test_cone_params_invariants():
         assert p.n == r + d / 2 * r * (r - 1)
         assert p.rank_ratio * r == p.n
         assert sum(p.rho) == 0
+
+
+@pytest.mark.parametrize("make", [lambda r: ConeParams(r, F(2)), SymPoly], ids=["ConeParams", "SymPoly"])
+@pytest.mark.parametrize("r, message", [
+    (2.7, "r must be an integer, got 2.7"),
+    (2.5, "r must be an integer, got 2.5"),
+    ("2", "r must be an integer, got '2'"),
+    (0, "need r >= 1, got 0"),
+    (-1, "need r >= 1, got -1"),
+])
+def test_bad_rank_is_refused(make, r, message):
+    # the rank goes through errors.integer, as in JackTable: a non-integral
+    # rank is refused, not truncated or kept
+    with pytest.raises(ParameterError) as exc:
+        make(r)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", [F(0), F(-1, 2)])
+def test_bad_multiplicity_is_refused(d):
+    with pytest.raises(ParameterError, match=f"need d > 0, got {d}"):
+        ConeParams(2, d)
 
 
 def test_gen_pochhammer_examples():

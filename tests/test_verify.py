@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvdop.conearith import cone_params, gen_pochhammer
 from mvdop.dpolys import FamilyParams
@@ -31,6 +32,7 @@ from mvdop.verify import (
 from .oracles import (
     recurrence_residual_mirror,
     shift_equation_direct,
+    shift_equation_fraction_route,
     truncated_sums_by_shells,
     univariate_meixner,
 )
@@ -636,6 +638,112 @@ def test_residual_rows_raise_where_direct_evaluation_does():
                         kind = want.__name__ if isinstance(want, type) else want != 0
                         seen[kind] = seen.get(kind, 0) + 1
     assert seen == {"PoleError": 1176, "DomainError": 2268, True: 717, False: 7509}
+
+
+def _result(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of the
+    MvdopError it raises."""
+    try:
+        return fn(*args)
+    except MvdopError as exc:
+        return type(exc), str(exc)
+
+
+_RATS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_NONZERO = _RATS.filter(bool)
+_FAMILY_KWARGS = st.one_of(
+    # integer and half-integer alpha <= 0 reach the poles of (alpha)_k
+    st.builds(lambda alpha, c: dict(family="meixner", alpha=alpha, c=c),
+              st.one_of(st.integers(-3, 3).map(F), _RATS), _NONZERO),
+    st.builds(lambda a: dict(family="charlier", a=a), _NONZERO),
+    # p = 1 makes every lowering coefficient zero; N < 3 puts indices
+    # of the grid outside the box
+    st.builds(lambda p, N: dict(family="krawtchouk", p=p, N=N),
+              st.one_of(st.just(F(1)), _NONZERO), st.integers(0, 3)),
+)
+_INDEX_PAIRS = [(r, m, x) for r in (1, 2, 3)
+                for m in enumerate_up_to(r, 3) for x in enumerate_up_to(r, 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kw=_FAMILY_KWARGS, cls=st.sampled_from([FamilyParams, _Skewed]),
+       d=st.sampled_from([F(1), F(2), F(5, 2)]), case=st.sampled_from(_INDEX_PAIRS),
+       first=st.booleans())
+# a nonzero residual
+@example(kw=dict(family="meixner", alpha=F(7, 3), c=F(3, 5)), cls=_Skewed, d=F(5, 2),
+         case=(2, (2, 1), (1, 1)), first=False)
+# the recurrence at a second index outside the box: a nonzero residual
+@example(kw=dict(family="krawtchouk", p=F(2, 7), N=1), cls=FamilyParams, d=F(2),
+         case=(2, (1, 0), (2, 1)), first=True)
+# p = 1: no lowering enters either equation
+@example(kw=dict(family="krawtchouk", p=F(1), N=2), cls=FamilyParams, d=F(2),
+         case=(2, (1, 1), (2, 0)), first=False)
+@example(kw=dict(family="krawtchouk", p=F(1), N=2), cls=_Skewed, d=F(2),
+         case=(2, (1, 1), (2, 0)), first=True)
+# a Meixner pole: (-1)_k vanishes at k = 2
+@example(kw=dict(family="meixner", alpha=F(-1), c=F(1, 3)), cls=FamilyParams, d=F(2),
+         case=(1, (2,), (2,)), first=False)
+@example(kw=dict(family="charlier", a=F(5, 4)), cls=_Skewed, d=F(1),
+         case=(3, (1, 1, 1), (2, 1)), first=True)
+def test_integer_residuals_match_the_fraction_route(kw, cls, d, case, first):
+    # the package pairs integer plans and ends in one Fraction; the oracle
+    # builds the plan per term in Fractions and adds lam |fixed| f to the
+    # Fraction pairing.  Equal values, or the same error with the same
+    # message, cold and warm
+    r, m, x = case
+    fp, t = cls(**kw), jack_table(r, d, 4)
+    if first:
+        want = _result(shift_equation_fraction_route, fp, x, m, t, True)
+        fn = recurrence_residual
+    else:
+        want = _result(shift_equation_fraction_route, fp, m, x, t, False)
+        fn = difference_residual
+    for _ in range(2):
+        got = _result(fn, fp, m, x, t)
+        assert got == want and type(got) is type(want), (fp, d, m, x)
+
+
+def _fractions_made(fn, *args) -> int:
+    """The number of Fractions constructed while ``fn(*args)`` runs:
+    the calls of Fraction.__new__, and of the constructor that newer
+    Pythons use for arithmetic results where it exists, seen by
+    sys.setprofile."""
+    codes = {F.__new__.__code__}
+    if hasattr(F, "_from_coprime_ints"):
+        codes.add(F._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+@pytest.mark.parametrize("kw", [
+    dict(family="meixner", alpha=F(7, 3), c=F(3, 5)),
+    dict(family="charlier", a=F(5, 4)),
+    dict(family="krawtchouk", p=F(2, 7), N=3),
+])
+def test_warm_residual_makes_one_fraction_besides_its_family_value(kw):
+    # a warm residual is integer arithmetic that ends in one Fraction; the
+    # family value adds a coercion per rational parameter and its own one
+    # Fraction: at most the rational parameters plus 2 (Meixner 4,
+    # Charlier 3, Krawtchouk 3)
+    t = jack_table(3, F(5, 2), 4)
+    fp = FamilyParams(**kw)
+    bound = sum(name != "N" for name in dpolys.FAMILY_PARAMS[fp.family]) + 2
+    m, x = (2, 1, 0), (1, 1, 0)
+    for fn in (difference_residual, recurrence_residual):
+        fn(fp, m, x, t)
+        assert _fractions_made(fn, fp, m, x, t) <= bound, fn.__name__
 
 
 def test_equation_reports():
