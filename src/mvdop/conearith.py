@@ -30,27 +30,23 @@ recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ParameterError, SingularArgumentError, integer
+from .errors import ParameterError, SingularArgumentError, _Frozen, integer
 from .jack import JackTable
 from .partitions import pad, sub_partitions, weight
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Rank r and multiplicity d with the derived constants."""
+class ConeParams(_Frozen):
+    """Rank r (an int) and multiplicity d (a Fraction) with derived constants."""
 
-    r: int
-    d: Fraction
+    _fields = ("r", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", integer(self.r, "r"))
-        object.__setattr__(self, "d", Fraction(self.d))
+    def __init__(self, r: int, d: Rat):
+        vars(self).update(r=integer(r, "r"), d=Fraction(d))
         if self.r < 1:
             raise ParameterError(f"need r >= 1, got {self.r}")
         if self.d <= 0:

@@ -28,7 +28,6 @@ family; here only ``FamilyParams.evaluate`` tells the families apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -36,7 +35,7 @@ from math import comb, factorial, lcm
 from typing import Optional, Sequence, Union
 
 from .conearith import _dim_ratio, _pochhammer, binomial_row, falling_row, weight_factor
-from .errors import DomainError, ParameterError, PoleError, integer
+from .errors import DomainError, ParameterError, PoleError, _Frozen, integer
 from .jack import JackTable
 from .partitions import contains, format_partition, pad, weight
 from .symfun import SymPoly
@@ -347,16 +346,13 @@ def determinant_formula(family: str, m, x, jack: JackTable, **params) -> Fractio
 # and the CLI
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    family: str
-    alpha: Optional[Fraction] = None
-    c: Optional[Fraction] = None
-    a: Optional[Fraction] = None
-    p: Optional[Fraction] = None
-    N: Optional[int] = None
+class FamilyParams(_Frozen):
+    """A family and its FAMILY_PARAMS as Fractions (N an int), the rest None."""
 
-    def __post_init__(self):
+    _fields = ("family",) + PARAM_NAMES
+
+    def __init__(self, family: str, alpha=None, c=None, a=None, p=None, N=None):
+        vars(self).update(family=family, alpha=alpha, c=c, a=a, p=p, N=N)
         need = FAMILY_PARAMS.get(self.family)
         if need is None:
             raise ParameterError(f"unknown family {self.family!r}")
@@ -393,8 +389,8 @@ class FamilyParams:
     @cached_property
     def _key(self) -> tuple:
         """The family and its parameters, each Fraction as its integer
-        pair: a memo key that hashes and compares in C, where the
-        dataclass hash runs Fraction.__hash__ in Python per field."""
+        pair: a memo key that hashes and compares in C, where hashing
+        the instance runs Fraction.__hash__ in Python per field."""
         out = [self.family]
         for name in FAMILY_PARAMS[self.family]:
             v = getattr(self, name)

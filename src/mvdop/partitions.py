@@ -16,11 +16,11 @@ Partition = tuple
 
 
 def is_partition(m) -> bool:
-    """True iff ``m`` is a weakly decreasing tuple of nonnegative integers."""
+    """True iff ``m`` is a weakly decreasing tuple of nonnegative ints, bool not."""
     # one pass: pad checks every index it is given through here
     prev = m[0] if m else 0
     for a in m:
-        if not isinstance(a, int) or a > prev:
+        if type(a) is not int or a > prev:
             return False
         prev = a
     return prev >= 0

@@ -46,7 +46,6 @@ up front.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial, log
@@ -70,7 +69,7 @@ from .dpolys import (
     _second_row,
     companion_poly,
 )
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _Fields
 from .jack import JackTable
 from .partitions import (
     box_move,
@@ -101,15 +100,16 @@ def _fmt(v):
     return v
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Fields):
     """Structured outcome of one identity check."""
 
-    identity: str
-    params: dict
-    truncation: dict = field(default_factory=dict)
-    cases: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    _fields = ("identity", "params", "truncation", "cases", "summary")
+
+    def __init__(self, identity: str, params: dict, truncation=None, cases=None, summary=None):
+        self.identity, self.params = identity, params
+        self.truncation = {} if truncation is None else truncation
+        self.cases = [] if cases is None else cases
+        self.summary = {} if summary is None else summary
 
     def finalize(self) -> "VerificationReport":
         # every residual is a "p/q" string or a float (a cut sum, a suite's maximum)

@@ -48,6 +48,12 @@ def test_cone_params_invariants():
         assert p.n == r + d / 2 * r * (r - 1)
         assert p.rank_ratio * r == p.n
         assert sum(p.rho) == 0
+    p = ConeParams(2, 2)
+    assert repr(p) == "ConeParams(r=2, d=Fraction(2, 1))"
+    assert p == ConeParams(2, F(2)) and hash(p) == hash(ConeParams(2, F(2)))
+    assert p != ConeParams(2, F(5, 2))
+    with pytest.raises(AttributeError):
+        p.r = 3
 
 
 @pytest.mark.parametrize("make", [lambda r: ConeParams(r, F(2)), SymPoly], ids=["ConeParams", "SymPoly"])

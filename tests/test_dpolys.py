@@ -1,3 +1,4 @@
+import pickle
 import re
 import sys
 import threading
@@ -492,3 +493,29 @@ def test_family_params_validation():
             FamilyParams(family, **kw)
     fp = FamilyParams("krawtchouk", p=F(1, 3), N=2)
     assert fp.label() == {"family": "krawtchouk", "p": "1/3", "N": 2}
+
+
+class _SameFields(FamilyParams):
+    """A subclass with the very same fields, as the test families are."""
+
+
+def test_family_params_are_values():
+    # a hand-written class keeps what the frozen dataclass it replaced had:
+    # field-wise == and hash, its repr text, refused assignment, pickling
+    fp = FamilyParams("meixner", alpha=2, c=F(1, 3))
+    same = FamilyParams("meixner", alpha=F(2), c=F(1, 3))
+    assert fp == same and hash(fp) == hash(same) and len({fp, same}) == 1
+    assert fp != FamilyParams("meixner", alpha=F(2), c=F(1, 2))
+    assert fp != _SameFields("meixner", alpha=2, c=F(1, 3)) and fp != ("meixner", 2)
+    assert repr(FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3))) == (
+        "FamilyParams(family='meixner', alpha=Fraction(7, 2), c=Fraction(1, 3), "
+        "a=None, p=None, N=None)"
+    )
+    for name in ("alpha", "family", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fp, name, F(3))
+        with pytest.raises(AttributeError):
+            delattr(fp, name)
+    assert fp.alpha == 2 and fp.point == (F(2), F(-2))  # (alpha, 1 - 1/c)
+    back = pickle.loads(pickle.dumps(fp))
+    assert back == fp and hash(back) == hash(fp) and back.point == fp.point

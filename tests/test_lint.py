@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mvdop
@@ -431,3 +434,30 @@ def test_one_table_load_per_command():
         for name, func in commands.items()
     }
     assert found == TABLE_LOADS
+
+
+# dataclasses alone loads inspect, ast, dis and tokenize, about 60 ms when
+# their bytecode is not cached; the package uses none of them at run time
+NOT_AT_RUN_TIME = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_import_loads_only_what_runs():
+    code = ("import sys; before = set(sys.modules); import mvdop, mvdop.verify, mvdop.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    added = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True).stdout.split())
+    assert {"mvdop.cli", "mvdop.verify"} <= added
+    assert not added & NOT_AT_RUN_TIME, sorted(added & NOT_AT_RUN_TIME)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] in ("dataclasses", "inspect")]
+    assert not found, found

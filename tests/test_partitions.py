@@ -140,6 +140,11 @@ def test_pad_rejects_non_integer_entries():
     # integer-valued entries of other types are canonicalized to ints
     got = pad([_Index(2), True], 3)
     assert got == (2, 1, 0) and all(type(a) is int for a in got)
+    # a tuple of the right length takes the same converting path
+    for bools in ((True, False), [True, False]):
+        got = pad(bools, 2)
+        assert got == (1, 0) and all(type(a) is int for a in got)
+        assert format_partition(got) == "1,0"
 
 
 def test_pad_returns_canonical_tuple_unchanged():

@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,8 +182,9 @@ def test_orthogonality_checks_fail_on_a_wrong_family(monkeypatch):
     moved = {"krawtchouk": "p", "meixner": "alpha"}
 
     def wrong_value(fp, m, x, jack):
-        name = moved[fp.family]
-        return true_value(replace(fp, **{name: getattr(fp, name) + F(1, 100)}), m, x, jack)
+        params = {name: getattr(fp, name) for name in dpolys.FAMILY_PARAMS[fp.family]}
+        params[moved[fp.family]] += F(1, 100)
+        return true_value(FamilyParams(fp.family, **params), m, x, jack)
 
     monkeypatch.setattr(FamilyParams, "evaluate", wrong_value)
     meixner = FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3))
@@ -230,8 +230,9 @@ def test_moment_routes_fail_on_a_wrong_family(monkeypatch):
     moved = {"meixner": "alpha", "charlier": "a"}
 
     def wrong_value(fp, m, x, jack):
-        name = moved[fp.family]
-        return true_value(replace(fp, **{name: getattr(fp, name) + F(1, 100)}), m, x, jack)
+        params = {name: getattr(fp, name) for name in dpolys.FAMILY_PARAMS[fp.family]}
+        params[moved[fp.family]] += F(1, 100)
+        return true_value(FamilyParams(fp.family, **params), m, x, jack)
 
     monkeypatch.setattr(FamilyParams, "evaluate", wrong_value)
     families = (FamilyParams("meixner", alpha=F(7, 2), c=F(1, 3)), FamilyParams("charlier", a=F(2)))
@@ -879,3 +880,12 @@ def test_report_finalize_counts():
     rep.finalize()
     assert rep.summary == {"total": 2, "passed": 1, "max_residual": 0.5}
     assert not rep.passed
+
+
+def test_reports_get_fresh_default_containers():
+    one, two = VerificationReport("toy", {}), VerificationReport("toy", {})
+    one.cases.append({"residual": "0", "pass": True})
+    one.truncation["exact"] = True
+    assert two.cases == [] and two.truncation == {} and two.summary == {}
+    assert one != two and VerificationReport("toy", {}) == two
+    assert repr(two) == "VerificationReport(identity='toy', params={}, truncation={}, cases=[], summary={})"
