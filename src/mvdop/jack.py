@@ -7,20 +7,30 @@ Construction is an exact eigenfunction recursion: the operator
 
 acts triangularly (with respect to dominance) on the monomial basis within
 each weight, with distinct eigenvalues for d > 0, so each basis element is
-solved by back-substitution in descending lexicographic order.  The
-recursion runs in Python ints: with d = p/q it builds q*E, whose entries
-and eigenvalue gaps are integers, and keeps each solved coefficient as a
-reduced numerator over its own denominator, so one ``Fraction`` is made
-per stored coefficient and one per principal value.  Entries never
-change once computed, so tables are extended in place and may be cached
-or serialized.
+solved by back-substitution in descending lexicographic order.  Only the
+elements with lam_r = 0 are solved: in r variables
+P_(lam + (k^r)) = (x_1 ... x_r)^k P_lam, with the same value at
+(1, ..., 1), so the entry of a lam with lam_r = k > 0 is that of
+lam - (k^r), k*r weights down, with every key raised by k, over the same
+coefficient objects and the same principal value.  The solve still runs
+over the whole weight space, since an element with lam_r = 0 expands
+over monomials with mu_r > 0.  The recursion runs in Python ints: with
+d = p/q it builds q*E, whose entries and eigenvalue gaps are integers,
+and keeps each solved coefficient as a reduced numerator over its own
+denominator, so one ``Fraction`` is made per coefficient of a solved
+element and one per its principal value, and none for a shifted one.
+Entries never change once computed, so tables are extended in place and
+may be cached or serialized.
 
 Any number of threads may extend and read one table.  Each weight is
 solved outside the table's lock and published under it (``_publish``,
 which a table read from disk also goes through), its entries stored
 before ``built_degree`` counts it; a weight another thread published
 first is dropped, so ``built_degree`` never goes down, though two
-threads may build the same weight.  The ``cache`` dict is scratch space
+threads may build the same weight.  A weight reads only lower weights,
+and those are already published when its build starts: ``extend``
+builds in weight order, and each publish returns with ``built_degree``
+at least at its weight.  The ``cache`` dict is scratch space
 for downstream layers: its entries are filled lazily, each computed in full
 before one store publishes it, so a concurrent reader finds an entry
 whole or not at all, and concurrent readers may repeat work.  Nothing
@@ -101,19 +111,23 @@ def _operator_rows(r: int, d: Fraction, keys: list) -> dict:
     return rows
 
 
-def _solve_weight(keys: list, rows: dict) -> dict:
-    """Unitriangular eigenvector solve: for each lam, the expansion of the
-    basis element with leading monomial m_lam, as two dicts ({mu: num},
-    {mu: den}) with gcd(num, den) = 1 and den > 0.  ``rows`` is q*E in
-    ints; scaling the operator scales every eigenvalue gap by the same q,
-    so each ratio sum_nu u_nu A[nu][mu] / (e_lam - e_mu) is that of E."""
+def _solve_weight(keys: list, rows: dict, lams) -> dict:
+    """Unitriangular eigenvector solve: for each lam in ``lams``, the
+    expansion of the basis element with leading monomial m_lam over all of
+    ``keys``, as two dicts ({mu: num}, {mu: den}) with gcd(num, den) = 1
+    and den > 0.  ``rows`` is q*E in ints; scaling the operator scales
+    every eigenvalue gap by the same q, so each ratio
+    sum_nu u_nu A[nu][mu] / (e_lam - e_mu) is that of E."""
     cols: dict = {mu: {} for mu in keys}
     for nu, row in rows.items():
         for mu, a in row.items():
             if mu != nu:
                 cols[mu][nu] = a
+    lams = set(lams)
     out = {}
     for pos, lam in enumerate(keys):
+        if lam not in lams:
+            continue
         e_lam = rows[lam].get(lam, 0)
         # numerators and denominators in two dicts, and each lcm folded in
         # the loop: a tuple per coefficient or per lcm(*...) call would
@@ -147,6 +161,13 @@ def _solve_weight(keys: list, rows: dict) -> dict:
                 dens[mu] = den // g
         out[lam] = nums, dens
     return out
+
+
+def _shifted(poly: dict, k: int, keys: dict) -> dict:
+    """The expansion of (x_1 ... x_r)^k times the element expanded by
+    ``poly``: each key raised by k in every part, as the tuple ``keys``
+    holds for it, over the same coefficient objects."""
+    return {keys[tuple([a + k for a in mu])]: c for mu, c in poly.items()}
 
 
 def _orbit_size(mu) -> int:
@@ -221,18 +242,33 @@ class JackTable:
     def extend(self, degree: int) -> "JackTable":
         """Build all weights up to ``degree``; earlier entries are reused
         bit for bit."""
+        degree = integer(degree, "degree")
         for w in range(self.built_degree + 1, degree + 1):
             self._build_weight(w)
         return self
 
     def _build_weight(self, w: int):
+        """Solve the lam of weight ``w`` with lam_r = 0; each other lam is
+        P_lam = (x_1 ... x_r)^k P_(lam - (k^r)), k = lam_r, read from a
+        lower weight that is already published."""
         keys = list(partitions_of(w, self.r))
         rows = _operator_rows(self.r, self.d, keys)
+        solved = _solve_weight(keys, rows, [lam for lam in keys if not lam[-1]])
         sizes = {mu: _orbit_size(mu) for mu in keys}
+        # the raised keys are this weight's own tuples, so every entry of
+        # the weight shares them, as the solved entries do
+        own = {mu: mu for mu in keys}
         polys, principal = {}, {}
-        for lam, (nums, dens) in _solve_weight(keys, rows).items():
-            poly = polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
-            principal[lam] = Fraction(*_value_at_ones(poly, sizes))
+        for lam in keys:
+            k = lam[-1]
+            if k:
+                base = tuple([a - k for a in lam])
+                polys[lam] = _shifted(self._polys[base], k, own)
+                principal[lam] = self._principal[base]
+            else:
+                nums, dens = solved[lam]
+                poly = polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
+                principal[lam] = Fraction(*_value_at_ones(poly, sizes))
         self._publish(w, polys, principal)
 
     def _publish(self, w: int, polys: dict, principal: dict):

@@ -6,8 +6,11 @@ power-sum coordinates, and the d = 2 specialization is evaluated through
 the bialternant ratio.  Both routes are exact.  The one exception shares
 the algorithm but not the arithmetic: the eigenoperator recursion that
 builds the table is run on E itself in Fractions, where the package runs
-it on q*E (d = p/q) in ints.  The Pieri coefficients of m_(1) * Phi_m are
-read off the basis expansion, where the package has a closed form.  The first-index
+it on q*E (d = p/q) in ints.  The integer solve itself is also run for
+every partition of each weight, where the package solves only those with
+last part 0 and shifts each other one up from a lower weight.  The Pieri
+coefficients of m_(1) * Phi_m are read off the basis expansion, where
+the package has a closed form.  The first-index
 recurrence is written out term by term in the first index, where the
 package derives it from the difference equation by duality.  The
 difference equation itself is also evaluated with every coefficient
@@ -60,6 +63,7 @@ from mvdop.conearith import (
 )
 from mvdop.dpolys import _first_row, _over_common_denominator, _row_dot, _second_row
 from mvdop.errors import DomainError, ParameterError, PoleError
+from mvdop.jack import JackTable, _operator_rows, _orbit_size, _solve_weight, _value_at_ones
 from mvdop.partitions import (
     box_move,
     contains,
@@ -730,6 +734,22 @@ def basis_table_fraction(r: int, d, degree: int) -> tuple:
             polys[lam] = u
             principal[lam] = sum(c * len(_orbit(mu)) for mu, c in u.items())
     return polys, principal
+
+
+def basis_table_all_solved(r: int, d, degree: int) -> JackTable:
+    """``JackTable(r, d)`` built to ``degree`` by the integer eigenvector
+    solve of every partition of each weight, none shifted up from a lower
+    weight."""
+    table = JackTable(r, d)
+    for w in range(1, degree + 1):
+        keys = list(partitions_of(w, r))
+        sizes = {mu: _orbit_size(mu) for mu in keys}
+        polys, principal = {}, {}
+        for lam, (nums, dens) in _solve_weight(keys, _operator_rows(r, table.d, keys), keys).items():
+            poly = polys[lam] = {mu: Fraction(n, dens[mu]) for mu, n in nums.items()}
+            principal[lam] = Fraction(*_value_at_ones(poly, sizes))
+        table._publish(w, polys, principal)
+    return table
 
 
 def pieri_coefficients(table, m) -> dict:

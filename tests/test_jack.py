@@ -13,6 +13,7 @@ from mvdop.partitions import enumerate_up_to, pad, weight
 from mvdop.symfun import SymPoly
 
 from .oracles import (
+    basis_table_all_solved,
     basis_table_fraction,
     gram_schmidt_basis,
     pieri_coefficients,
@@ -73,6 +74,52 @@ def test_integer_build_matches_fraction_oracle(r, d, degree):
         assert all(type(c) is Fraction for c in t._polys[m].values()), (r, d, m)
         assert t._principal[m] == principal[m], (r, d, m)
     assert t._principal.keys() == principal.keys()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    p=st.integers(1, 12),
+    q=st.integers(1, 12),
+    data=st.data(),
+)
+def test_shifted_entries_match_the_all_solved_oracle(r, p, q, data):
+    # the table solves only the lam with lam_r = 0 and takes each other one
+    # as (x_1 ... x_r)^lam_r times a lower entry; the oracle solves every lam
+    degree = data.draw(st.integers(0, 6 if r == 4 else 8), label="degree")
+    t = JackTable(r, F(p, q)).extend(degree)
+    want = basis_table_all_solved(r, F(p, q), degree)
+    assert t._polys == want._polys
+    assert t._principal == want._principal
+    assert json.dumps(t.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_only_the_lam_with_last_part_zero_are_solved(monkeypatch):
+    solved = []
+    solve = jack._solve_weight
+
+    def spy(keys, rows, lams):
+        solved.extend(lams)
+        return solve(keys, rows, lams)
+
+    monkeypatch.setattr(jack, "_solve_weight", spy)
+    for r, d, degree, count in [(2, 2, 42, 43), (3, 3, 26, 196), (1, 2, 12, 1)]:
+        solved.clear()
+        JackTable(r, d).extend(degree)
+        assert len(solved) == count, (r, d, degree)
+        assert all(lam[-1] == 0 for lam in solved)
+
+
+def test_shifted_entries_share_their_base_objects():
+    t = JackTable(2, 2).extend(4)
+    assert t._polys[(3, 1)][(2, 2)] is t._polys[(2, 0)][(1, 1)]
+    assert t._principal[(3, 1)] is t._principal[(2, 0)]
+    # and each key tuple is the one the weight's solved entry holds
+    key = {k: k for k in t._polys[(4, 0)]}
+    assert all(k is key[k] for m in ((3, 1), (2, 2)) for k in t._polys[m])
+    t = JackTable(3, F(7, 3)).extend(9)
+    assert t._polys[(4, 3, 2)][(3, 3, 3)] is t._polys[(2, 1, 0)][(1, 1, 1)]
+    assert t._principal[(4, 3, 2)] is t._principal[(2, 1, 0)]
 
 
 def test_schur_case_two_rows():
@@ -210,6 +257,16 @@ def test_non_integral_rank_is_refused(r):
         JackTable(r, 2)
     with pytest.raises(ParameterError, match=f"r must be an integer, got {r!r}"):
         jack_table(r, 2, 1)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, "3"], ids=repr)
+def test_non_integral_degree_is_refused(degree):
+    from mvdop.errors import ParameterError
+
+    with pytest.raises(ParameterError, match=f"degree must be an integer, got {degree!r}"):
+        jack_table(2, 2, degree)
+    with pytest.raises(ParameterError, match=f"degree must be an integer, got {degree!r}"):
+        JackTable(2, 2).extend(degree)
 
 
 def test_degree_error():
@@ -419,6 +476,36 @@ def test_concurrent_extends_reach_the_deepest_degree(monkeypatch):
                 th.join(timeout=30)
             assert not any(th.is_alive() for th in threads)
             assert jack_table(2, 2, 0).to_json_dict() == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+
+
+def test_concurrent_extends_at_rank_three(monkeypatch):
+    # as above at r = 3, where an entry with lam_3 = k is shifted up from
+    # weight |lam| - 3k: every thread must find that base published
+    degrees = [9, 13, 11, 9, 13, 11, 9, 13]
+    want = JackTable(3, 3).extend(max(degrees)).to_json_dict()
+    errors = []
+
+    def extend_and_read(w):
+        try:
+            jack_table(3, 3, w).principal((w - 6, 3, 3))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(jack, "_TABLES", {})
+            threads = [threading.Thread(target=extend_and_read, args=(w,)) for w in degrees]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert jack_table(3, 3, 0).to_json_dict() == want
     finally:
         sys.setswitchinterval(interval)
     assert not errors
